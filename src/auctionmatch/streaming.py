@@ -157,6 +157,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     else:
         t = ceil_log(k, w_max, w_min) + 1
     power = k ** t
+    # w * power < w_max exactly when w < ceil(w_max / power), for integer w
+    w_cut = -(-w_max // power)
 
     prices = [0] * n_r
     owner: list[int | None] = [None] * n_r
@@ -182,36 +184,43 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         phases += 1
 
         margin_best: dict[int, int] = {}
-        w_min_surv = None
-        for i, j, w in stream.traverse():
-            if w * power < w_max:
-                continue
-            if phases == 1:
-                has_edge[i] = True
-                w_min_surv = w if w_min_surv is None else min(w_min_surv, w)
-            if assignment[i] is not None:
-                continue
-            margin = k * w - prices[j]
-            if margin > 0 and margin > margin_best.get(i, 0):
-                if i not in margin_best:
-                    acct.alloc(1, "margins")
-                margin_best[i] = margin
         if phases == 1:
+            # Nothing is matched or priced yet; this pass also learns
+            # which bidders keep an edge and the surviving weight range.
+            w_min_surv = w_max
+            for i, j, w in stream.traverse():
+                if w < w_cut:
+                    continue
+                has_edge[i] = True
+                if w < w_min_surv:
+                    w_min_surv = w
+                margin = k * w
+                if margin > margin_best.get(i, 0):
+                    if i not in margin_best:
+                        acct.alloc(1, "margins")
+                    margin_best[i] = margin
             budget = phase_budget(ceil_log(k, w_max, w_min_surv), eps)
+        else:
+            for i, j, w in stream.traverse():
+                if assignment[i] is not None or w < w_cut:
+                    continue
+                margin = k * w - prices[j]
+                if margin > margin_best.get(i, 0):
+                    if i not in margin_best:
+                        acct.alloc(1, "margins")
+                    margin_best[i] = margin
 
+        # margin_best holds only bidders unmatched at phase start; a
+        # bidder leaves it once it claims an item in this pass.
+        n_margins = len(margin_best)
         pairs: list[tuple[int, int, int]] = []
-        newly_matched: set[int] = set()
         claimed: set[int] = set()
         for i, j, w in stream.traverse():
-            if w * power < w_max:
-                continue
-            if assignment[i] is not None or i in newly_matched:
-                continue
-            if j in claimed or i not in margin_best:
+            if i not in margin_best or j in claimed or w < w_cut:
                 continue
             v = k * w
             if prices[j] < v and v - prices[j] >= margin_best[i] - w:
-                newly_matched.add(i)
+                del margin_best[i]
                 claimed.add(j)
                 pairs.append((i, j, w))
                 acct.alloc(5, "phase-claims")
@@ -228,14 +237,14 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             current_weight += w
 
         if audit:
-            _audit_mwm_stream(prices, owner, assignment, k, w_max)
+            _audit_mwm_stream(prices, owner, assignment, matched_w, k)
 
         if current_weight > best_weight:
             best_weight = current_weight
             best_phase = phases
             best_assign = list(assignment)
 
-        acct.free(len(margin_best), "margins")
+        acct.free(n_margins, "margins")
         acct.free(5 * len(pairs), "phase-claims")
         if not pairs:
             break
@@ -251,11 +260,16 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     return result, trace
 
 
-def _audit_mwm_stream(prices, owner, assignment, k, w_max) -> None:
+def _audit_mwm_stream(prices, owner, assignment, matched_w, k) -> None:
+    # A bid at weight w finds the price below k * w and adds w, so an
+    # owned item stays below (k + 1) times its owner's matched weight.
     for j, p in enumerate(prices):
-        if not 0 <= p <= k * w_max:
-            raise InvariantViolation("price-range",
-                                     f"item {j} price {p} outside [0, {k * w_max}]")
+        if p < 0:
+            raise InvariantViolation("price-range", f"item {j} price {p} negative")
+        if owner[j] is not None and p >= (k + 1) * matched_w[owner[j]]:
+            raise InvariantViolation(
+                "price-range", f"item {j} price {p} not below (k + 1) * "
+                f"{matched_w[owner[j]]}, its owner's matched weight")
         if p > 0 and owner[j] is None:
             raise InvariantViolation("positive-price-implies-matched",
                                      f"item {j} priced {p} but unmatched")
@@ -272,10 +286,13 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     pass accumulating the cheapest qualifying price per unmatched bidder
     copy while matching price-0 item copies to cutoff-0 bidder copies,
     and a second pass matching the remaining bidder copies at their
-    accumulated price, evicting the lowest holder when no free copy is
-    left.  Item copies are interchangeable, so each item is tracked as
-    (minimum price, copies at it, copies one step above).  Passes total
-    1 + 2 * rounds.
+    accumulated price.  Item copies are interchangeable, so each item is
+    tracked as (minimum price, copies at it, copies one step above).  An
+    item copy at a positive minimum price is always held at that price,
+    so the second pass decides whether a claim can evict by counting the
+    claims already made at that price; the commit then evicts, for each
+    item, that many holders, lowest copy id first, in one sweep over the
+    bidder copies.  Passes total 1 + 2 * rounds.
     """
     k = eps.k
     acct = SpaceAccountant()
@@ -311,97 +328,100 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     best_card = 0
     best_round = 0
 
-    def lowest_free_copy(i: int, price: int, delta, claimed_bidders) -> int | None:
-        for bc in range(start[i], start[i + 1]):
-            if (assignment[bc] is None and bc not in claimed_bidders
-                    and cutoff[bc] <= price and delta.get(bc) == price):
-                return bc
-        return None
-
     while rounds < budget and stream.m > 0:
         if rounds > 0:
-            live = any(
-                has_edge[i] and any(
-                    assignment[bc] is None for bc in range(start[i], start[i + 1]))
-                for i in range(n_l))
+            live = any(has_edge[i] and None in assignment[start[i]:start[i + 1]]
+                       for i in range(n_l))
             if not live:
                 break
         rounds += 1
 
         delta: dict[int, int] = {}
-        claims: list[tuple[int, int, int | None, int]] = []
+        claims: list[tuple[int, int]] = []
         claimed_pairs: set[tuple[int, int]] = set()
         claimed_bidders: set[int] = set()
         claimed_at_pmin = [0] * n_r
-        evicted: set[int] = set()
         acct.alloc(n_r, "round-claim-counts")
 
         for i, j, _ in stream.traverse():
             if rounds == 1:
                 has_edge[i] = True
-            held_ij = any(assignment[bc] == j for bc in range(start[i], start[i + 1]))
-            if held_ij:
+            lo, hi = start[i], start[i + 1]
+            held = assignment[lo:hi]
+            # A bidder whose copies are all matched can neither demand
+            # nor claim.
+            if j in held or None not in held:
                 continue
             p = pmin[j]
             if p < k:
-                for bc in range(start[i], start[i + 1]):
+                for bc in range(lo, hi):
                     if assignment[bc] is None and cutoff[bc] <= p:
-                        if bc not in delta or p < delta[bc]:
-                            if bc not in delta:
-                                acct.alloc(1, "round-demands")
+                        d = delta.get(bc)
+                        if d is None:
+                            acct.alloc(1, "round-demands")
+                            delta[bc] = p
+                        elif p < d:
                             delta[bc] = p
             if p == 0 and (i, j) not in claimed_pairs:
                 if n_min[j] - claimed_at_pmin[j] <= 0:
                     continue
                 pick = None
-                for bc in range(start[i], start[i + 1]):
+                for bc in range(lo, hi):
                     if (assignment[bc] is None and bc not in claimed_bidders
                             and cutoff[bc] == 0):
                         pick = bc
                         break
                 if pick is None:
                     continue
-                claims.append((pick, j, None, 0))
+                claims.append((pick, j))
                 claimed_bidders.add(pick)
                 claimed_pairs.add((i, j))
                 claimed_at_pmin[j] += 1
                 acct.alloc(7, "round-claims")
 
+        # Every copy of j at pmin[j] > 0 is held at exactly that price, so
+        # n_min[j] - claimed_at_pmin[j] holders are still there to evict.
+        evicting = False
         for i, j, _ in stream.traverse():
+            p = pmin[j]
+            if p >= k or n_min[j] - claimed_at_pmin[j] <= 0:
+                continue
             if (i, j) in claimed_pairs:
                 continue
-            if any(assignment[bc] == j for bc in range(start[i], start[i + 1])):
+            lo, hi = start[i], start[i + 1]
+            held = assignment[lo:hi]
+            if j in held or None not in held:
                 continue
-            p = pmin[j]
-            if p >= k:
-                continue
-            bc = lowest_free_copy(i, p, delta, claimed_bidders)
-            if bc is None:
-                continue
-            if p == 0 and n_min[j] - claimed_at_pmin[j] > 0:
-                claims.append((bc, j, None, 0))
-                claimed_at_pmin[j] += 1
+            # delta[bc] == p already implies bc is unmatched and cutoff <= p
+            for bc in range(lo, hi):
+                if delta.get(bc) == p and bc not in claimed_bidders:
+                    break
             else:
-                victim = None
-                for other in range(n_copies):
-                    if (assignment[other] == j and held_price[other] == p
-                            and other not in evicted):
-                        victim = other
-                        break
-                if victim is None:
-                    continue
-                evicted.add(victim)
-                claims.append((bc, j, victim, p))
+                continue
+            claims.append((bc, j))
+            claimed_at_pmin[j] += 1
+            if p > 0:
+                evicting = True
             claimed_bidders.add(bc)
             claimed_pairs.add((i, j))
             acct.alloc(7, "round-claims")
 
-        for bc, j, victim, p_star in claims:
-            if victim is not None:
-                assignment[victim] = None
-                held_price[victim] = 0
+        if evicting:
+            # Each claim at pmin[j] > 0 evicts one holder at that price:
+            # the lowest-id ones, as a first-fit scan per claim would.
+            for bc in range(n_copies):
+                j = assignment[bc]
+                if (j is not None and held_price[bc] == pmin[j]
+                        and claimed_at_pmin[j] > 0):
+                    claimed_at_pmin[j] -= 1
+                    assignment[bc] = None
+                    held_price[bc] = 0
+
+        # pmin[j] moves only after its last copy at pmin is claimed, so it
+        # still is the price each of these claims paid.
+        for bc, j in claims:
             assignment[bc] = j
-            held_price[bc] = p_star + 1
+            held_price[bc] = pmin[j] + 1
             n_min[j] -= 1
             n_max[j] += 1
             if n_min[j] == 0:

@@ -76,6 +76,22 @@ def test_run_mcbm_stream_star(capsys, star):
     assert report["verify"]["property"] == "capacitated-approximation-(1-2eps)"
 
 
+@pytest.mark.parametrize("algo", ["mwm", "mcbm"])
+def test_run_stream_audit_passes_on_generated_instance(capsys, tmp_path, algo):
+    # weights up to 100 and capacities up to 4; prices here climb past
+    # k * w_max, which an audit bound of k * w_max wrongly rejected
+    path = tmp_path / "gen.gr"
+    assert main(["gen", "--nl", "27", "--nr", "24", "--density", "0.2",
+                 "--wmin", "1", "--wmax", "100", "--bl", "1:4", "--br", "1:4",
+                 "--seed", "2", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, report = _run_json(capsys, [
+        "run", str(path), "--algo", algo, "--eps", "1/4", "--mode", "stream",
+        "--audit"])
+    assert code == 0
+    assert report["audit"] == "ok"
+
+
 def test_run_mwm_rand_reports_blackboard(capsys, k22):
     code, report = _run_json(capsys, [
         "run", k22, "--algo", "mwm", "--eps", "1/4", "--kernel", "rand"])

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from auctionmatch.errors import InstanceFormatError
+from auctionmatch import mcbm
+from auctionmatch.errors import InstanceFormatError, InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
@@ -14,6 +15,7 @@ from auctionmatch.streaming import (
     STREAM_MCBM_SPACE_FACTOR,
     EdgeStream,
     SpaceAccountant,
+    _audit_mwm_stream,
     stream_mcbm,
     stream_mwm,
 )
@@ -107,6 +109,22 @@ def test_stream_mwm_mirrors_memory_stream_kernel(seed):
     assert str_tr.passes == 1 + 2 * str_tr.rounds_executed
 
 
+def test_stream_mwm_audit_accepts_prices_above_k_w_max():
+    # a bid at weight w may lift a price to (k + 1) * w - 1, past k * w_max
+    inst = generate_random(20, 15, 0.1, w_range=(1, 2), seed=0)
+    res, _ = stream_mwm(EdgeStream.from_instance(inst), Epsilon(2),
+                        audit=True)
+    assert res.valid
+
+
+def test_stream_mwm_audit_bounds_price_by_owner_weight():
+    k, w = 4, 3
+    # (k + 1) * w - 1 is the highest price one bid at weight w can leave
+    _audit_mwm_stream([(k + 1) * w - 1, 0], [0, None], [0], [w], k)
+    with pytest.raises(InvariantViolation, match="price-range"):
+        _audit_mwm_stream([(k + 1) * w, 0], [0, None], [0], [w], k)
+
+
 def test_stream_mwm_space_grows_linearly():
     peaks = []
     for n in (64, 128):
@@ -139,6 +157,31 @@ def test_stream_mcbm_mirrors_memory_stream_kernel(seed):
     assert str_res.pairs == mem_res.pairs
     assert str_tr.rounds_executed == mem_tr.rounds_executed
     assert str_tr.passes == 1 + 2 * str_tr.rounds_executed
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stream_mcbm_mirrors_memory_stream_kernel_under_evictions(
+        seed, monkeypatch):
+    inst = generate_random(
+        40, 32, 0.15, b_l_range=(1, 4), b_r_range=(1, 4), seed=seed)
+    eps = Epsilon(8)
+    evictions = []
+    stream_round = mcbm._stream_round
+
+    def counting_round(state, unmatched):
+        # a claimed item copy that still has an owner is an eviction
+        demanded, pairs = stream_round(state, unmatched)
+        evictions.append(sum(state.owner[jc] is not None for _, jc in pairs))
+        return demanded, pairs
+
+    monkeypatch.setattr(mcbm, "_stream_round", counting_round)
+    mem_res, mem_tr = run_mcbm(inst, eps, kernel="stream")
+    assert any(evictions)
+    str_res, str_tr = stream_mcbm(EdgeStream.from_instance(inst), eps,
+                                  audit=True)
+    assert str_res.pairs == mem_res.pairs
+    assert str_tr.rounds_executed == mem_tr.rounds_executed
+    assert str_tr.passes == 1 + 2 * mem_tr.rounds_executed
 
 
 @pytest.mark.parametrize("seed", range(4))
