@@ -1,0 +1,100 @@
+"""The ascending-auction core the engines share.
+
+Every engine runs the auction of Demange, Gale and Sotomayor and of
+Bertsekas: prices rise on an integer grid, each round commits one maximal
+matching over the unmatched bidders' demands, and displaced bidders bid
+again. ``Auction`` holds that state, commits with eviction, keeps the
+matched value and the best round-end assignment; the engines report
+through ``check_matching`` and ``blackboard_trace``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .results import BlackboardTrace
+
+__all__ = ["Auction", "blackboard_trace", "check_matching"]
+
+
+@dataclass(kw_only=True)
+class Auction:
+    """Prices, assignment and its inverse ``owner``, in integer grid units.
+
+    ``gain[i]`` is what bidder i's current item adds to ``value``, the
+    matched value; ``best`` is the assignment at the end of
+    ``best_round``, the earliest round that reached ``best_value``.
+    """
+
+    prices: list[int]
+    assignment: list[int | None]
+    owner: list[int | None]
+    gain: list[int] | None = None  # one zero per bidder when not given
+    value: int = 0
+    best: list[int | None] = field(default_factory=list)
+    best_value: int = 0
+    best_round: int = 0
+
+    def __post_init__(self) -> None:
+        if self.gain is None:
+            self.gain = [0] * len(self.assignment)
+
+    def commit(self, i: int, j: int, step: int) -> int | None:
+        """Give item j to bidder i, evicting its owner; the price and the
+        value both rise by ``step``. Returns the evicted owner or None."""
+        prev = self.owner[j]
+        if prev is not None:
+            self.assignment[prev] = None
+            self.value -= self.gain[prev]
+            self.gain[prev] = 0
+        self.owner[j] = i
+        self.assignment[i] = j
+        self.gain[i] = step
+        self.prices[j] += step
+        self.value += step
+        return prev
+
+    def snapshot(self, round_no: int) -> None:
+        """Keep the current assignment if its value is strictly the best."""
+        if self.value > self.best_value:
+            self.best_value = self.value
+            self.best_round = round_no
+            self.best = list(self.assignment)
+
+    def best_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The best assignment as (bidder, item) pairs sorted by bidder."""
+        return tuple((i, j) for i, j in enumerate(self.best) if j is not None)
+
+
+def check_matching(pairs, b_l, b_r, edges=None
+                   ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """Bidder usage, item usage and validity of ``pairs``: no pair repeats,
+    no vertex exceeds its capacity in ``b_l`` or ``b_r`` and, when edges
+    (i, j, w) are given, every pair is one of them."""
+    bidder_usage = [0] * len(b_l)
+    item_usage = [0] * len(b_r)
+    for i, j in pairs:
+        bidder_usage[i] += 1
+        item_usage[j] += 1
+    pair_set = set(pairs)
+    valid = (len(pair_set) == len(pairs)
+             and all(u <= b for u, b in zip(bidder_usage, b_l))
+             and all(u <= b for u, b in zip(item_usage, b_r))
+             and (edges is None
+                  or not pair_set.difference((i, j) for i, j, _ in edges)))
+    return tuple(bidder_usage), tuple(item_usage), valid
+
+
+def blackboard_trace(n_r: int, price_levels: int, rounds: int, proposal_rounds: int,
+                     proposals: int, announcements: int) -> BlackboardTrace:
+    """Communication cost of a randomized-kernel run: two coordination rounds
+    per executed round, a proposal names one of ``n_r`` items and an
+    announcement one of ``price_levels`` prices."""
+    return BlackboardTrace(
+        proposal_rounds=proposal_rounds,
+        coordination_rounds=2 * rounds,
+        proposals=proposals,
+        price_announcements=announcements,
+        proposal_bits_each=(n_r - 1).bit_length(),
+        price_bits_each=(price_levels - 1).bit_length(),
+    )

@@ -101,6 +101,10 @@ def _cmd_run(args) -> int:
     except (OSError, AuctionMatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.algo == "mwm" and not inst.edges:
+        print("error: the weighted engines need at least one edge",
+              file=sys.stderr)
+        return 2
 
     report, exit_code = run_single(
         inst, algo=args.algo, eps=eps, mode=args.mode, kernel=args.kernel,

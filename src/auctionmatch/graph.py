@@ -8,21 +8,25 @@ done on cross-multiplied integers; no floats are involved anywhere.
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InstanceFormatError
 
 __all__ = [
     "Epsilon",
     "BipartiteInstance",
-    "BaseUnit",
     "ScaledGraph",
     "scale_and_prune",
+    "prune_exponent",
     "ceil_log",
     "load_instance",
     "loads_instance",
+    "open_instance",
+    "read_edges",
     "save_instance",
     "dumps_instance",
     "generate_random",
@@ -155,17 +159,6 @@ class BipartiteInstance:
 
 
 @dataclass(frozen=True)
-class BaseUnit:
-    """The exact grid every engine quantity lives on: multiples of 1/denominator."""
-
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise ValueError("denominator must be positive")
-
-
-@dataclass(frozen=True)
 class ScaledGraph:
     """An instance rescaled by its maximum weight, with tiny edges pruned.
 
@@ -182,7 +175,6 @@ class ScaledGraph:
     edges: tuple[tuple[int, int, int], ...]
     pruned_count: int
     prune_exponent: int
-    base_unit: BaseUnit
 
     @property
     def m(self) -> int:
@@ -212,6 +204,13 @@ class ScaledGraph:
         return adj
 
 
+def prune_exponent(k: int, m: int, w_min: int, w_max: int) -> int:
+    """ceil(log_{1/eps} min(m, W)) + 1 for W = w_max / w_min, compared exactly."""
+    if m * w_min <= w_max:
+        return ceil_log(k, m) + 1
+    return ceil_log(k, w_max, w_min) + 1
+
+
 def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
                     threshold_exponent: int | None = None) -> ScaledGraph:
     """Divide weights by w_max and drop edges below eps**t.
@@ -226,14 +225,9 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
         raise ValueError("cannot scale an instance with no edges")
     k = eps.k
     w_max = inst.w_max
-    w_min = inst.w_min
     m = inst.m
     if threshold_exponent is None:
-        # min(m, W) with W = w_max / w_min, compared exactly.
-        if m * w_min <= w_max:
-            t = ceil_log(k, m) + 1
-        else:
-            t = ceil_log(k, w_max, w_min) + 1
+        t = prune_exponent(k, m, inst.w_min, w_max)
     else:
         if threshold_exponent < 0:
             raise ValueError("threshold exponent must be >= 0")
@@ -247,7 +241,6 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
         edges=survivors,
         pruned_count=m - len(survivors),
         prune_exponent=t,
-        base_unit=BaseUnit(k * w_max),
     )
 
 
@@ -264,21 +257,52 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
 # ---------------------------------------------------------------------------
 
 
-def loads_instance(text: str) -> BipartiteInstance:
-    """Parse an instance from a string; errors carry 1-based line numbers."""
-    n_l = n_r = declared_m = None
-    edges: list[tuple[int, int, int]] = []
-    b_l: list[int] | None = None
-    b_r: list[int] | None = None
-    seen: set[tuple[int, int]] = set()
+def open_instance(path):
+    """Open an instance file as ASCII text for ``read_edges``.
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    Any other byte becomes a lone surrogate, which ``read_edges`` rejects
+    with its line number.
+    """
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def read_edges(lines, header):
+    """Yield (line_no, i, j, w), with 0-based endpoints, per edge line.
+
+    Makes every check a single line allows, each error carrying its
+    1-based line number, then checks that a problem line was given and
+    that it declared the edge count read. Sets ``n_l``, ``n_r`` and ``m``
+    on ``header`` at the problem line and the capacity tuples ``b_l`` and
+    ``b_r`` once every line is read. Duplicate edges are not detected.
+    """
+    n_l = n_r = declared_m = None
+    b_l: list[int] = []
+    b_r: list[int] = []
+    count = 0
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            raise InstanceFormatError("non-ASCII character", line_no)
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
         fields = line.split()
         tag = fields[0]
-        if tag == "p":
+        if tag == "e":
+            if n_l is None:
+                raise InstanceFormatError("edge before problem line", line_no)
+            if len(fields) != 4:
+                raise InstanceFormatError(f"malformed edge line {line!r}", line_no)
+            try:
+                i, j, w = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceFormatError(f"malformed edge line {line!r}", line_no) from None
+            if not (1 <= i <= n_l and 1 <= j <= n_r):
+                raise InstanceFormatError(f"edge endpoint out of range in {line!r}", line_no)
+            if w < 1:
+                raise InstanceFormatError(f"edge weight must be a positive integer in {line!r}", line_no)
+            count += 1
+            yield line_no, i - 1, j - 1, w
+        elif tag == "p":
             if n_l is not None:
                 raise InstanceFormatError("duplicate problem line", line_no)
             if len(fields) != 5 or fields[1] != "bm":
@@ -289,60 +313,58 @@ def loads_instance(text: str) -> BipartiteInstance:
                 raise InstanceFormatError(f"malformed problem line {line!r}", line_no) from None
             if n_l < 1 or n_r < 1 or declared_m < 0:
                 raise InstanceFormatError("problem line sizes out of range", line_no)
-            b_l = [1] * n_l
-            b_r = [1] * n_r
-        elif tag == "e":
-            if n_l is None:
-                raise InstanceFormatError("edge line before problem line", line_no)
-            if len(fields) != 4:
-                raise InstanceFormatError(f"malformed edge line {line!r}", line_no)
-            try:
-                i, j, w = (int(x) for x in fields[1:4])
-            except ValueError:
-                raise InstanceFormatError(f"malformed edge line {line!r}", line_no) from None
-            if not (1 <= i <= n_l and 1 <= j <= n_r):
-                raise InstanceFormatError(f"edge endpoint out of range in {line!r}", line_no)
-            if w < 1:
-                raise InstanceFormatError(f"edge weight must be a positive integer in {line!r}", line_no)
-            if (i - 1, j - 1) in seen:
-                raise InstanceFormatError(f"duplicate edge ({i}, {j})", line_no)
-            seen.add((i - 1, j - 1))
-            edges.append((i - 1, j - 1, w))
+            b_l, b_r = [1] * n_l, [1] * n_r
+            header.n_l, header.n_r, header.m = n_l, n_r, declared_m
         elif tag == "b":
             if n_l is None:
-                raise InstanceFormatError("capacity line before problem line", line_no)
+                raise InstanceFormatError("capacity before problem line", line_no)
             if len(fields) != 4 or fields[1] not in ("l", "r"):
                 raise InstanceFormatError(f"malformed capacity line {line!r}", line_no)
             try:
                 v, cap = int(fields[2]), int(fields[3])
             except ValueError:
                 raise InstanceFormatError(f"malformed capacity line {line!r}", line_no) from None
-            side = fields[1]
-            bound = n_l if side == "l" else n_r
-            if not 1 <= v <= bound:
+            caps, limit = (b_l, n_r) if fields[1] == "l" else (b_r, n_l)
+            if not 1 <= v <= len(caps):
                 raise InstanceFormatError(f"capacity vertex out of range in {line!r}", line_no)
-            limit = n_r if side == "l" else n_l
             if not 1 <= cap <= limit:
                 raise InstanceFormatError(f"capacity {cap} outside [1, {limit}]", line_no)
-            if side == "l":
-                b_l[v - 1] = cap
-            else:
-                b_r[v - 1] = cap
+            caps[v - 1] = cap
         else:
-            raise InstanceFormatError(f"unknown line type {tag!r}", line_no)
+            raise InstanceFormatError(f"unknown record type {tag!r}", line_no)
 
     if n_l is None:
         raise InstanceFormatError("missing problem line")
-    if declared_m != len(edges):
+    if declared_m != count:
         raise InstanceFormatError(
-            f"problem line declares {declared_m} edges but {len(edges)} were given")
-    return BipartiteInstance(n_l=n_l, n_r=n_r, edges=tuple(edges),
-                             b_l=tuple(b_l), b_r=tuple(b_r))
+            f"problem line declares {declared_m} edges but {count} were given")
+    header.b_l, header.b_r = tuple(b_l), tuple(b_r)
+
+
+def _parse_lines(lines) -> BipartiteInstance:
+    header = SimpleNamespace()
+    edges: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, i, j, w in read_edges(lines, header):
+        if (i, j) in seen:
+            raise InstanceFormatError(f"duplicate edge ({i + 1}, {j + 1})", line_no)
+        seen.add((i, j))
+        edges.append((i, j, w))
+    return BipartiteInstance(n_l=header.n_l, n_r=header.n_r, edges=tuple(edges),
+                             b_l=header.b_l, b_r=header.b_r)
+
+
+def loads_instance(text: str) -> BipartiteInstance:
+    """Parse an instance from a string; errors carry 1-based line numbers.
+
+    Lines end at LF, CR or CRLF, as when ``load_instance`` reads a file.
+    """
+    return _parse_lines(io.StringIO(text, newline=None))
 
 
 def load_instance(path) -> BipartiteInstance:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_instance(fh.read())
+    with open_instance(path) as fh:
+        return _parse_lines(fh)
 
 
 def dumps_instance(inst: BipartiteInstance) -> str:

@@ -12,8 +12,9 @@ on the original graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .auction import Auction, check_matching
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
 from .kernels import Subgraph, nondup_maximal
@@ -76,28 +77,23 @@ def mcbm_round_budget(eps: Epsilon) -> int:
     return 2 * eps.k * eps.k
 
 
-@dataclass
-class McbmState:
-    """Mutable auction state over the copy graph."""
+class McbmState(Auction):
+    """Auction state over the copy graph, one price unit per commit.
 
-    cg: CopyGraph
-    k: int
-    prices: list[int] = field(init=False)
-    assignment: list[int | None] = field(init=False)
-    owner: list[int | None] = field(init=False)
-    cutoffs: list[int] = field(init=False)
-    held: set[tuple[int, int]] = field(init=False)
-    adj: list[list[int]] = field(init=False)
-    round_no: int = 0
+    ``held`` holds the original (bidder, item) pairs the copy assignment
+    covers; ``adj`` lists each original bidder's items.
+    """
 
-    def __post_init__(self) -> None:
-        self.prices = [0] * self.cg.n_item_copies
-        self.assignment = [None] * self.cg.n_bidder_copies
-        self.owner = [None] * self.cg.n_item_copies
-        self.cutoffs = [0] * self.cg.n_bidder_copies
-        self.held = set()
-        self.adj = [[] for _ in range(self.cg.instance.n_l)]
-        for i, j, _ in self.cg.instance.edges:
+    def __init__(self, cg: CopyGraph, k: int) -> None:
+        super().__init__(prices=[0] * cg.n_item_copies,
+                         assignment=[None] * cg.n_bidder_copies,
+                         owner=[None] * cg.n_item_copies)
+        self.cg = cg
+        self.k = k
+        self.cutoffs = [0] * cg.n_bidder_copies
+        self.held: set[tuple[int, int]] = set()
+        self.adj: list[list[int]] = [[] for _ in range(cg.instance.n_l)]
+        for i, j, _ in cg.instance.edges:
             self.adj[i].append(j)
 
     def item_min_price(self, j: int) -> int:
@@ -177,8 +173,6 @@ def run_mcbm(
     budget = mcbm_round_budget(eps)
     trace = RunTrace(rounds_executed=0, round_budget=budget)
 
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_round = 0
     views: dict[int, frozenset[int]] = {}
     if audit:
         trace.notes["reopened_pairs"] = 0
@@ -191,7 +185,6 @@ def run_mcbm(
         ]
         if not unmatched:
             break
-        state.round_no = rnd
         trace.rounds_executed = rnd
         prev_prices = list(state.prices) if audit else None
         prev_cutoffs = list(state.cutoffs) if audit else None
@@ -205,14 +198,10 @@ def run_mcbm(
             demanded, pairs = _stream_round(state, unmatched)
 
         for bc, jc in pairs:
-            prev = state.owner[jc]
+            prev = state.commit(bc, jc, 1)
             if prev is not None:
-                state.assignment[prev] = None
                 state.held.discard((cg.bidder_orig[prev], cg.item_orig[jc]))
-            state.owner[jc] = bc
-            state.assignment[bc] = jc
             state.held.add((cg.bidder_orig[bc], cg.item_orig[jc]))
-            state.prices[jc] += 1
 
         for bc in demanded:
             if state.assignment[bc] is None:
@@ -222,32 +211,21 @@ def run_mcbm(
             trace.notes["reopened_pairs"] += _audit_round(
                 state, prev_prices, prev_cutoffs, views)
 
-        if len(state.held) > len(best_pairs):
-            best_pairs = tuple(sorted(state.held))
-            best_round = rnd
+        state.snapshot(rnd)
 
         if not pairs and not demanded:
             break
 
-    edge_set = {(i, j) for i, j, _ in inst.edges}
-    valid = all(pair in edge_set for pair in best_pairs)
-    bidder_usage = [0] * inst.n_l
-    item_usage = [0] * inst.n_r
-    for i, j in best_pairs:
-        bidder_usage[i] += 1
-        item_usage[j] += 1
-    valid = valid and all(
-        bidder_usage[i] <= inst.b_l[i] for i in range(inst.n_l)
-    )
-    valid = valid and all(
-        item_usage[j] <= inst.b_r[j] for j in range(inst.n_r)
-    )
+    best_pairs = tuple(sorted(
+        (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
+    bidder_usage, item_usage, valid = check_matching(
+        best_pairs, inst.b_l, inst.b_r, inst.edges)
     result = BMatchingResult(
         pairs=best_pairs,
         cardinality=len(best_pairs),
-        round_captured=best_round,
-        bidder_usage=tuple(bidder_usage),
-        item_usage=tuple(item_usage),
+        round_captured=state.best_round,
+        bidder_usage=bidder_usage,
+        item_usage=item_usage,
         valid=valid,
     )
     return result, trace

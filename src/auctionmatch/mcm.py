@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .auction import Auction, blackboard_trace, check_matching
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
 from .kernels import KernelMatching, Subgraph, greedy_maximal, randomized_proposal_mm
-from .results import BlackboardTrace, MatchingResult, RunTrace
+from .results import MatchingResult, RunTrace
 
 __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
 
@@ -27,18 +28,14 @@ def mcm_round_budget(eps: Epsilon) -> int:
     return 2 * eps.k * eps.k
 
 
-@dataclass
-class McmState:
-    """Mutable auction state. Prices are integers in [0, k] counting units
-    of 1/k; assignment maps bidders to items and owner is its inverse."""
+@dataclass(kw_only=True)
+class McmState(Auction):
+    """Auction state whose prices are integers in [0, k] counting units of
+    1/k; every commit steps a price by one unit and the value by one."""
 
     inst: BipartiteInstance
     k: int
-    prices: list[int]
-    assignment: list[int | None]
-    owner: list[int | None]
     adj: list[list[int]]
-    round_no: int = 0
 
 
 def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:
@@ -117,9 +114,6 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     budget = mcm_round_budget(eps)
     rng = random.Random(seed)
 
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_size = 0
-    best_round = 0
     executed = 0
     proposal_rounds = 0
     proposals = 0
@@ -131,7 +125,6 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
         if not bidders:
             break
         executed = round_no
-        state.round_no = round_no
         sub = Subgraph(bidders=[], candidates={})
         for i in bidders:
             demand = demand_set_mcm(state, i)
@@ -145,40 +138,23 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
         else:
             got = greedy_maximal(sub)
         for i, j in got.pairs:
-            prev = state.owner[j]
-            if prev is not None:
-                state.assignment[prev] = None
-            state.owner[j] = i
-            state.assignment[i] = j
-            state.prices[j] += 1
+            state.commit(i, j, 1)
         announcements += len(got.pairs)
         if audit:
             _audit_round(state)
-        size = sum(1 for a in state.assignment if a is not None)
-        if size > best_size:
-            best_size = size
-            best_round = round_no
-            best_pairs = tuple(sorted(
-                (i, a) for i, a in enumerate(state.assignment) if a is not None))
+        state.snapshot(round_no)
         if not got.pairs:
             break
 
-    edge_set = {(i, j) for i, j, _ in inst.edges}
-    valid = (all(p in edge_set for p in best_pairs)
-             and len({i for i, _ in best_pairs}) == len(best_pairs)
-             and len({j for _, j in best_pairs}) == len(best_pairs))
-    result = MatchingResult(pairs=best_pairs, value=best_size,
-                            round_captured=best_round, valid=valid)
+    best_pairs = state.best_pairs()
+    valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
+                           inst.edges)[2]
+    result = MatchingResult(pairs=best_pairs, value=state.best_value,
+                            round_captured=state.best_round, valid=valid)
     blackboard = None
     if kernel == "rand":
-        blackboard = BlackboardTrace(
-            proposal_rounds=proposal_rounds,
-            coordination_rounds=2 * executed,
-            proposals=proposals,
-            price_announcements=announcements,
-            proposal_bits_each=(inst.n_r - 1).bit_length(),
-            price_bits_each=(eps.k - 1).bit_length(),
-        )
+        blackboard = blackboard_trace(inst.n_r, eps.k, executed,
+                                      proposal_rounds, proposals, announcements)
     trace = RunTrace(rounds_executed=executed, round_budget=budget,
                      blackboard=blackboard)
     return result, trace

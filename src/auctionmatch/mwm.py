@@ -20,10 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .auction import Auction, blackboard_trace, check_matching
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph
 from .kernels import Subgraph, bucket_ordered_maximal
-from .results import BlackboardTrace, MatchingResult, RunTrace
+from .results import MatchingResult, RunTrace
 
 __all__ = [
     "DemandSpec",
@@ -71,20 +72,14 @@ class DemandSpec:
     items: tuple[int, ...]
 
 
-@dataclass
-class MwmState:
-    """Mutable engine state; all integers are in base units 1/(k * w_max)."""
+@dataclass(kw_only=True)
+class MwmState(Auction):
+    """Auction state with prices in base units 1/(k * w_max); a win at
+    original weight w steps the price by w units and the value by w."""
 
     sg: ScaledGraph
     k: int
-    prices: list[int]
-    assignment: list[int | None]
-    owner: list[int | None]
     adj: list[list[tuple[int, int]]]  # per bidder: (item, original weight)
-    phase_no: int = 0
-
-    def value_units(self, w: int) -> int:
-        return self.k * w
 
 
 def _new_state(sg: ScaledGraph, eps: Epsilon) -> MwmState:
@@ -121,10 +116,6 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
     # Scan priority: cheapest first, then item id.
     items.sort(key=lambda j: (state.prices[j], j))
     return DemandSpec(max_utility=best, items=tuple(items))
-
-
-def _current_weight(state: MwmState, weights: dict[tuple[int, int], int]) -> int:
-    return sum(weights[(i, a)] for i, a in enumerate(state.assignment) if a is not None)
 
 
 def _audit_phase(state: MwmState, weights: dict[tuple[int, int], int],
@@ -196,9 +187,6 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     weights = {(i, j): w for i, j, w in sg.edges}
     buckets = {(i, j): edge_bucket(Fraction(w, sg.w_max), eps) for i, j, w in sg.edges}
 
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_weight = 0
-    best_phase = 0
     executed = 0
     proposal_rounds = 0
     proposals = 0
@@ -210,7 +198,6 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
         if not unmatched:
             break
         executed = phase_no
-        state.phase_no = phase_no
 
         if kernel == "stream":
             pairs = _stream_order_matching(state, weights)
@@ -230,40 +217,24 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
 
         prev_prices = list(state.prices) if audit else state.prices
         for i, j in pairs:
-            prev = state.owner[j]
-            if prev is not None:
-                state.assignment[prev] = None
-            state.owner[j] = i
-            state.assignment[i] = j
-            state.prices[j] += weights[(i, j)]
+            state.commit(i, j, weights[(i, j)])
         announcements += len(pairs)
 
         if audit:
             _audit_phase(state, weights, prev_prices, optimum)
-        current = _current_weight(state, weights)
-        if current > best_weight:
-            best_weight = current
-            best_phase = phase_no
-            best_pairs = tuple(sorted(
-                (i, a) for i, a in enumerate(state.assignment) if a is not None))
+        state.snapshot(phase_no)
         if not pairs:
             break
 
-    valid = (all(p in weights for p in best_pairs)
-             and len({i for i, _ in best_pairs}) == len(best_pairs)
-             and len({j for _, j in best_pairs}) == len(best_pairs))
-    result = MatchingResult(pairs=best_pairs, value=best_weight,
-                            round_captured=best_phase, valid=valid)
+    best_pairs = state.best_pairs()
+    valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
+                           sg.edges)[2]
+    result = MatchingResult(pairs=best_pairs, value=state.best_value,
+                            round_captured=state.best_round, valid=valid)
     blackboard = None
     if kernel == "rand":
-        blackboard = BlackboardTrace(
-            proposal_rounds=proposal_rounds,
-            coordination_rounds=2 * executed,
-            proposals=proposals,
-            price_announcements=announcements,
-            proposal_bits_each=(inst.n_r - 1).bit_length(),
-            price_bits_each=(k * sg.w_max - 1).bit_length(),
-        )
+        blackboard = blackboard_trace(inst.n_r, k * sg.w_max, executed,
+                                      proposal_rounds, proposals, announcements)
     trace = RunTrace(rounds_executed=executed, round_budget=budget,
                      blackboard=blackboard)
     return result, trace

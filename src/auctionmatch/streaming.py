@@ -10,11 +10,15 @@ weighted engine and 1 + 2 * rounds for the capacitated one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InstanceFormatError, InvariantViolation
-from .graph import BipartiteInstance, Epsilon, ceil_log
+from .auction import Auction, check_matching
+from .errors import InvariantViolation
+from .graph import (BipartiteInstance, Epsilon, ceil_log, open_instance,
+                    prune_exponent, read_edges)
+from .mcbm import mcbm_round_budget
 from .mwm import phase_budget
 from .results import BMatchingResult, MatchingResult, RunTrace
 
@@ -68,43 +72,15 @@ class EdgeStream:
         return self._traverse_file()
 
     def _traverse_file(self):
-        n_l = n_r = m_declared = None
-        b_l: list[int] = []
-        b_r: list[int] = []
-        seen = 0
-        with open(self._path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                parts = raw.split()
-                if not parts or parts[0] == "c":
-                    continue
-                tag = parts[0]
-                if tag == "p":
-                    if len(parts) != 5 or parts[1] != "bm":
-                        raise InstanceFormatError("malformed problem line", line_no)
-                    n_l, n_r, m_declared = (int(x) for x in parts[2:5])
-                    b_l = [1] * n_l
-                    b_r = [1] * n_r
-                    self.n_l, self.n_r, self.m = n_l, n_r, m_declared
-                elif tag == "b":
-                    if n_l is None:
-                        raise InstanceFormatError("capacity before problem line", line_no)
-                    side, vid, cap = parts[1], int(parts[2]) - 1, int(parts[3])
-                    (b_l if side == "l" else b_r)[vid] = cap
-                elif tag == "e":
-                    if n_l is None:
-                        raise InstanceFormatError("edge before problem line", line_no)
-                    if len(parts) != 4:
-                        raise InstanceFormatError("malformed edge line", line_no)
-                    i, j, w = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-                    seen += 1
-                    yield i, j, w
-                else:
-                    raise InstanceFormatError(f"unknown record {tag!r}", line_no)
-        if m_declared is not None and seen != m_declared:
-            raise InstanceFormatError(
-                f"header declares {m_declared} edges, stream has {seen}")
-        self.b_l = tuple(b_l)
-        self.b_r = tuple(b_r)
+        """One pass over the file through ``graph.read_edges``.
+
+        Every check ``load_instance`` makes is made here except duplicate
+        edge detection, which needs Theta(m) words, more than a streaming
+        engine may keep.
+        """
+        with open_instance(self._path) as fh:
+            for _, i, j, w in read_edges(fh, self):
+                yield i, j, w
 
 
 @dataclass
@@ -152,27 +128,19 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     n_l, n_r = stream.n_l, stream.n_r
     if m == 0:
         raise ValueError("cannot scale an instance with no edges")
-    if m * w_min <= w_max:
-        t = ceil_log(k, m) + 1
-    else:
-        t = ceil_log(k, w_max, w_min) + 1
-    power = k ** t
+    power = k ** prune_exponent(k, m, w_min, w_max)
     # w * power < w_max exactly when w < ceil(w_max / power), for integer w
     w_cut = -(-w_max // power)
 
-    prices = [0] * n_r
-    owner: list[int | None] = [None] * n_r
-    assignment: list[int | None] = [None] * n_l
-    matched_w = [0] * n_l
+    # prices and owner per item; assignment, gain, has_edge and the best
+    # assignment per bidder
+    auc = Auction(prices=[0] * n_r, assignment=[None] * n_l, owner=[None] * n_r)
+    prices, assignment = auc.prices, auc.assignment
     has_edge = [False] * n_l
-    best_assign: list[int | None] = [None] * n_l
     acct.alloc(2 * n_r + 4 * n_l, "vertex-state")
 
     budget = None
     phases = 0
-    current_weight = 0
-    best_weight = 0
-    best_phase = 0
 
     while True:
         if budget is not None and phases >= budget:
@@ -226,50 +194,36 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 acct.alloc(5, "phase-claims")
 
         for i, j, w in pairs:
-            prev = owner[j]
-            if prev is not None:
-                assignment[prev] = None
-                current_weight -= matched_w[prev]
-            owner[j] = i
-            assignment[i] = j
-            matched_w[i] = w
-            prices[j] += w
-            current_weight += w
+            auc.commit(i, j, w)
 
         if audit:
-            _audit_mwm_stream(prices, owner, assignment, matched_w, k)
-
-        if current_weight > best_weight:
-            best_weight = current_weight
-            best_phase = phases
-            best_assign = list(assignment)
+            _audit_mwm_stream(prices, auc.owner, assignment, auc.gain, k)
+        auc.snapshot(phases)
 
         acct.free(n_margins, "margins")
         acct.free(5 * len(pairs), "phase-claims")
         if not pairs:
             break
 
-    pairs_out = tuple(sorted(
-        (i, a) for i, a in enumerate(best_assign) if a is not None))
-    valid = (len({i for i, _ in pairs_out}) == len(pairs_out)
-             and len({j for _, j in pairs_out}) == len(pairs_out))
-    result = MatchingResult(pairs=pairs_out, value=best_weight,
-                            round_captured=best_phase, valid=valid)
+    pairs_out = auc.best_pairs()
+    valid = check_matching(pairs_out, (1,) * n_l, (1,) * n_r)[2]
+    result = MatchingResult(pairs=pairs_out, value=auc.best_value,
+                            round_captured=auc.best_round, valid=valid)
     trace = RunTrace(rounds_executed=phases, round_budget=budget or 0,
                      passes=stream.passes, peak_words=acct.peak)
     return result, trace
 
 
-def _audit_mwm_stream(prices, owner, assignment, matched_w, k) -> None:
+def _audit_mwm_stream(prices, owner, assignment, gain, k) -> None:
     # A bid at weight w finds the price below k * w and adds w, so an
     # owned item stays below (k + 1) times its owner's matched weight.
     for j, p in enumerate(prices):
         if p < 0:
             raise InvariantViolation("price-range", f"item {j} price {p} negative")
-        if owner[j] is not None and p >= (k + 1) * matched_w[owner[j]]:
+        if owner[j] is not None and p >= (k + 1) * gain[owner[j]]:
             raise InvariantViolation(
                 "price-range", f"item {j} price {p} not below (k + 1) * "
-                f"{matched_w[owner[j]]}, its owner's matched weight")
+                f"{gain[owner[j]]}, its owner's matched weight")
         if p > 0 and owner[j] is None:
             raise InvariantViolation("positive-price-implies-matched",
                                      f"item {j} priced {p} but unmatched")
@@ -309,10 +263,12 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     n_copies = start[-1]
     acct.alloc(n_l + 1, "copy-layout")
 
+    # cutoff, assignment, held price and best assignment per copy; item
+    # prices are counts below, so the core serves only the snapshot
     cutoff = [0] * n_copies
-    assignment: list[int | None] = [None] * n_copies
+    auc = Auction(prices=[], assignment=[None] * n_copies, owner=[], gain=[])
+    assignment = auc.assignment
     held_price = [0] * n_copies
-    best_assign: list[int | None] = [None] * n_copies
     acct.alloc(4 * n_copies, "bidder-copy-state")
 
     pmin = [0] * n_r
@@ -323,10 +279,8 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     has_edge = [False] * n_l
     acct.alloc(n_l, "bidder-flags")
 
-    budget = 2 * k * k
+    budget = mcbm_round_budget(eps)
     rounds = 0
-    best_card = 0
-    best_round = 0
 
     while rounds < budget and stream.m > 0:
         if rounds > 0:
@@ -416,9 +370,11 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     claimed_at_pmin[j] -= 1
                     assignment[bc] = None
                     held_price[bc] = 0
+                    auc.value -= 1
 
         # pmin[j] moves only after its last copy at pmin is claimed, so it
         # still is the price each of these claims paid.
+        auc.value += len(claims)
         for bc, j in claims:
             assignment[bc] = j
             held_price[bc] = pmin[j] + 1
@@ -437,11 +393,7 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
                                pmin, n_min, n_max, b_r, k)
 
-        card = sum(1 for a in assignment if a is not None)
-        if card > best_card:
-            best_card = card
-            best_round = rounds
-            best_assign = list(assignment)
+        auc.snapshot(rounds)
 
         acct.free(len(delta), "round-demands")
         acct.free(7 * len(claims), "round-claims")
@@ -449,35 +401,14 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         if not claims and not delta:
             break
 
-    pairs = tuple(sorted(
-        (_orig_of(start, bc), j)
-        for bc, j in enumerate(best_assign) if j is not None))
-    bidder_usage = [0] * n_l
-    item_usage = [0] * n_r
-    for i, j in pairs:
-        bidder_usage[i] += 1
-        item_usage[j] += 1
-    valid = (len(set(pairs)) == len(pairs)
-             and all(bidder_usage[i] <= b_l[i] for i in range(n_l))
-             and all(item_usage[j] <= b_r[j] for j in range(n_r)))
+    pairs = tuple(sorted((bisect_right(start, bc) - 1, j) for bc, j in auc.best_pairs()))
+    bidder_usage, item_usage, valid = check_matching(pairs, b_l, b_r)
     result = BMatchingResult(
-        pairs=pairs, cardinality=len(pairs), round_captured=best_round,
-        bidder_usage=tuple(bidder_usage), item_usage=tuple(item_usage),
-        valid=valid)
+        pairs=pairs, cardinality=len(pairs), round_captured=auc.best_round,
+        bidder_usage=bidder_usage, item_usage=item_usage, valid=valid)
     trace = RunTrace(rounds_executed=rounds, round_budget=budget,
                      passes=stream.passes, peak_words=acct.peak)
     return result, trace
-
-
-def _orig_of(start: list[int], bc: int) -> int:
-    lo, hi = 0, len(start) - 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if start[mid] <= bc:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
@@ -502,7 +433,7 @@ def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
             continue
         if held_price[bc] < 1:
             raise InvariantViolation("held-price", f"copy {bc} matched at price 0")
-        pair = (_orig_of(start, bc), j)
+        pair = (bisect_right(start, bc) - 1, j)
         if pair in per_pair:
             raise InvariantViolation("one-item-match",
                                      f"pair {pair} matched twice")

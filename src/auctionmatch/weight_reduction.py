@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .auction import check_matching
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
 from .mwm import run_mwm
 from .results import MatchingResult, RunTrace
@@ -226,15 +227,11 @@ def run_reduced_mwm(
     detail.best_copy = best.copy_index
 
     pairs = tuple(sorted((i, j) for (i, j, _), _ in best.taken))
-    edge_set = {(i, j) for i, j, _ in inst.edges}
-    valid = all(p in edge_set for p in pairs)
-    seen_l = len({i for i, _ in pairs}) == len(pairs)
-    seen_r = len({j for _, j in pairs}) == len(pairs)
     result = MatchingResult(
         pairs=pairs,
         value=best.weight,
         round_captured=0,
-        valid=valid and seen_l and seen_r,
+        valid=check_matching(pairs, (1,) * inst.n_l, (1,) * inst.n_r, inst.edges)[2],
     )
 
     trace = _aggregate_trace(engine, part, detail)

@@ -165,6 +165,32 @@ def test_usage_errors_exit_two(capsys, single, argv_extra):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["memory", "stream", "gp"])
+def test_run_mwm_rejects_zero_edge_file(capsys, tmp_path, mode):
+    # the weighted engines scale by w_max, which needs an edge
+    path = tmp_path / "empty.gr"
+    path.write_text("p bm 1 1 0\n")
+    assert main(["run", str(path), "--algo", "mwm", "--eps", "1/2",
+                 "--mode", mode]) == 2
+    assert "error:" in capsys.readouterr().err
+    for algo in ("mcm", "mcbm"):
+        code, report = _run_json(capsys, [
+            "run", str(path), "--algo", algo, "--eps", "1/2"])
+        assert (code, report["result_value"]) == (0, 0)
+
+
+@pytest.mark.parametrize("algo,mode", [
+    ("mcm", "memory"), ("mwm", "memory"), ("mwm", "stream"), ("mwm", "gp"),
+    ("mcbm", "memory"), ("mcbm", "stream"),
+])
+def test_non_ascii_byte_is_a_format_error(capsys, tmp_path, algo, mode):
+    path = tmp_path / "accent.gr"
+    path.write_bytes(b"c caf\xc3\xa9\np bm 1 1 1\ne 1 1 1\n")
+    assert main(["run", str(path), "--algo", algo, "--eps", "1/2",
+                 "--mode", mode]) == 2
+    assert "error: line 1: non-ASCII" in capsys.readouterr().err
+
+
 def test_missing_instance_file_exits_two(capsys, tmp_path):
     missing = str(tmp_path / "nope.gr")
     assert main(["run", missing, "--algo", "mcm", "--eps", "1/2"]) == 2

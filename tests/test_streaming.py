@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from auctionmatch import mcbm
 from auctionmatch.errors import InstanceFormatError, InvariantViolation
-from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
+from auctionmatch.graph import (BipartiteInstance, Epsilon, generate_random,
+                                loads_instance)
 from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
@@ -60,6 +63,12 @@ def test_stream_file_roundtrip(tmp_path):
     ("p bm 1 1 1\nq 0\n", "unknown record"),
     ("p bm 1 1 1\ne 1 1\n", "malformed edge"),
     ("p bm 2 2 2\ne 1 1 1\n", "declares"),
+    ("p bm 1 1 1\ne 2 1 1\n", "line 2: edge endpoint out of range"),
+    ("p bm 1 1 1\nb l 1 0\ne 1 1 1\n", "line 2: capacity 0 outside"),
+    ("p bm 1 2 1\nb x 1 2\ne 1 1 1\n", "line 2: malformed capacity"),
+    ("p bm 1 1 1\ne 1 a 5\n", "line 2: malformed edge"),
+    ("p bm 1 1 1\ne 1 1 0\n", "line 2: edge weight"),
+    ("p bm 1 1 1\np bm 1 1 1\ne 1 1 1\n", "line 2: duplicate problem"),
 ])
 def test_stream_file_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.gr"
@@ -67,6 +76,72 @@ def test_stream_file_errors(tmp_path, text, fragment):
     stream = EdgeStream.from_path(path)
     with pytest.raises(InstanceFormatError, match=fragment):
         list(stream.traverse())
+
+
+# Small numbers only: a mutated problem line allocates its sizes.
+_TOKENS = ("p", "bm", "e", "b", "l", "r", "c", "x", "-1", "0", "1", "2", "3",
+           "12", "a", "1.5", "\u00e9", "\t", "")
+
+
+@st.composite
+def _instance_texts(draw):
+    n_l, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n_l), st.integers(1, n_r)),
+                          unique=True, max_size=5))
+    lines = [f"p bm {n_l} {n_r} {len(pairs)}"]
+    lines += [f"b {side} 1 {draw(st.integers(1, 2))}"
+              for side in draw(st.lists(st.sampled_from("lr"), max_size=2))]
+    lines += [f"e {i} {j} {draw(st.integers(1, 9))}" for i, j in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("token", "insert", "delete", "repeat")))
+        if op == "insert" or not lines:
+            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(_TOKENS),
+                                                    max_size=5))))
+            continue
+        at = min(at, len(lines) - 1)
+        if op == "delete":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            fields = lines[at].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[at] = " ".join(fields)
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join(lines) + newline
+
+
+def _read(parse):
+    try:
+        return parse()
+    except InstanceFormatError as exc:
+        return ("error", exc.line_no, str(exc))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_instance_texts())
+def test_stream_reader_agrees_with_loader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutated.gr"
+    path.write_bytes(text.encode("utf-8"))
+    stream = EdgeStream.from_path(path)
+
+    def loaded():
+        inst = loads_instance(text)
+        return inst.edges, inst.b_l, inst.b_r
+
+    def streamed():
+        edges = tuple(stream.traverse())
+        return edges, stream.b_l, stream.b_r
+
+    want, got = _read(loaded), _read(streamed)
+    if want[0] == "error" and "duplicate edge" in want[2]:
+        # Finding a duplicate needs Theta(m) words, so the stream leaves it
+        # unchecked; it may fail only at a later line or at the end.
+        assert got[0] != "error" or got[1] is None or got[1] > want[1]
+    else:
+        assert got == want
 
 
 def test_space_accountant_tracks_peak_by_tag():
