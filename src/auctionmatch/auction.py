@@ -3,8 +3,9 @@
 Every engine runs the auction of Demange, Gale and Sotomayor and of
 Bertsekas: prices rise on an integer grid, each round commits one maximal
 matching over the unmatched bidders' demands, and displaced bidders bid
-again. ``Auction`` holds that state, commits with eviction, keeps the
-matched value and the best round-end assignment; the engines report
+again. ``Auction`` holds that state, commits with eviction, feeds the
+evicted owners back to the next round's bidders, and keeps the matched
+value and the best round-end assignment; the engines report
 through ``check_matching`` and ``blackboard_trace``.
 """
 
@@ -53,6 +54,13 @@ class Auction:
         self.prices[j] += step
         self.value += step
         return prev
+
+    def next_bidders(self, bidders: list[int], evicted: list[int | None]
+                     ) -> list[int]:
+        """The bidders of the next round, ascending: ``bidders`` less those
+        that won this round, plus the owners ``commit`` returned as evicted."""
+        return sorted([i for i in bidders if self.assignment[i] is None]
+                      + [i for i in evicted if i is not None])
 
     def snapshot(self, round_no: int) -> None:
         """Keep the current assignment if its value is strictly the best."""

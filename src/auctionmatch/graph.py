@@ -19,6 +19,7 @@ from .errors import InstanceFormatError
 __all__ = [
     "Epsilon",
     "BipartiteInstance",
+    "MAX_SIDE",
     "ScaledGraph",
     "scale_and_prune",
     "prune_exponent",
@@ -256,6 +257,11 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
 # Line order of edges is preserved and is the stream order.
 # ---------------------------------------------------------------------------
 
+# Largest n_l or n_r a problem line may declare. The reader allocates one
+# capacity per vertex at the problem line, so a larger side is a format
+# error rather than an allocation the machine cannot make.
+MAX_SIDE = 2 ** 22
+
 
 def open_instance(path):
     """Open an instance file as ASCII text for ``read_edges``.
@@ -313,6 +319,9 @@ def read_edges(lines, header):
                 raise InstanceFormatError(f"malformed problem line {line!r}", line_no) from None
             if n_l < 1 or n_r < 1 or declared_m < 0:
                 raise InstanceFormatError("problem line sizes out of range", line_no)
+            if max(n_l, n_r) > MAX_SIDE:
+                raise InstanceFormatError(
+                    f"problem line side above {MAX_SIDE} vertices", line_no)
             b_l, b_r = [1] * n_l, [1] * n_r
             header.n_l, header.n_r, header.m = n_l, n_r, declared_m
         elif tag == "b":

@@ -81,7 +81,9 @@ class McbmState(Auction):
     """Auction state over the copy graph, one price unit per commit.
 
     ``held`` holds the original (bidder, item) pairs the copy assignment
-    covers; ``adj`` lists each original bidder's items.
+    covers; ``pmin[j]`` is the cheapest copy price of original item j;
+    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``
+    and ``pmin`` in step with the copy assignment and prices.
     """
 
     def __init__(self, cg: CopyGraph, k: int) -> None:
@@ -92,12 +94,26 @@ class McbmState(Auction):
         self.k = k
         self.cutoffs = [0] * cg.n_bidder_copies
         self.held: set[tuple[int, int]] = set()
+        self.pmin = [0] * cg.instance.n_r
         self.adj: list[list[int]] = [[] for _ in range(cg.instance.n_l)]
         for i, j, _ in cg.instance.edges:
             self.adj[i].append(j)
 
-    def item_min_price(self, j: int) -> int:
-        return min(self.prices[jc] for jc in self.cg.item_copies(j))
+    def commit(self, i: int, j: int, step: int) -> int | None:
+        prev = super().commit(i, j, step)
+        cg = self.cg
+        oj = cg.item_orig[j]
+        if prev is not None:
+            self.held.discard((cg.bidder_orig[prev], oj))
+        self.held.add((cg.bidder_orig[i], oj))
+        self.pmin[oj] = min(self.prices[cg.item_start[oj]:cg.item_start[oj + 1]])
+        return prev
+
+    def price_minima(self) -> list[int]:
+        """Each original item's cheapest copy price, computed from ``prices``."""
+        starts, prices = self.cg.item_start, self.prices
+        return [min(prices[starts[j]:starts[j + 1]])
+                for j in range(self.cg.instance.n_r)]
 
 
 def find_demand_set(state: McbmState, bcopy: int) -> list[int]:
@@ -108,25 +124,27 @@ def find_demand_set(state: McbmState, bcopy: int) -> list[int]:
     the bidder copy's cutoff.  Among copies of qualifying items priced
     below 1, the copies at the overall minimum price form the demand set.
     """
-    cg = state.cg
-    oi = cg.bidder_orig[bcopy]
+    oi = state.cg.bidder_orig[bcopy]
     cutoff = state.cutoffs[bcopy]
-    best = None
-    out: list[int] = []
+    pmin, held = state.pmin, state.held
+    # The cheapest qualifying items; until one is below k, ``items`` only
+    # collects items priced k, which demand nothing.
+    best = state.k
+    items: list[int] = []
     for j in state.adj[oi]:
-        if (oi, j) in state.held:
+        p = pmin[j]
+        if p > best or p < cutoff or (oi, j) in held:
             continue
-        if state.item_min_price(j) < cutoff:
-            continue
-        for jc in cg.item_copies(j):
-            p = state.prices[jc]
-            if p >= state.k:
-                continue
-            if best is None or p < best:
-                best = p
-                out = [jc]
-            elif p == best:
-                out.append(jc)
+        if p < best:
+            best = p
+            items = [j]
+        else:
+            items.append(j)
+    if best == state.k:
+        return []
+    starts, prices = state.cg.item_start, state.prices
+    out = [jc for j in items for jc in range(starts[j], starts[j + 1])
+           if prices[jc] == best]
     out.sort()
     return out
 
@@ -142,7 +160,7 @@ def _eligible_items(state: McbmState, bcopy: int) -> frozenset[int]:
     cutoff = state.cutoffs[bcopy]
     return frozenset(
         j for j in state.adj[oi]
-        if (oi, j) not in state.held and state.item_min_price(j) >= cutoff
+        if (oi, j) not in state.held and state.pmin[j] >= cutoff
     )
 
 
@@ -177,12 +195,10 @@ def run_mcbm(
     if audit:
         trace.notes["reopened_pairs"] = 0
 
+    # Unmatched bidder copies with neighbours, ascending; evictions feed it.
+    unmatched = [bc for bc in range(cg.n_bidder_copies)
+                 if state.adj[cg.bidder_orig[bc]]]
     for rnd in range(1, budget + 1):
-        unmatched = [
-            bc
-            for bc in range(cg.n_bidder_copies)
-            if state.assignment[bc] is None and state.adj[cg.bidder_orig[bc]]
-        ]
         if not unmatched:
             break
         trace.rounds_executed = rnd
@@ -197,11 +213,8 @@ def run_mcbm(
         else:
             demanded, pairs = _stream_round(state, unmatched)
 
-        for bc, jc in pairs:
-            prev = state.commit(bc, jc, 1)
-            if prev is not None:
-                state.held.discard((cg.bidder_orig[prev], cg.item_orig[jc]))
-            state.held.add((cg.bidder_orig[bc], cg.item_orig[jc]))
+        evicted = [state.commit(bc, jc, 1) for bc, jc in pairs]
+        unmatched = state.next_bidders(unmatched, evicted)
 
         for bc in demanded:
             if state.assignment[bc] is None:
@@ -265,7 +278,7 @@ def _stream_round(
     checks read round-start prices and holdings.
     """
     cg, inst = state.cg, state.cg.instance
-    pmin0 = [state.item_min_price(j) for j in range(inst.n_r)]
+    pmin0 = list(state.pmin)
     held0 = set(state.held)
 
     delta: dict[int, int] = {}
@@ -389,6 +402,11 @@ def _audit_round(
                     f"bidder copy {bc} cutoff dropped {old} -> {state.cutoffs[bc]}",
                 )
 
+    if state.pmin != state.price_minima():
+        raise InvariantViolation(
+            "item-min-drift", "cached cheapest copy prices do not match prices"
+        )
+
     pair_seen: set[tuple[int, int]] = set()
     for bc, jc in enumerate(state.assignment):
         if jc is None:
@@ -439,7 +457,7 @@ def _audit_round(
         _check_copy_happiness(state, bc, utility, views[bc])
         reopened += sum(
             1 for j in _eligible_items(state, bc) - views[bc]
-            if utility < k - state.item_min_price(j) - 1
+            if utility < k - state.pmin[j] - 1
         )
     return reopened
 

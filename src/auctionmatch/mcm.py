@@ -51,17 +51,19 @@ def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:
 
 def demand_set_mcm(state: McmState, bidder: int) -> list[int]:
     """Cheapest neighbors with price below 1, ascending by item id."""
-    best: int | None = None
+    prices, k = state.prices, state.k
+    # Until a price below k is seen, ``items`` only collects items priced k.
+    best = k
     items: list[int] = []
     for j in state.adj[bidder]:
-        p = state.prices[j]
-        if p >= state.k:
-            continue
-        if best is None or p < best:
+        p = prices[j]
+        if p < best:
             best = p
             items = [j]
         elif p == best:
             items.append(j)
+    if best == k:
+        return []
     items.sort()
     return items
 
@@ -119,9 +121,9 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     proposals = 0
     announcements = 0
 
+    # Unmatched bidders with neighbours, ascending; evictions feed it.
+    bidders = [i for i in range(inst.n_l) if state.adj[i]]
     for round_no in range(1, budget + 1):
-        bidders = [i for i in range(inst.n_l)
-                   if state.assignment[i] is None and state.adj[i]]
         if not bidders:
             break
         executed = round_no
@@ -137,8 +139,8 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
             proposals += got.proposals
         else:
             got = greedy_maximal(sub)
-        for i, j in got.pairs:
-            state.commit(i, j, 1)
+        evicted = [state.commit(i, j, 1) for i, j in got.pairs]
+        bidders = state.next_bidders(bidders, evicted)
         announcements += len(got.pairs)
         if audit:
             _audit_round(state)

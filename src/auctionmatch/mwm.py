@@ -100,22 +100,23 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
     Exact in base units: v = k*w, the slack eps * v_i(j) is w, so item j
     qualifies when p_j < v and v - p_j >= U - w.
     """
-    k = state.k
-    best: int | None = None
-    for j, w in state.adj[bidder]:
-        margin = k * w - state.prices[j]
-        if margin > 0 and (best is None or margin > best):
+    k, prices, adj = state.k, state.prices, state.adj[bidder]
+    best = 0
+    for j, w in adj:
+        margin = k * w - prices[j]
+        if margin > best:
             best = margin
-    if best is None:
+    if not best:
         return DemandSpec(max_utility=None, items=())
-    items = []
-    for j, w in state.adj[bidder]:
+    ranked = []
+    for j, w in adj:
+        p = prices[j]
         v = k * w
-        if state.prices[j] < v and v - state.prices[j] >= best - w:
-            items.append(j)
+        if p < v and v - p >= best - w:
+            ranked.append((p, j))
     # Scan priority: cheapest first, then item id.
-    items.sort(key=lambda j: (state.prices[j], j))
-    return DemandSpec(max_utility=best, items=tuple(items))
+    ranked.sort()
+    return DemandSpec(max_utility=best, items=tuple(j for _, j in ranked))
 
 
 def _audit_phase(state: MwmState, weights: dict[tuple[int, int], int],
@@ -185,16 +186,16 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     rng = random.Random(seed)
 
     weights = {(i, j): w for i, j, w in sg.edges}
-    buckets = {(i, j): edge_bucket(Fraction(w, sg.w_max), eps) for i, j, w in sg.edges}
+    bucket_of: dict[int, int] = {}  # weight -> edge_bucket, filled on demand
 
     executed = 0
     proposal_rounds = 0
     proposals = 0
     announcements = 0
 
+    # Unmatched bidders with neighbours, ascending; evictions feed it.
+    unmatched = [i for i in range(inst.n_l) if state.adj[i]]
     for phase_no in range(1, budget + 1):
-        unmatched = [i for i in range(inst.n_l)
-                     if state.assignment[i] is None and state.adj[i]]
         if not unmatched:
             break
         executed = phase_no
@@ -209,15 +210,19 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
                     sub.bidders.append(i)
                     sub.candidates[i] = list(spec.items)
                     for j in spec.items:
-                        sub.buckets[(i, j)] = buckets[(i, j)]
+                        w = weights[(i, j)]
+                        b = bucket_of.get(w)
+                        if b is None:
+                            b = bucket_of[w] = edge_bucket(Fraction(w, sg.w_max), eps)
+                        sub.buckets[(i, j)] = b
             got = bucket_ordered_maximal(sub, kernel=kernel, seed=rng)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
             pairs = got.pairs
 
         prev_prices = list(state.prices) if audit else state.prices
-        for i, j in pairs:
-            state.commit(i, j, weights[(i, j)])
+        evicted = [state.commit(i, j, weights[(i, j)]) for i, j in pairs]
+        unmatched = state.next_bidders(unmatched, evicted)
         announcements += len(pairs)
 
         if audit:

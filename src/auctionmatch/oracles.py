@@ -30,24 +30,43 @@ def _check_size(inst: BipartiteInstance) -> None:
 
 
 def exact_mcm(inst: BipartiteInstance) -> OracleResult:
-    """Maximum-cardinality matching by repeated augmenting paths."""
+    """Maximum-cardinality matching by repeated augmenting paths.
+
+    Each bidder in turn searches depth-first for an augmenting path,
+    trying its items in adjacency order. The search keeps its own stack,
+    so a path may be as long as the instance allows.
+    """
     _check_size(inst)
     adj = [[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()]
     match_item = [-1] * inst.n_r
 
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if visited[j]:
+    def try_augment(root: int) -> bool:
+        visited = [False] * inst.n_r
+        # stack[d] is (bidder, its untried items); path[d] the item it is
+        # trying, whose owner is the bidder of stack[d + 1].
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if not visited[j]:
+                    visited[j] = True
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
-            visited[j] = True
-            if match_item[j] == -1 or try_augment(match_item[j], visited):
-                match_item[j] = i
+            path.append(j)
+            if match_item[j] == -1:
+                for (i, _), item in zip(stack, path):
+                    match_item[item] = i
                 return True
+            stack.append((match_item[j], iter(adj[match_item[j]])))
         return False
 
     size = 0
     for i in range(inst.n_l):
-        if try_augment(i, [False] * inst.n_r):
+        if try_augment(i):
             size += 1
     pairs = tuple(sorted((i, j) for j, i in enumerate(match_item) if i != -1))
     return OracleResult(value=size, pairs=pairs)

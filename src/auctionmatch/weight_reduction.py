@@ -13,6 +13,7 @@ one copy, so the copies' removed weights partition the total weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .auction import check_matching
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
@@ -118,13 +119,37 @@ class DisplacementRecord:
 
 @dataclass(frozen=True)
 class CombineOutcome:
+    """The (edge, level) pairs one copy's combine took, and the per-level
+    matchings they were taken from."""
+
     copy_index: int
     taken: tuple[tuple[Edge, int], ...]
-    records: tuple[DisplacementRecord, ...]
+    level_matchings: dict[int, list[Edge]] = field(repr=False, compare=False)
 
     @property
     def weight(self) -> int:
         return sum(w for (_, _, w), _ in self.taken)
+
+    @cached_property
+    def records(self) -> tuple[DisplacementRecord, ...]:
+        """Per taken edge, the matched edges from strictly lower levels that
+        share an endpoint with it, heaviest level first; the group never
+        outweighs the taken edge by more than a factor (k + 3) / k.
+
+        Built on first use: it costs O(taken x level edges), and only the
+        audits of the reduction read it.
+        """
+        level_order = sorted(self.level_matchings, reverse=True)
+        return tuple(
+            DisplacementRecord(edge=edge, level=lv, displaced=tuple(
+                (other, lv2)
+                for lv2 in level_order
+                if lv2 < lv
+                for other in self.level_matchings[lv2]
+                if other[0] == edge[0] or other[1] == edge[1]
+            ))
+            for edge, lv in self.taken
+        )
 
 
 def combine_levels(
@@ -133,17 +158,13 @@ def combine_levels(
 ) -> CombineOutcome:
     """Merge per-level matchings, heaviest level first.
 
-    An edge survives when both endpoints are still free.  Each taken
-    edge records the matched edges from strictly lower levels that
-    share an endpoint with it; the recorded group never outweighs the
-    taken edge by more than a factor (k + 3) / k.
+    An edge survives when both endpoints are still free.  The outcome's
+    ``records`` say which lower-level edges each taken edge blocked.
     """
     used_l: set[int] = set()
     used_r: set[int] = set()
     taken: list[tuple[Edge, int]] = []
-    records: list[DisplacementRecord] = []
-    level_order = sorted(level_matchings, reverse=True)
-    for lv in level_order:
+    for lv in sorted(level_matchings, reverse=True):
         for edge in sorted(level_matchings[lv]):
             i, j, _ = edge
             if i in used_l or j in used_r:
@@ -151,19 +172,8 @@ def combine_levels(
             used_l.add(i)
             used_r.add(j)
             taken.append((edge, lv))
-            displaced = [
-                (other, lv2)
-                for lv2 in level_order
-                if lv2 < lv
-                for other in level_matchings[lv2]
-                if other[0] == i or other[1] == j
-            ]
-            records.append(
-                DisplacementRecord(edge=edge, level=lv, displaced=tuple(displaced))
-            )
-    return CombineOutcome(
-        copy_index=copy_part.index, taken=tuple(taken), records=tuple(records)
-    )
+    return CombineOutcome(copy_index=copy_part.index, taken=tuple(taken),
+                          level_matchings=level_matchings)
 
 
 @dataclass

@@ -46,6 +46,15 @@ def test_commit_evicts_and_subtracts_the_evicted_gain():
     assert auc.value == 5
 
 
+def test_next_bidders_drops_winners_and_adds_evicted_owners():
+    auc = _auction(n_bidders=4)
+    auc.commit(3, 0, 1)
+    # bidders 0 and 2 bid; 2 takes item 0 from bidder 3, 0 takes item 1
+    evicted = [auc.commit(2, 0, 1), auc.commit(0, 1, 1)]
+    assert evicted == [3, None]
+    assert auc.next_bidders([0, 1, 2], evicted) == [1, 3]
+
+
 def test_snapshot_keeps_the_earliest_round_on_a_tie():
     auc = _auction()
     auc.commit(0, 0, 1)

@@ -191,6 +191,15 @@ def test_non_ascii_byte_is_a_format_error(capsys, tmp_path, algo, mode):
     assert "error: line 1: non-ASCII" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["memory", "stream"])
+def test_oversized_problem_line_exits_two(capsys, tmp_path, mode):
+    path = tmp_path / "huge.gr"
+    path.write_text(f"p bm {10 ** 18} 1 0\n")
+    assert main(["run", str(path), "--algo", "mcbm", "--eps", "1/2",
+                 "--mode", mode]) == 2
+    assert "error: line 1: problem line side above" in capsys.readouterr().err
+
+
 def test_missing_instance_file_exits_two(capsys, tmp_path):
     missing = str(tmp_path / "nope.gr")
     assert main(["run", missing, "--algo", "mcm", "--eps", "1/2"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from auctionmatch.errors import InstanceFormatError
 from auctionmatch.graph import (
+    MAX_SIDE,
     BipartiteInstance,
     Epsilon,
     ceil_log,
@@ -79,6 +80,17 @@ def test_format_errors_carry_line_numbers():
         loads_instance("p bm 1 1 1\ne 1 1\n")
     with pytest.raises(InstanceFormatError, match="declares"):
         loads_instance("p bm 1 1 2\ne 1 1 1\n")
+
+
+@pytest.mark.parametrize("header", [
+    f"p bm {MAX_SIDE + 1} 1 0", f"p bm 1 {MAX_SIDE + 1} 0",
+    f"p bm {10 ** 18} 1 0", f"p bm {10 ** 18} {10 ** 18} 0",
+])
+def test_problem_line_side_above_limit_is_a_format_error(header):
+    # one past the limit, and far beyond any size the reader could
+    # allocate capacities for
+    with pytest.raises(InstanceFormatError, match="line 2: problem line side above"):
+        loads_instance(f"c big\n{header}\n")
 
 
 def test_generator_is_deterministic_and_in_range():

@@ -47,24 +47,31 @@ def _probe_state(k=4):
     return state
 
 
+def _set_prices(state, prices):
+    # prices set by hand, so the cached cheapest copy prices are set by
+    # hand too, as ``held`` is
+    state.prices = prices
+    state.pmin = state.price_minima()
+
+
 def test_demand_set_takes_global_cheapest_copies():
     state = _probe_state()
-    state.prices = [1, 2, 0, 3]
+    _set_prices(state, [1, 2, 0, 3])
     assert find_demand_set(state, 0) == [2]
-    state.prices = [1, 1, 1, 4]
+    _set_prices(state, [1, 1, 1, 4])
     assert find_demand_set(state, 0) == [0, 1, 2]
 
 
 def test_demand_set_skips_held_originals():
     state = _probe_state()
-    state.prices = [1, 2, 0, 3]
+    _set_prices(state, [1, 2, 0, 3])
     state.held.add((0, 1))
     assert find_demand_set(state, 0) == [0]
 
 
 def test_demand_set_respects_cutoff():
     state = _probe_state()
-    state.prices = [1, 2, 0, 3]
+    _set_prices(state, [1, 2, 0, 3])
     state.cutoffs[0] = 2
     # item 0 min price 1 and item 1 min price 0 both sit below the cutoff
     assert find_demand_set(state, 0) == []
@@ -74,7 +81,7 @@ def test_demand_set_respects_cutoff():
 
 def test_demand_set_ignores_full_price_copies():
     state = _probe_state(k=2)
-    state.prices = [2, 2, 2, 2]
+    _set_prices(state, [2, 2, 2, 2])
     assert find_demand_set(state, 0) == []
 
 
@@ -153,7 +160,7 @@ def _underpaid_state():
     # copies of item 0 are still free at price 0; copy 2 of bidder 1
     # holds item copy 3 so every positive price is matched
     state = _probe_state()
-    state.prices = [0, 0, 2, 1]
+    _set_prices(state, [0, 0, 2, 1])
     state.assignment = [2, None, 3]
     state.owner = [None, None, 0, 2]
     state.held = {(0, 1), (1, 1)}
@@ -173,3 +180,27 @@ def test_happiness_audit_counts_item_sibling_held_at_demand_time():
     # item 0 was held by a sibling copy when copy 0 demanded
     views = {0: frozenset({1}), 2: frozenset()}
     assert _audit_round(state, None, None, views) == 1
+
+
+def test_audit_raises_on_stale_item_minimum():
+    state = _underpaid_state()
+    views = {0: frozenset({1}), 2: frozenset()}
+    assert _audit_round(state, None, None, views) == 1
+    state.pmin[1] = 0  # item 1's copies cost 2 and 1
+    with pytest.raises(InvariantViolation) as info:
+        _audit_round(state, None, None, views)
+    assert info.value.prop == "item-min-drift"
+
+
+def test_commit_keeps_held_pairs_and_item_minima():
+    # bidder copies 0 and 1 belong to bidder 0, copy 2 to bidder 1; item
+    # copies 0 and 1 to item 0, copies 2 and 3 to item 1
+    state = _probe_state()
+    assert state.commit(0, 0, 1) is None
+    assert state.commit(1, 2, 1) is None
+    assert (state.pmin, state.held) == ([0, 0], {(0, 0), (0, 1)})
+    assert state.commit(2, 0, 1) == 0
+    assert (state.pmin, state.held) == ([0, 0], {(0, 1), (1, 0)})
+    assert state.commit(0, 1, 1) is None
+    assert state.prices == [2, 1, 1, 0]
+    assert (state.pmin, state.held) == ([1, 0], {(0, 0), (0, 1), (1, 0)})

@@ -1,0 +1,75 @@
+"""Every in-memory engine and kernel against the exact oracles.
+
+Small random instances, half of the runs audited; each engine must return
+a valid matching within its approximation bound, and the cardinality
+auction at eps = 1/(n_l + 1) must be exact.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auctionmatch.graph import Epsilon, generate_random, scale_and_prune
+from auctionmatch.mcbm import run_mcbm
+from auctionmatch.mcm import run_mcm
+from auctionmatch.mwm import run_mwm
+from auctionmatch.oracles import exact_mcbm, exact_mcm, exact_mwm
+from auctionmatch.weight_reduction import run_reduced_mwm
+
+_cases = st.fixed_dictionaries({
+    "n_l": st.integers(1, 8),
+    "n_r": st.integers(1, 8),
+    "density": st.sampled_from([0.15, 0.3, 0.5, 0.8]),
+    "w_max": st.sampled_from([1, 9, 1000, 10 ** 6]),
+    "cap": st.integers(1, 3),
+    "k": st.sampled_from([2, 3, 4, 8, 16]),
+    "seed": st.integers(0, 10 ** 6),
+})
+
+
+def _instances(case):
+    """A unit-capacity weighted instance and a capacitated one, or None
+    when the draw has no edge."""
+    n_l, n_r, density, seed = case["n_l"], case["n_r"], case["density"], case["seed"]
+    try:
+        unit = generate_random(n_l, n_r, density, (1, case["w_max"]), seed=seed)
+        capped = generate_random(n_l, n_r, density, b_l_range=(1, case["cap"]),
+                                 b_r_range=(1, case["cap"]), seed=seed)
+    except ValueError:
+        return None
+    return unit, capped
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_cases)
+def test_engines_meet_their_bounds(case):
+    got = _instances(case)
+    if got is None:
+        return
+    unit, capped = got
+    k, seed = case["k"], case["seed"]
+    eps = Epsilon(k)
+    audit = seed % 2 == 0
+
+    mcm_opt = exact_mcm(unit).value
+    for kernel in ("det", "rand"):
+        res, tr = run_mcm(unit, eps, kernel=kernel, seed=seed, audit=audit)
+        assert res.valid and tr.rounds_executed <= tr.round_budget
+        assert k * res.value >= (k - 2) * mcm_opt, kernel
+    res, _ = run_mcm(unit, Epsilon(unit.n_l + 1), seed=seed, audit=audit)
+    assert res.valid and res.value == mcm_opt
+
+    mwm_opt = exact_mwm(unit).value
+    sg = scale_and_prune(unit, eps)
+    for kernel, slack in (("det", 6), ("rand", 7), ("stream", 6)):
+        res, tr = run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit)
+        assert res.valid and tr.rounds_executed <= tr.round_budget
+        assert k * res.value >= (k - slack) * mwm_opt, kernel
+    res, _ = run_reduced_mwm(unit, eps, seed=seed, audit=audit)
+    assert res.valid
+    assert (k + 16) * res.value >= k * mwm_opt
+
+    mcbm_opt = exact_mcbm(capped).value
+    for kernel in ("det", "stream"):
+        res, tr = run_mcbm(capped, eps, kernel=kernel, audit=audit)
+        assert res.valid and tr.rounds_executed <= tr.round_budget
+        assert k * res.cardinality >= (k - 2) * mcbm_opt, kernel

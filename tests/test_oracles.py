@@ -83,3 +83,51 @@ def test_capacitated_solver_agrees_with_brute_force(seed):
 def test_unit_capacity_mcbm_is_mcm(seed):
     inst = generate_random(7, 7, 0.4, seed=seed)
     assert exact_mcbm(inst).value == exact_mcm(inst).value
+
+
+def _chain(n):
+    # bidder 0 sees item 0, bidder i items i - 1 and i in that order: each
+    # bidder's augmenting search walks back down the whole chain
+    edges = [(0, 0, 1)] + [e for i in range(1, n) for e in ((i, i - 1, 1), (i, i, 1))]
+    return BipartiteInstance.build(n, n, edges)
+
+
+def test_mcm_handles_chain_at_size_limit():
+    inst = _chain(1024)
+    assert inst.n_l * inst.n_r <= ORACLE_SIZE_LIMIT
+    got = exact_mcm(inst)
+    assert got.value == 1024
+    assert got.pairs == tuple((i, i) for i in range(1024))
+
+
+def test_mcbm_handles_chain_at_size_limit():
+    inst = _chain(1024)
+    got = exact_mcbm(inst)
+    assert got.value == 1024
+    assert got.pairs == tuple((i, i) for i in range(1024))
+
+
+def _recursive_mcm_pairs(inst):
+    # the depth-first augmenting search exact_mcm runs, written recursively
+    adj = [[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()]
+    match_item = [-1] * inst.n_r
+
+    def try_augment(i, visited):
+        for j in adj[i]:
+            if visited[j]:
+                continue
+            visited[j] = True
+            if match_item[j] == -1 or try_augment(match_item[j], visited):
+                match_item[j] = i
+                return True
+        return False
+
+    for i in range(inst.n_l):
+        try_augment(i, [False] * inst.n_r)
+    return tuple(sorted((i, j) for j, i in enumerate(match_item) if i != -1))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mcm_pairs_match_recursive_search(seed):
+    inst = generate_random(12, 10, 0.3, seed=seed)
+    assert exact_mcm(inst).pairs == _recursive_mcm_pairs(inst)

@@ -69,6 +69,8 @@ def test_stream_file_roundtrip(tmp_path):
     ("p bm 1 1 1\ne 1 a 5\n", "line 2: malformed edge"),
     ("p bm 1 1 1\ne 1 1 0\n", "line 2: edge weight"),
     ("p bm 1 1 1\np bm 1 1 1\ne 1 1 1\n", "line 2: duplicate problem"),
+    (f"c big\np bm {10 ** 18} 1 0\n", "line 2: problem line side above"),
+    (f"p bm 1 {10 ** 18} 0\n", "line 1: problem line side above"),
 ])
 def test_stream_file_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.gr"
