@@ -81,9 +81,11 @@ class McbmState(Auction):
     """Auction state over the copy graph, one price unit per commit.
 
     ``held`` holds the original (bidder, item) pairs the copy assignment
-    covers; ``pmin[j]`` is the cheapest copy price of original item j;
-    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``
-    and ``pmin`` in step with the copy assignment and prices.
+    covers; ``item_matched`` the owned item copies, which never become
+    free again; ``pmin[j]`` is the cheapest copy price of original item j;
+    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``,
+    ``item_matched`` and ``pmin`` in step with the copy assignment and
+    prices.
     """
 
     def __init__(self, cg: CopyGraph, k: int) -> None:
@@ -94,6 +96,7 @@ class McbmState(Auction):
         self.k = k
         self.cutoffs = [0] * cg.n_bidder_copies
         self.held: set[tuple[int, int]] = set()
+        self.item_matched: set[int] = set()
         self.pmin = [0] * cg.instance.n_r
         self.adj: list[list[int]] = [[] for _ in range(cg.instance.n_l)]
         for i, j, _ in cg.instance.edges:
@@ -106,6 +109,7 @@ class McbmState(Auction):
         if prev is not None:
             self.held.discard((cg.bidder_orig[prev], oj))
         self.held.add((cg.bidder_orig[i], oj))
+        self.item_matched.add(j)
         self.pmin[oj] = min(self.prices[cg.item_start[oj]:cg.item_start[oj + 1]])
         return prev
 
@@ -255,12 +259,11 @@ def _det_round(
         if d:
             demands[bc] = d
     sub = Subgraph(bidders=sorted(demands), candidates=demands)
-    item_matched = {jc for jc in range(cg.n_item_copies) if state.owner[jc] is not None}
     got = nondup_maximal(
         sub,
         bidder_orig=cg.bidder_orig,
         item_orig=cg.item_orig,
-        item_matched=item_matched,
+        item_matched=state.item_matched,
         held=state.held,
     )
     return sorted(demands), got.pairs
@@ -378,11 +381,12 @@ def _audit_round(
     ``views`` maps each bidder copy to the items it was eligible for when
     it last demanded, i.e. at the start of the last round it began
     unmatched.  A matched copy must be happy against every copy of those
-    items at current prices.  Returns the number of (bidder copy, item)
-    pairs where a matched copy is underpaid against an item that is
-    eligible now but was not in its view: an item re-opened by a sibling
-    eviction or by its cheapest price crossing the copy's cutoff.  Those
-    pairs are counted, not raised.
+    items at current prices; an unmatched copy's demand set must be empty
+    exactly when every copy of its eligible items costs k.  Returns the
+    number of (bidder copy, item) pairs where a matched copy is underpaid
+    against an item that is eligible now but was not in its view: an item
+    re-opened by a sibling eviction or by its cheapest price crossing the
+    copy's cutoff.  Those pairs are counted, not raised.
     """
     cg = state.cg
     k = state.k
@@ -450,8 +454,17 @@ def _audit_round(
     for bc in range(cg.n_bidder_copies):
         jc = state.assignment[bc]
         if jc is None:
-            if not find_demand_set(state, bc):
-                _check_copy_happiness(state, bc, 0, _eligible_items(state, bc))
+            # An empty demand set must coincide with every copy of every
+            # eligible item being priced at the full valuation k.
+            empty = not find_demand_set(state, bc)
+            priced_out = all(state.prices[c] == k for j in _eligible_items(state, bc)
+                             for c in cg.item_copies(j))
+            if empty != priced_out:
+                raise InvariantViolation(
+                    "empty-demand-characterization",
+                    f"bidder copy {bc}: demand empty={empty} but every "
+                    f"eligible copy priced {k}/{k}={priced_out}",
+                )
             continue
         utility = k - state.prices[jc]
         _check_copy_happiness(state, bc, utility, views[bc])
@@ -467,15 +480,13 @@ def _check_copy_happiness(
 ) -> None:
     """Utility must be within one price step of every copy of ``items``.
 
-    For a matched copy ``items`` is its demand view, the items it was
+    ``items`` is a matched copy's demand view, the items it was
     eligible for when it bid, compared at current prices; this is the
     happiness the ``(1 - 2 eps)`` argument needs.  Eligibility is not
     monotone, so the round-end eligible set is the wrong quantifier: an
     eviction of a sibling copy re-opens a pair the copy could not bid on,
     and an item's cheapest price can rise past the copy's cutoff after it
-    bought.  For an unmatched copy with an empty demand set ``items`` is
-    its current eligible set.  See the README section on the capacitated
-    happiness check.
+    bought.  See the README section on the capacitated happiness check.
     """
     cg = state.cg
     for j in state.adj[cg.bidder_orig[bcopy]]:

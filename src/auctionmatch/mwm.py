@@ -128,13 +128,23 @@ def _audit_phase(state: MwmState, weights: dict[tuple[int, int], int],
         if p < prev_prices[j]:
             raise InvariantViolation("price-monotonicity",
                                      f"item {j} price fell {prev_prices[j]} -> {p}")
-        if p > 0 and state.owner[j] is None:
-            raise InvariantViolation("positive-price-implies-matched",
-                                     f"item {j} priced {p} but unmatched")
-    if optimum is not None and sum(state.prices) > k * optimum:
+        owner = state.owner[j]
+        if owner is None:
+            if p > 0:
+                raise InvariantViolation("positive-price-implies-matched",
+                                         f"item {j} priced {p} but unmatched")
+        # The owner bid below its valuation k*w and stepped the price by w.
+        elif p >= (k + 1) * weights[(owner, j)]:
+            raise InvariantViolation(
+                "owned-price-bound",
+                f"item {j} price {p} not below (k + 1) * w = "
+                f"{(k + 1) * weights[(owner, j)]} of its owner {owner}")
+    # Owned prices sum below (k + 1) times the assignment's weight.
+    if optimum is not None and sum(state.prices) > (k + 1) * optimum:
         raise InvariantViolation(
             "price-sum-bound",
-            f"sum of prices {sum(state.prices)} exceeds optimum {k * optimum} (base units)")
+            f"sum of prices {sum(state.prices)} exceeds (k + 1) * optimum "
+            f"{(k + 1) * optimum} (base units)")
     # An empty demand set must coincide with every neighbor being priced
     # at or above its valuation.
     for i in range(len(state.adj)):
@@ -173,7 +183,8 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     rounds and records a blackboard trace, 'stream' matches the first
     qualifying edge in stream order (the same maximal matching the
     streaming engine builds on the fly). Weight is reported in original
-    units. ``optimum``, when given, additionally audits the price-sum bound.
+    units. ``optimum``, when given, additionally audits the price-sum bound
+    ``sum(prices) <= (k + 1) * optimum``.
     """
     if kernel not in ("det", "rand", "stream"):
         raise ValueError(f"unknown kernel {kernel!r} for the weighted engine")

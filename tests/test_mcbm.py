@@ -2,6 +2,7 @@
 
 import pytest
 
+from auctionmatch import mcbm
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcbm import (
@@ -192,6 +193,18 @@ def test_audit_raises_on_stale_item_minimum():
     assert info.value.prop == "item-min-drift"
 
 
+def test_audit_raises_when_demand_is_empty_below_full_price(monkeypatch):
+    state = _underpaid_state()
+    views = {0: frozenset({1}), 2: frozenset()}
+    assert _audit_round(state, None, None, views) == 1
+    # unmatched copy 1 of bidder 0 may still buy item 0 at price 0, so a
+    # demand rule that gives up on it must trip the audit
+    monkeypatch.setattr(mcbm, "find_demand_set", lambda state, bcopy: [])
+    with pytest.raises(InvariantViolation) as info:
+        _audit_round(state, None, None, views)
+    assert info.value.prop == "empty-demand-characterization"
+
+
 def test_commit_keeps_held_pairs_and_item_minima():
     # bidder copies 0 and 1 belong to bidder 0, copy 2 to bidder 1; item
     # copies 0 and 1 to item 0, copies 2 and 3 to item 1
@@ -204,3 +217,4 @@ def test_commit_keeps_held_pairs_and_item_minima():
     assert state.commit(0, 1, 1) is None
     assert state.prices == [2, 1, 1, 0]
     assert (state.pmin, state.held) == ([1, 0], {(0, 0), (0, 1), (1, 0)})
+    assert state.item_matched == {0, 1, 2}

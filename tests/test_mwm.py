@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from auctionmatch.auction import Auction
+from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import (
     BipartiteInstance,
     Epsilon,
     generate_random,
     scale_and_prune,
 )
-from auctionmatch.mwm import edge_bucket, phase_budget, run_mwm
+from auctionmatch.mwm import MwmState, edge_bucket, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
 
 
@@ -120,3 +122,30 @@ def test_rand_kernel_is_seed_deterministic():
     b, tb = _run(inst, Epsilon(8), kernel="rand", seed=5)
     assert a.pairs == b.pairs
     assert ta.blackboard.proposals == tb.blackboard.proposals
+
+
+def test_price_sum_audit_allows_the_last_step():
+    # weights 5 and 3 on one item at eps 1/2: the price war ends at 13,
+    # above k * optimum = 10 but below (k + 1) * 5, which a bid below the
+    # valuation k * w plus its step w can reach
+    inst = generate_random(2, 2, 0.3, (1, 9), seed=206)
+    opt = exact_mwm(inst).value
+    res, _ = _run(inst, Epsilon(2), audit=True, optimum=opt)
+    assert res.value == opt
+
+
+def test_price_audit_catches_a_double_step(monkeypatch):
+    # two bidders of weight 1 on one item at eps 1/3: steps of w end at
+    # price 3 < (k + 1) * w, steps of 2w reach 4
+    inst = BipartiteInstance.build(2, 1, [(0, 0, 1), (1, 0, 1)])
+    _run(inst, Epsilon(3), audit=True, optimum=1)
+
+    def overbid(self, i, j, step):
+        prev = Auction.commit(self, i, j, step)
+        self.prices[j] += step
+        return prev
+
+    monkeypatch.setattr(MwmState, "commit", overbid)
+    with pytest.raises(InvariantViolation) as info:
+        _run(inst, Epsilon(3), audit=True, optimum=1)
+    assert info.value.prop == "owned-price-bound"

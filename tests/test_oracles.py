@@ -1,7 +1,14 @@
 """Exact reference solvers."""
 
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import auctionmatch
+from auctionmatch.auction import check_matching
 from auctionmatch.graph import BipartiteInstance, generate_random
 from auctionmatch.oracles import (
     ORACLE_SIZE_LIMIT,
@@ -105,6 +112,93 @@ def test_mcbm_handles_chain_at_size_limit():
     got = exact_mcbm(inst)
     assert got.value == 1024
     assert got.pairs == tuple((i, i) for i in range(1024))
+
+
+def _shifted_chain(n):
+    # bidder i < n - 1 prefers item i + 1 (weight n + 1) to item i (weight
+    # n), and the last bidder sees only item n - 1, at weight 2n: the greedy
+    # start shifts every bidder up, and the last bidder's augmenting path
+    # shifts all of them back down the whole chain
+    edges = [e for i in range(n - 1) for e in ((i, i + 1, n + 1), (i, i, n))]
+    return BipartiteInstance.build(n, n, edges + [(n - 1, n - 1, 2 * n)])
+
+
+@pytest.mark.parametrize("make, value", [
+    (_chain, 1024), (_shifted_chain, 1023 * 1024 + 2 * 1024)])
+def test_mwm_handles_chain_at_size_limit(make, value):
+    inst = make(1024)
+    assert inst.n_l * inst.n_r <= ORACLE_SIZE_LIMIT
+    got = exact_mwm(inst)
+    assert got.value == value
+    assert got.pairs == tuple((i, i) for i in range(1024))
+
+
+def _random_instance(rng):
+    n_l, n_r = rng.randint(1, 30), rng.randint(1, 30)
+    density = rng.choice((0.05, 0.1, 0.3, 0.6, 1.0))
+    w_hi = rng.choice((1, 2, 9, 100, 10 ** 6))
+    edges = [(i, j, rng.randint(1, w_hi)) for i in range(n_l) for j in range(n_r)
+             if rng.random() < density]
+    return BipartiteInstance.build(
+        n_l, n_r, edges,
+        b_l=[rng.randint(1, min(4, n_r)) for _ in range(n_l)],
+        b_r=[rng.randint(1, min(4, n_l)) for _ in range(n_r)])
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_oracles_match_scipy(block):
+    # 100 seeded instances per block: exact_mwm against a dense
+    # linear_sum_assignment (non-edges weigh 0) and exact_mcbm against
+    # scipy's integral max-flow, with every witness checked
+    np = pytest.importorskip("numpy")
+    pytest.importorskip("scipy")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    rng = random.Random(block)
+    for _ in range(100):
+        inst = _random_instance(rng)
+        n_l, n_r = inst.n_l, inst.n_r
+        weight = {(i, j): w for i, j, w in inst.edges}
+
+        got = exact_mwm(inst)
+        dense = np.zeros((n_l, n_r), dtype=np.int64)
+        for i, j, w in inst.edges:
+            dense[i, j] = w
+        rows, cols = linear_sum_assignment(dense, maximize=True)
+        assert got.value == int(dense[rows, cols].sum())
+        assert check_matching(got.pairs, (1,) * n_l, (1,) * n_r, inst.edges)[2]
+        assert sum(weight[p] for p in got.pairs) == got.value
+
+        got = exact_mcbm(inst)
+        source, sink = n_l + n_r, n_l + n_r + 1
+        tails = [source] * n_l + [i for i, _, _ in inst.edges] + [n_l + j for j in range(n_r)]
+        heads = list(range(n_l)) + [n_l + j for _, j, _ in inst.edges] + [sink] * n_r
+        caps = list(inst.b_l) + [1] * inst.m + list(inst.b_r)
+        network = csr_matrix((np.array(caps, dtype=np.int32), (tails, heads)),
+                             shape=(sink + 1, sink + 1))
+        assert got.value == maximum_flow(network, source, sink).flow_value
+        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)[2]
+        assert len(got.pairs) == got.value
+
+
+def test_oracles_import_neither_numpy_nor_scipy():
+    # a child interpreter, so that no other test's imports count
+    src = Path(auctionmatch.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from auctionmatch.graph import generate_random\n"
+        "from auctionmatch.oracles import exact_mcbm, exact_mwm\n"
+        "inst = generate_random(6, 5, 0.5, w_range=(1, 9), b_l_range=(1, 3),"
+        " b_r_range=(1, 3), seed=1)\n"
+        "exact_mwm(inst)\n"
+        "exact_mcbm(inst)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def _recursive_mcm_pairs(inst):
