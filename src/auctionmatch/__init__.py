@@ -6,36 +6,27 @@ semi-streaming execution with pass/space accounting, and exact oracles
 for verifying every approximation bound.
 """
 
-from .errors import AuctionMatchError, InstanceFormatError, InvariantViolation
-from .graph import (
-    BipartiteInstance,
-    Epsilon,
-    ScaledGraph,
-    dumps_instance,
-    generate_random,
-    load_instance,
-    loads_instance,
-    save_instance,
-    scale_and_prune,
-)
-from .mcbm import expand_copies, find_demand_set, mcbm_round_budget, run_mcbm
-from .mcm import demand_set_mcm, mcm_round_budget, run_mcm
-from .mwm import demand_set_mwm, edge_bucket, phase_budget, run_mwm
-from .oracles import ORACLE_SIZE_LIMIT, exact_mcbm, exact_mcm, exact_mwm
-from .results import BlackboardTrace, BMatchingResult, MatchingResult, RunTrace
-from .streaming import (
-    STREAM_MCBM_SPACE_FACTOR,
-    EdgeStream,
-    SpaceAccountant,
-    stream_mcbm,
-    stream_mwm,
-)
-from .weight_reduction import (
-    build_partition,
-    combine_levels,
-    run_reduced_mwm,
-    weight_bucket,
-)
+import importlib
+
+# Public name -> submodule that defines it. Names resolve on first access
+# (PEP 562), so that a CLI child imports only the engines it runs.
+_EXPORTS = {
+    "auction": ("phase_budget",),
+    "errors": ("AuctionMatchError", "InstanceFormatError", "InvariantViolation"),
+    "graph": ("BipartiteInstance", "Epsilon", "ScaledGraph", "dumps_instance",
+              "generate_random", "load_instance", "loads_instance",
+              "save_instance", "scale_and_prune"),
+    "mcbm": ("expand_copies", "find_demand_set", "mcbm_round_budget", "run_mcbm"),
+    "mcm": ("demand_set_mcm", "mcm_round_budget", "run_mcm"),
+    "mwm": ("demand_set_mwm", "edge_bucket", "run_mwm"),
+    "oracles": ("ORACLE_SIZE_LIMIT", "exact_mcbm", "exact_mcm", "exact_mwm"),
+    "results": ("BlackboardTrace", "BMatchingResult", "MatchingResult", "RunTrace"),
+    "streaming": ("STREAM_MCBM_SPACE_FACTOR", "EdgeStream", "SpaceAccountant",
+                  "stream_mcbm", "stream_mwm"),
+    "weight_reduction": ("build_partition", "combine_levels", "run_reduced_mwm",
+                         "weight_bucket"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -81,3 +72,16 @@ __all__ = [
     "stream_mwm",
     "weight_bucket",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,9 +13,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .graph import Epsilon
 from .results import BlackboardTrace
 
-__all__ = ["Auction", "blackboard_trace", "check_matching"]
+__all__ = ["Auction", "blackboard_trace", "check_matching", "phase_budget",
+           "round_budget"]
+
+
+def round_budget(eps: Epsilon) -> int:
+    """Rounds of the cardinality auctions: ceil(2 / eps**2), which is
+    exactly 2 * k * k for eps = 1/k."""
+    return 2 * eps.k * eps.k
+
+
+def phase_budget(bucket_count: int, eps: Epsilon) -> int:
+    """Phases of the weighted auction: ceil(2 * (ceil(log_{1/eps} W)^2 + 2)
+    / eps^4), at least 1.
+
+    bucket_count is ceil(log_{1/eps} W) over surviving weights; equal
+    weights give 0 and therefore a budget of 4 / eps^4.
+    """
+    k = eps.k
+    return max(1, 2 * (bucket_count * bucket_count + 2) * k ** 4)
 
 
 @dataclass(kw_only=True)

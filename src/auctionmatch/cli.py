@@ -12,7 +12,7 @@ import sys
 
 from .errors import AuctionMatchError
 from .graph import Epsilon, dumps_instance, generate_random, load_instance
-from .suite import aggregate_report, run_criteria, run_single
+from .suite import run_single
 
 MODES = ("memory", "stream", "gp")
 KERNELS = ("det", "rand")
@@ -150,6 +150,8 @@ def _cmd_suite(args) -> int:
         if any(n < 1 or n > 10 for n in numbers):
             print("error: criteria numbers run 1..10", file=sys.stderr)
             return 2
+    from .criteria import aggregate_report, run_criteria
+
     outcomes = run_criteria(numbers)
     for oc in outcomes:
         print(oc.line(), file=sys.stderr)

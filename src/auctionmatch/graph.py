@@ -93,25 +93,40 @@ class BipartiteInstance:
     b_r: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_l < 1 or self.n_r < 1:
+        n_l, n_r = self.n_l, self.n_r
+        if n_l < 1 or n_r < 1:
             raise ValueError("both sides need at least one vertex")
-        if len(self.b_l) != self.n_l or len(self.b_r) != self.n_r:
+        if len(self.b_l) != n_l or len(self.b_r) != n_r:
             raise ValueError("capacity vectors must cover every vertex")
         for i, b in enumerate(self.b_l):
-            if not 1 <= b <= self.n_r:
-                raise ValueError(f"bidder {i} capacity {b} outside [1, {self.n_r}]")
+            if not 1 <= b <= n_r:
+                raise ValueError(f"bidder {i} capacity {b} outside [1, {n_r}]")
         for j, b in enumerate(self.b_r):
-            if not 1 <= b <= self.n_l:
-                raise ValueError(f"item {j} capacity {b} outside [1, {self.n_l}]")
-        seen = set()
+            if not 1 <= b <= n_l:
+                raise ValueError(f"item {j} capacity {b} outside [1, {n_l}]")
+        # An in-range pair (i, j) is the int i * n_r + j, which is unique.
+        seen: set[int] = set()
+        add = seen.add
         for i, j, w in self.edges:
-            if not (0 <= i < self.n_l and 0 <= j < self.n_r):
+            if not (0 <= i < n_l and 0 <= j < n_r):
                 raise ValueError(f"edge ({i}, {j}) endpoint out of range")
             if w < 1:
                 raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
-            if (i, j) in seen:
+            key = i * n_r + j
+            if key in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+            add(key)
+
+    @classmethod
+    def _checked_by_reader(cls, n_l: int, n_r: int, edges, b_l, b_r
+                           ) -> "BipartiteInstance":
+        """An instance built without ``__post_init__``, for fields that
+        ``_parse_lines`` has already made every one of its checks on."""
+        inst = object.__new__(cls)
+        for name, value in (("n_l", n_l), ("n_r", n_r), ("edges", edges),
+                            ("b_l", b_l), ("b_r", b_r)):
+            object.__setattr__(inst, name, value)
+        return inst
 
     @classmethod
     def build(cls, n_l: int, n_r: int, edges, b_l=None, b_r=None) -> "BipartiteInstance":
@@ -351,16 +366,31 @@ def read_edges(lines, header):
 
 
 def _parse_lines(lines) -> BipartiteInstance:
+    """Read an instance. ``read_edges`` checks sizes, endpoints, weights
+    and capacities and this loop checks for duplicate edges, so that each
+    check runs once per edge.
+
+    Edges share one int object per vertex id, taken from ``ids``, instead
+    of holding two new ints each. That saves 64 bytes per edge for the
+    whole run, and fewer long-lived ints sit beside the duplicate keys, so
+    the memory those keys free when the load ends can be reused.
+    """
     header = SimpleNamespace()
     edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    append = edges.append
+    seen: set[int] = set()
+    add = seen.add
+    ids = None
     for line_no, i, j, w in read_edges(lines, header):
-        if (i, j) in seen:
+        if ids is None:
+            ids = list(range(max(header.n_l, header.n_r)))
+        key = i * header.n_r + j  # unique: read_edges checked 0 <= j < n_r
+        if key in seen:
             raise InstanceFormatError(f"duplicate edge ({i + 1}, {j + 1})", line_no)
-        seen.add((i, j))
-        edges.append((i, j, w))
-    return BipartiteInstance(n_l=header.n_l, n_r=header.n_r, edges=tuple(edges),
-                             b_l=header.b_l, b_r=header.b_r)
+        add(key)
+        append((ids[i], ids[j], w))
+    return BipartiteInstance._checked_by_reader(
+        header.n_l, header.n_r, tuple(edges), header.b_l, header.b_r)
 
 
 def loads_instance(text: str) -> BipartiteInstance:
@@ -415,12 +445,15 @@ def generate_random(n_l: int, n_r: int, density: float,
         if lo < 1 or lo > hi:
             raise ValueError("capacity range must satisfy 1 <= lo <= hi")
     rng = random.Random(seed)
+    draw, randint = rng.random, rng.randint
+    w_lo, w_hi = w_range
     edges: list[tuple[int, int, int]] = []
+    append = edges.append
     for attempt in range(2):
         for i in range(n_l):
             for j in range(n_r):
-                if rng.random() < density:
-                    edges.append((i, j, rng.randint(w_range[0], w_range[1])))
+                if draw() < density:
+                    append((i, j, randint(w_lo, w_hi)))
         if edges:
             break
     if not edges:

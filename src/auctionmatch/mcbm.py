@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auction import Auction, check_matching
+from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
 from .kernels import Subgraph, nondup_maximal
@@ -71,10 +72,6 @@ def expand_copies(inst: BipartiteInstance) -> CopyGraph:
         bidder_orig=tuple(bidder_orig),
         item_orig=tuple(item_orig),
     )
-
-
-def mcbm_round_budget(eps: Epsilon) -> int:
-    return 2 * eps.k * eps.k
 
 
 class McbmState(Auction):

@@ -15,17 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .auction import Auction, blackboard_trace, check_matching
+from .auction import round_budget as mcm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
 from .kernels import KernelMatching, Subgraph, greedy_maximal, randomized_proposal_mm
 from .results import MatchingResult, RunTrace
 
 __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
-
-
-def mcm_round_budget(eps: Epsilon) -> int:
-    """ceil(2 / eps**2), which is exactly 2 * k * k for eps = 1/k."""
-    return 2 * eps.k * eps.k
 
 
 @dataclass(kw_only=True)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .auction import Auction, blackboard_trace, check_matching
+from .auction import Auction, blackboard_trace, check_matching, phase_budget
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph
 from .kernels import Subgraph, bucket_ordered_maximal
@@ -51,16 +51,6 @@ def edge_bucket(scaled_w: Fraction, eps: Epsilon) -> int:
         power *= k
         b += 1
     return b
-
-
-def phase_budget(bucket_count: int, eps: Epsilon) -> int:
-    """ceil(2 * (ceil(log_{1/eps} W)^2 + 2) / eps^4), at least 1.
-
-    bucket_count is ceil(log_{1/eps} W) over surviving weights; equal
-    weights give 0 and therefore a budget of 4 / eps^4.
-    """
-    k = eps.k
-    return max(1, 2 * (bucket_count * bucket_count + 2) * k ** 4)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .auction import Auction, check_matching
+from .auction import Auction, check_matching, phase_budget, round_budget
 from .errors import InvariantViolation
 from .graph import (BipartiteInstance, Epsilon, ceil_log, open_instance,
                     prune_exponent, read_edges)
-from .mcbm import mcbm_round_budget
-from .mwm import phase_budget
 from .results import BMatchingResult, MatchingResult, RunTrace
 
 # Measured ceiling for peak words over (sum of bidder capacities + n_r);
@@ -279,7 +277,7 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     has_edge = [False] * n_l
     acct.alloc(n_l, "bidder-flags")
 
-    budget = mcbm_round_budget(eps)
+    budget = round_budget(eps)
     rounds = 0
 
     while rounds < budget and stream.m > 0:

@@ -1,9 +1,13 @@
 """Command-line interface contract."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import auctionmatch
 from auctionmatch.cli import main
 from auctionmatch.graph import BipartiteInstance, loads_instance, save_instance
 
@@ -221,3 +225,47 @@ def test_suite_rejects_bad_criteria(capsys):
     assert main(["suite", "--criteria", "11"]) == 2
     assert main(["suite", "--criteria", "a,b"]) == 2
     capsys.readouterr()
+
+
+def _modules_after_run(path, argv):
+    # a child interpreter, so that no other test's imports count
+    src = Path(auctionmatch.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from auctionmatch.cli import main\n"
+        f"code = main(['run', {str(path)!r}, '--report', {str(path) + '.json'!r}, *{argv!r}])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('auctionmatch.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    code, *modules = out.stdout.split()
+    assert code == "0"
+    return {m.removeprefix("auctionmatch.") for m in modules}
+
+
+def test_run_imports_only_what_its_algo_and_mode_need(k22):
+    plain = _modules_after_run(k22, ["--algo", "mwm", "--eps", "1/4"])
+    assert plain.isdisjoint({"mcm", "mcbm", "streaming", "weight_reduction",
+                             "oracles", "criteria"})
+    verified = _modules_after_run(k22, ["--algo", "mwm", "--eps", "1/4", "--verify"])
+    assert verified - plain == {"oracles"}
+    streamed = _modules_after_run(k22, ["--algo", "mwm", "--eps", "1/4",
+                                        "--mode", "stream"])
+    assert "streaming" in streamed
+    assert streamed.isdisjoint({"mwm", "mcbm", "mcm", "oracles", "criteria"})
+
+
+def test_package_names_resolve_on_first_access():
+    src = Path(auctionmatch.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import auctionmatch\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('auctionmatch.')))\n"
+        "missing = [n for n in auctionmatch.__all__ if not hasattr(auctionmatch, n)]\n"
+        "print(missing, set(auctionmatch.__all__) <= set(dir(auctionmatch)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    eager, resolved = out.stdout.split("\n")[:2]
+    assert eager == ""
+    assert resolved == "[] True"

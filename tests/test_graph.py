@@ -1,5 +1,7 @@
 """Instance model, file format, generation, and scaling."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,20 @@ def test_instance_rejects_bad_shapes():
         BipartiteInstance.build(1, 1, [(0, 0, 1)], b_l=[2])
 
 
+def test_instance_errors_name_the_first_bad_edge():
+    # (0, 2) and (1, 0) are distinct pairs that a duplicate key packed on
+    # the wrong side's width (2 here, not n_r = 3) would confuse
+    BipartiteInstance.build(2, 3, [(0, 2, 1), (1, 0, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 0\)$"):
+        BipartiteInstance.build(2, 3, [(1, 0, 1), (0, 2, 1), (1, 0, 5)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) endpoint out of range$"):
+        BipartiteInstance.build(2, 3, [(0, 3, 1), (0, 3, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(1, 1\) has non-positive weight 0$"):
+        BipartiteInstance.build(2, 3, [(1, 1, 0)])
+    with pytest.raises(ValueError, match=r"^item 2 capacity 3 outside \[1, 2\]$"):
+        BipartiteInstance.build(2, 3, [], b_r=[1, 1, 3])
+
+
 def test_roundtrip_preserves_edge_order():
     inst = BipartiteInstance.build(
         3, 2, [(2, 0, 5), (0, 1, 1), (1, 0, 7)], b_l=[1, 2, 1], b_r=[2, 1])
@@ -71,6 +87,49 @@ def test_load_save_roundtrip(tmp_path):
     path = tmp_path / "g.gr"
     save_instance(inst, path)
     assert load_instance(path) == inst
+
+
+@pytest.mark.parametrize("params", [
+    dict(n_l=6, n_r=9, density=0.9, seed=1),
+    dict(n_l=9, n_r=6, density=0.5, w_range=(1, 10 ** 6), seed=2),
+    dict(n_l=7, n_r=7, density=0.6, b_l_range=(1, 4), b_r_range=(1, 5), seed=3),
+    dict(n_l=300, n_r=280, density=0.02, w_range=(1, 1000), seed=4),
+])
+def test_loader_reads_back_generated_instances(params):
+    inst = generate_random(**params)
+    loaded = loads_instance(dumps_instance(inst))
+    assert loaded == inst
+    # one int object per vertex id, shared by its edges
+    endpoints = {id(v) for i, j, _ in loaded.edges for v in (i, j)}
+    assert len(endpoints) <= max(inst.n_l, inst.n_r)
+
+
+def test_duplicate_edge_is_a_format_error_at_its_line():
+    text = "c dup\np bm 3 2 3\ne 3 2 4\ne 1 1 1\n\ne 3 2 7\n"
+    with pytest.raises(InstanceFormatError) as info:
+        loads_instance(text)
+    assert str(info.value) == "line 6: duplicate edge (3, 2)"
+    assert info.value.line_no == 6
+
+
+# sha256 of dumps_instance for each seeded configuration, as first drawn;
+# a change to the generator's draws changes every instance built from a seed.
+GENERATED_DIGESTS = [
+    (dict(n_l=64, n_r=48, density=0.2, seed=11),
+     "65b64963d5d5d3554c650ad5a2bb358e5a79c1b2727fc5861122fed511c67624"),
+    (dict(n_l=40, n_r=50, density=0.3, w_range=(1, 1000), seed=12),
+     "daea972a8fceacfccc728eb3be5d477be924d6bf3cacfdbc328a6f78747a37ff"),
+    (dict(n_l=30, n_r=30, density=0.25, w_range=(1, 9), b_l_range=(1, 4),
+          b_r_range=(1, 3), seed=13),
+     "e7e33ec37958a563c2e7b48df82a21f66efd7d76625ee9d3501d2cffe0fe4182"),
+]
+
+
+@pytest.mark.parametrize("params,digest", GENERATED_DIGESTS,
+                         ids=["unit", "weighted", "capacitated"])
+def test_generator_draws_are_pinned(params, digest):
+    text = dumps_instance(generate_random(**params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_format_errors_carry_line_numbers():

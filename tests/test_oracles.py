@@ -16,7 +16,7 @@ from auctionmatch.oracles import (
     exact_mcm,
     exact_mwm,
 )
-from auctionmatch.suite import (
+from auctionmatch.criteria import (
     brute_force_mcbm,
     brute_force_mcm,
     brute_force_mwm,
