@@ -121,7 +121,10 @@ class BipartiteInstance:
     def _checked_by_reader(cls, n_l: int, n_r: int, edges, b_l, b_r
                            ) -> "BipartiteInstance":
         """An instance built without ``__post_init__``, for fields that
-        ``_parse_lines`` has already made every one of its checks on."""
+        have already passed every one of its checks: those ``_parse_lines``
+        has checked line by line, and the levels of
+        ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
+        checked instance's edges, with unit capacities."""
         inst = object.__new__(cls)
         for name, value in (("n_l", n_l), ("n_r", n_r), ("edges", edges),
                             ("b_l", b_l), ("b_r", b_r)):

@@ -44,10 +44,14 @@ def edge_bucket(scaled_w: Fraction, eps: Epsilon) -> int:
     num, den = scaled_w.numerator, scaled_w.denominator
     if num <= 0 or num > den:
         raise ValueError(f"scaled weight {scaled_w} outside (0, 1]")
-    k = eps.k
+    return _bucket_index(num, den, eps.k)
+
+
+def _bucket_index(w: int, w_max: int, k: int) -> int:
+    """``edge_bucket`` of the scaled weight w / w_max, for 0 < w <= w_max."""
     b = 1
     power = 1  # k**(b-1)
-    while num * power < den:
+    while w * power < w_max:
         power *= k
         b += 1
     return b
@@ -214,7 +218,7 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
                         w = weights[(i, j)]
                         b = bucket_of.get(w)
                         if b is None:
-                            b = bucket_of[w] = edge_bucket(Fraction(w, sg.w_max), eps)
+                            b = bucket_of[w] = _bucket_index(w, sg.w_max, k)
                         sub.buckets[(i, j)] = b
             got = bucket_ordered_maximal(sub, kernel=kernel, seed=rng)
             proposal_rounds += got.proposal_rounds

@@ -31,46 +31,90 @@ def _check_size(inst: BipartiteInstance) -> None:
 
 
 def exact_mcm(inst: BipartiteInstance) -> OracleResult:
-    """Maximum-cardinality matching by repeated augmenting paths.
+    """Maximum-cardinality matching by Hopcroft-Karp (Hopcroft & Karp, 1973).
 
-    Each bidder in turn searches depth-first for an augmenting path,
-    trying its items in adjacency order. The search keeps its own stack,
-    so a path may be as long as the instance allows.
+    A greedy start gives each bidder in turn its first free item. Each
+    phase then layers the graph breadth-first from the free bidders up to
+    the first layer that sees a free item, and augments along
+    vertex-disjoint shortest paths found by a depth-first search with
+    per-bidder arc pointers. The search keeps its own stack, so a path may
+    be as long as the instance allows. O(m * sqrt(n)) in all.
     """
     _check_size(inst)
-    adj = [[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()]
+    n_l = inst.n_l
+    adj: list[list[int]] = [[] for _ in range(n_l)]
+    for i, j, _ in inst.edges:
+        adj[i].append(j)
     match_item = [-1] * inst.n_r
+    item_of = [-1] * n_l
+    free = []
+    for i, items in enumerate(adj):
+        for j in items:
+            if match_item[j] < 0:
+                match_item[j], item_of[i] = i, j
+                break
+        else:
+            if items:
+                free.append(i)
 
-    def try_augment(root: int) -> bool:
-        visited = [False] * inst.n_r
-        # stack[d] is (bidder, its untried items); path[d] the item it is
-        # trying, whose owner is the bidder of stack[d + 1].
-        stack = [(root, iter(adj[root]))]
-        path: list[int] = []
-        while stack:
-            for j in stack[-1][1]:
-                if not visited[j]:
-                    visited[j] = True
+    while free:
+        # Layer the bidders; a matched item leads to its owner one layer on.
+        dist = [-1] * n_l
+        for i in free:
+            dist[i] = 0
+        layer, depth, found = free, 0, False
+        while layer and not found:
+            nxt = []
+            for i in layer:
+                for j in adj[i]:
+                    o = match_item[j]
+                    if o < 0:
+                        found = True
+                    elif dist[o] < 0:
+                        dist[o] = depth + 1
+                        nxt.append(o)
+            layer, depth = nxt, depth + 1
+        if not found:
+            break
+        for i in layer:  # past the last layer a path can end in
+            dist[i] = -1
+
+        ptr = [0] * n_l
+        still_free = []
+        for root in free:
+            # stack[d] is a bidder; adj[stack[d]][ptr[stack[d]]] the item it
+            # tries, whose owner is stack[d + 1].
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                items, p, want = adj[u], ptr[u], dist[u] + 1
+                while p < len(items):
+                    o = match_item[items[p]]
+                    if o < 0 or dist[o] == want:
+                        break
+                    p += 1
+                ptr[u] = p
+                if p == len(items):
+                    # Dead end: drop u from the layers and retreat.
+                    dist[u] = -1
+                    stack.pop()
+                    if stack:
+                        ptr[stack[-1]] += 1
+                elif o < 0:
+                    # Augment, and keep later paths of the phase off this one.
+                    for u in stack:
+                        j = adj[u][ptr[u]]
+                        match_item[j], item_of[u] = u, j
+                        dist[u] = -1
                     break
+                else:
+                    stack.append(o)
             else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            path.append(j)
-            if match_item[j] == -1:
-                for (i, _), item in zip(stack, path):
-                    match_item[item] = i
-                return True
-            stack.append((match_item[j], iter(adj[match_item[j]])))
-        return False
+                still_free.append(root)
+        free = still_free
 
-    size = 0
-    for i in range(inst.n_l):
-        if try_augment(i):
-            size += 1
-    pairs = tuple(sorted((i, j) for j, i in enumerate(match_item) if i != -1))
-    return OracleResult(value=size, pairs=pairs)
+    pairs = tuple((i, j) for i, j in enumerate(item_of) if j >= 0)
+    return OracleResult(value=len(pairs), pairs=pairs)
 
 
 def exact_mwm(inst: BipartiteInstance) -> OracleResult:

@@ -249,8 +249,18 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     k = eps.k
     acct = SpaceAccountant()
 
-    for _ in stream.traverse():
-        pass
+    # The audit keeps each bidder's items and each bidder copy's demand
+    # view outside the accountant: it checks the engine and is no part of it.
+    if audit:
+        edges = [(i, j) for i, j, _ in stream.traverse()]
+        adj: list[list[int]] = [[] for _ in range(stream.n_l)]
+        for i, j in edges:
+            adj[i].append(j)
+        views: dict[int, frozenset[int]] = {}
+        reopened = 0
+    else:
+        for _ in stream.traverse():
+            pass
     n_l, n_r = stream.n_l, stream.n_r
     b_l, b_r = list(stream.b_l), list(stream.b_r)
     acct.alloc(n_l + n_r + 6, "capacities")
@@ -287,6 +297,19 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             if not live:
                 break
         rounds += 1
+        if audit:
+            # Each unmatched copy's view, and those whose view holds an item
+            # below full price: the copies this round's first pass must
+            # give a demand.
+            bidding = set()
+            for i, items in enumerate(adj):
+                lo, hi = start[i], start[i + 1]
+                held = assignment[lo:hi]
+                for bc in range(lo, hi):
+                    if assignment[bc] is None:
+                        view = views[bc] = _stream_eligible(items, held, cutoff[bc], pmin)
+                        if any(pmin[j] < k for j in view):
+                            bidding.add(bc)
 
         delta: dict[int, int] = {}
         claims: list[tuple[int, int]] = []
@@ -390,6 +413,9 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         if audit:
             _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
                                pmin, n_min, n_max, b_r, k)
+            reopened += _audit_mcbm_stream_demand(adj, views, bidding, delta, start,
+                                                  assignment, held_price, cutoff,
+                                                  pmin, k)
 
         auc.snapshot(rounds)
 
@@ -406,7 +432,17 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         bidder_usage=bidder_usage, item_usage=item_usage, valid=valid)
     trace = RunTrace(rounds_executed=rounds, round_budget=budget,
                      passes=stream.passes, peak_words=acct.peak)
+    if audit:
+        trace.notes["reopened_pairs"] = reopened
     return result, trace
+
+
+def _stream_eligible(items, held, cutoff, pmin) -> frozenset[int]:
+    """Items of a bidder that its copy at ``cutoff`` may bid on: no copy of
+    the bidder holds the item (``held`` lists what its copies hold) and
+    the item's cheapest copy costs at least the cutoff. These are the
+    items both passes of a round filter on."""
+    return frozenset(j for j in items if j not in held and pmin[j] >= cutoff)
 
 
 def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
@@ -436,3 +472,46 @@ def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
             raise InvariantViolation("one-item-match",
                                      f"pair {pair} matched twice")
         per_pair.add(pair)
+
+
+def _audit_mcbm_stream_demand(adj, views, bidding, delta, start, assignment,
+                              held_price, cutoff, pmin, k) -> int:
+    """The demand-view check of ``mcbm._audit_round`` on the stream state.
+
+    ``views[bc]`` holds the items bidder copy bc was eligible for at the
+    start of the last round it began unmatched, and ``bidding`` the copies
+    of this round's views with an item below full price. A copy unmatched
+    at the start of the round must have demanded (be in ``delta``) exactly
+    when it is in ``bidding``: its demand set is empty exactly when every
+    copy of every item in its view is priced k. A matched copy must be
+    happy against every item of its view at current prices: it paid at
+    most one step above the item's cheapest copy. Returns the number of
+    (bidder copy, item) pairs where a matched copy is underpaid against an
+    item that is eligible now but was not in its view, re-opened by a
+    sibling eviction or by the item's cheapest price crossing the copy's
+    cutoff; those are counted, not raised.
+    """
+    wrong = bidding.symmetric_difference(delta)
+    if wrong:
+        bc = min(wrong)
+        raise InvariantViolation(
+            "empty-demand-characterization",
+            f"bidder copy {bc}: demand empty={bc not in delta} but every "
+            f"copy in its view priced {k}/{k}={bc not in bidding}")
+    reopened = 0
+    for i, items in enumerate(adj):
+        lo, hi = start[i], start[i + 1]
+        held = assignment[lo:hi]
+        for bc in range(lo, hi):
+            if assignment[bc] is None:
+                continue
+            paid = held_price[bc]
+            for j in views[bc]:
+                if paid > pmin[j] + 1:
+                    raise InvariantViolation(
+                        "copy-happiness",
+                        f"bidder copy {bc} paid {paid}/{k} but item {j} "
+                        f"offers a copy at {pmin[j]}/{k}")
+            eligible = _stream_eligible(items, held, cutoff[bc], pmin)
+            reopened += sum(1 for j in eligible - views[bc] if paid > pmin[j] + 1)
+    return reopened

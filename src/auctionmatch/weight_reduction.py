@@ -210,13 +210,14 @@ def run_reduced_mwm(
         raise ValueError(f"unknown engine {engine!r}")
     part = build_partition(inst, eps)
     detail = ReductionDetail(partition=part)
+    b_l, b_r = (1,) * inst.n_l, (1,) * inst.n_r
 
     for cp in part.copies:
         level_matchings: dict[int, list[Edge]] = {}
         for lg in cp.levels:
-            level_inst = BipartiteInstance.build(
-                inst.n_l, inst.n_r, edges=list(lg.edges)
-            )
+            # A level's edges are some of inst's own, already checked, edges.
+            level_inst = BipartiteInstance._checked_by_reader(
+                inst.n_l, inst.n_r, lg.edges, b_l, b_r)
             if engine == "memory":
                 sg = scale_and_prune(level_inst, eps)
                 res, tr = run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit)

@@ -12,7 +12,8 @@ from auctionmatch.graph import (
     generate_random,
     scale_and_prune,
 )
-from auctionmatch.mwm import MwmState, edge_bucket, phase_budget, run_mwm
+from auctionmatch.mwm import (MwmState, _bucket_index, edge_bucket, phase_budget,
+                              run_mwm)
 from auctionmatch.oracles import exact_mwm
 
 
@@ -41,6 +42,15 @@ def test_edge_bucket_rule():
         edge_bucket(Fraction(3, 2), eps)
     with pytest.raises(ValueError):
         edge_bucket(Fraction(0), eps)
+
+
+@pytest.mark.parametrize("w_max, k", [
+    (1, 2), (7, 2), (100, 3), (100, 8), (729, 3), (1000, 4), (4096, 16)])
+def test_integer_bucket_index_matches_edge_bucket(w_max, k):
+    # the engine buckets a weight from the ints (w, w_max, k), without
+    # building the reduced Fraction w / w_max
+    for w in range(1, w_max + 1):
+        assert _bucket_index(w, w_max, k) == edge_bucket(Fraction(w, w_max), Epsilon(k))
 
 
 def test_phase_budget_rule():

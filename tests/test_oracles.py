@@ -202,7 +202,8 @@ def test_oracles_import_neither_numpy_nor_scipy():
 
 
 def _recursive_mcm_pairs(inst):
-    # the depth-first augmenting search exact_mcm runs, written recursively
+    # a maximum matching by one recursive depth-first augmenting search per
+    # bidder, an independent reference for exact_mcm
     adj = [[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()]
     match_item = [-1] * inst.n_r
 
@@ -221,7 +222,42 @@ def _recursive_mcm_pairs(inst):
     return tuple(sorted((i, j) for j, i in enumerate(match_item) if i != -1))
 
 
+def _unit_instance(rng):
+    # either side may be the larger, and some bidders get no edge at all
+    n_l, n_r = rng.randint(1, 40), rng.randint(1, 40)
+    density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.6, 0.9))
+    idle = {i for i in range(n_l) if rng.random() < 0.15}
+    edges = [(i, j, 1) for i in range(n_l) if i not in idle for j in range(n_r)
+             if rng.random() < density]
+    rng.shuffle(edges)
+    return BipartiteInstance.build(n_l, n_r, edges)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_mcm_pairs_match_recursive_search(seed):
-    inst = generate_random(12, 10, 0.3, seed=seed)
-    assert exact_mcm(inst).pairs == _recursive_mcm_pairs(inst)
+    # exact_mcm is maximum: its pairs are a matching of the instance's
+    # edges, as many as the recursive augmenting search finds and as the
+    # max-flow of exact_mcbm; which maximum matching it returns is free
+    rng = random.Random(seed)
+    shapes = set()
+    for _ in range(12):
+        inst = _unit_instance(rng)
+        got = exact_mcm(inst)
+        assert got.value == len(_recursive_mcm_pairs(inst)) == exact_mcbm(inst).value
+        assert len(got.pairs) == got.value
+        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)[2]
+        shapes.add((inst.n_l > inst.n_r) - (inst.n_l < inst.n_r))
+    assert len(shapes) > 1
+
+
+def test_mcm_augments_through_reversed_chain_at_size_limit():
+    # bidder i < n - 1 lists items i + 1 then i, the last bidder only item
+    # n - 1: the greedy start shifts every bidder up, which leaves one
+    # augmenting path back down the whole chain
+    n = 1024
+    edges = [e for i in range(n - 1) for e in ((i, i + 1, 1), (i, i, 1))]
+    inst = BipartiteInstance.build(n, n, edges + [(n - 1, n - 1, 1)])
+    assert inst.n_l * inst.n_r <= ORACLE_SIZE_LIMIT
+    got = exact_mcm(inst)
+    assert got.value == n
+    assert got.pairs == tuple((i, i) for i in range(n))

@@ -1,12 +1,13 @@
 """Streaming engines, pass counting and space accounting."""
 
+import inspect
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from auctionmatch import mcbm
+from auctionmatch import mcbm, streaming
 from auctionmatch.errors import InstanceFormatError, InvariantViolation
 from auctionmatch.graph import (BipartiteInstance, Epsilon, generate_random,
                                 loads_instance)
@@ -259,6 +260,59 @@ def test_stream_mcbm_mirrors_memory_stream_kernel_under_evictions(
     assert str_res.pairs == mem_res.pairs
     assert str_tr.rounds_executed == mem_tr.rounds_executed
     assert str_tr.passes == 1 + 2 * mem_tr.rounds_executed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_mcbm_audit_counts_reopened_pairs_as_memory_does(seed):
+    inst = generate_random(
+        24, 20, 0.3, b_l_range=(1, 4), b_r_range=(1, 3), seed=seed)
+    eps = Epsilon(4)
+    _, mem_tr = run_mcbm(inst, eps, kernel="stream", audit=True)
+    res, tr = stream_mcbm(EdgeStream.from_instance(inst), eps, audit=True)
+    plain_res, plain_tr = stream_mcbm(EdgeStream.from_instance(inst), eps)
+    assert tr.notes["reopened_pairs"] == mem_tr.notes["reopened_pairs"]
+    # the audit's own state is not metered, and costs no pass
+    assert (res, tr.peak_words, tr.passes) == (
+        plain_res, plain_tr.peak_words, plain_tr.passes)
+
+
+def test_stream_mcbm_happiness_allows_one_step_above_the_view():
+    # bidder 0's one copy holds item 1 while item 0, in its view, still
+    # has a copy at price 0: paying 1 is within one step, paying 2 is not
+    def audit(paid):
+        return streaming._audit_mcbm_stream_demand(
+            adj=[[0, 1]], views={0: frozenset({0, 1})}, bidding=set(), delta={},
+            start=[0, 1], assignment=[1], held_price=[paid], cutoff=[0],
+            pmin=[0, 1], k=4)
+
+    assert audit(1) == 0
+    with pytest.raises(InvariantViolation) as info:
+        audit(2)
+    assert info.value.prop == "copy-happiness"
+
+
+@pytest.mark.parametrize("line, mutant_line, prop", [
+    # the first pass keeps each copy's dearest qualifying price, not its
+    # cheapest, so copies buy items dearer than their views offer
+    ("elif p < d:", "elif p > d:", "copy-happiness"),
+    # the first pass gives up on items one step below full price
+    ("if p < k:", "if p < k - 1:", "empty-demand-characterization"),
+])
+def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop):
+    # item counts, prices and held pairs stay consistent under either
+    # mutant, so only the demand-view check sees it
+    source = inspect.getsource(stream_mcbm)
+    assert source.count(line) == 1
+    scope = dict(vars(streaming))
+    exec(source.replace(line, mutant_line), scope)
+    mutant = scope["stream_mcbm"]
+    inst = generate_random(8, 8, 0.5, b_l_range=(1, 3), b_r_range=(1, 3), seed=0)
+    scope["_audit_mcbm_stream_demand"] = lambda *args: 0
+    mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+    scope["_audit_mcbm_stream_demand"] = streaming._audit_mcbm_stream_demand
+    with pytest.raises(InvariantViolation) as info:
+        mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+    assert info.value.prop == prop
 
 
 @pytest.mark.parametrize("seed", range(4))

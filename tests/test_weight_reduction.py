@@ -137,3 +137,24 @@ def test_rejects_unknown_engine():
     inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
     with pytest.raises(ValueError):
         run_reduced_mwm(inst, Epsilon(2), engine="gpu")
+
+
+@pytest.mark.parametrize("engine", ["memory", "stream-sequential"])
+def test_levels_reuse_the_checked_edges(engine, monkeypatch):
+    inst = generate_random(12, 10, 0.4, w_range=(1, 10 ** 6), seed=4)
+    eps = Epsilon(4)
+    checked = []
+    post_init = BipartiteInstance.__post_init__
+
+    def counting_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BipartiteInstance, "__post_init__", counting_post_init)
+    res, tr = run_reduced_mwm(inst, eps, engine=engine)
+    assert checked == []
+    # levels built, and checked, the old way give the same run
+    monkeypatch.setattr(BipartiteInstance, "_checked_by_reader", classmethod(
+        lambda cls, n_l, n_r, edges, b_l, b_r: cls.build(n_l, n_r, edges, b_l, b_r)))
+    assert run_reduced_mwm(inst, eps, engine=engine) == (res, tr)
+    assert len(checked) == tr.notes["n_levels"] > 1
