@@ -216,12 +216,6 @@ class ScaledGraph:
     def scaled_weight(self, w: int) -> Fraction:
         return Fraction(w, self.w_max)
 
-    def bidder_adjacency(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.instance.n_l)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-        return adj
-
 
 def prune_exponent(k: int, m: int, w_min: int, w_max: int) -> int:
     """ceil(log_{1/eps} min(m, W)) + 1 for W = w_max / w_min, compared exactly."""

@@ -35,13 +35,16 @@ class McmState(Auction):
 
 
 def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:
+    adj: list[list[int]] = [[] for _ in range(inst.n_l)]
+    for i, j, _ in inst.edges:
+        adj[i].append(j)
     return McmState(
         inst=inst,
         k=eps.k,
         prices=[0] * inst.n_r,
         assignment=[None] * inst.n_l,
         owner=[None] * inst.n_r,
-        adj=[[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()],
+        adj=adj,
     )
 
 

@@ -60,10 +60,12 @@ def _bucket_index(w: int, w_max: int, k: int) -> int:
 @dataclass(frozen=True)
 class DemandSpec:
     """One bidder's demand for a phase: the best achievable margin in base
-    units (None when no item has positive margin) and the demanded items."""
+    units (None when no item has positive margin), the demanded items and,
+    parallel to them, the bidder's original weight on each."""
 
     max_utility: int | None
     items: tuple[int, ...]
+    weights: tuple[int, ...]
 
 
 @dataclass(kw_only=True)
@@ -73,18 +75,22 @@ class MwmState(Auction):
 
     sg: ScaledGraph
     k: int
-    adj: list[list[tuple[int, int]]]  # per bidder: (item, original weight)
+    adj: list[list[tuple[int, int, int]]]  # per bidder: its (i, j, w) in sg.edges
 
 
 def _new_state(sg: ScaledGraph, eps: Epsilon) -> MwmState:
     inst = sg.instance
+    # The lists hold sg.edges' own tuples: no per-edge copy.
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.n_l)]
+    for e in sg.edges:
+        adj[e[0]].append(e)
     return MwmState(
         sg=sg,
         k=eps.k,
         prices=[0] * inst.n_r,
         assignment=[None] * inst.n_l,
         owner=[None] * inst.n_r,
-        adj=sg.bidder_adjacency(),
+        adj=adj,
     )
 
 
@@ -96,27 +102,30 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
     """
     k, prices, adj = state.k, state.prices, state.adj[bidder]
     best = 0
-    for j, w in adj:
+    for _, j, w in adj:
         margin = k * w - prices[j]
         if margin > best:
             best = margin
     if not best:
-        return DemandSpec(max_utility=None, items=())
+        return DemandSpec(max_utility=None, items=(), weights=())
     ranked = []
-    for j, w in adj:
+    for _, j, w in adj:
         p = prices[j]
         v = k * w
         if p < v and v - p >= best - w:
-            ranked.append((p, j))
-    # Scan priority: cheapest first, then item id.
+            ranked.append((p, j, w))
+    # Scan priority: cheapest first, then item id (unique per bidder, so
+    # the weight never breaks a tie). The best-margin item always qualifies.
     ranked.sort()
-    return DemandSpec(max_utility=best, items=tuple(j for _, j in ranked))
+    _, items, weights = zip(*ranked)
+    return DemandSpec(max_utility=best, items=items, weights=weights)
 
 
-def _audit_phase(state: MwmState, weights: dict[tuple[int, int], int],
-                 prev_prices: list[int], optimum: int | None) -> None:
-    k = state.k
-    for j, p in enumerate(state.prices):
+def _audit_phase(state: MwmState, prev_prices: list[int],
+                 optimum: int | None) -> None:
+    k, prices = state.k, state.prices
+    weight = {(i, j): w for i, j, w in state.sg.edges}
+    for j, p in enumerate(prices):
         if p < 0:
             raise InvariantViolation("price-range", f"item {j} price {p} negative")
         if p < prev_prices[j]:
@@ -128,39 +137,47 @@ def _audit_phase(state: MwmState, weights: dict[tuple[int, int], int],
                 raise InvariantViolation("positive-price-implies-matched",
                                          f"item {j} priced {p} but unmatched")
         # The owner bid below its valuation k*w and stepped the price by w.
-        elif p >= (k + 1) * weights[(owner, j)]:
+        elif p >= (k + 1) * weight[(owner, j)]:
             raise InvariantViolation(
                 "owned-price-bound",
                 f"item {j} price {p} not below (k + 1) * w = "
-                f"{(k + 1) * weights[(owner, j)]} of its owner {owner}")
+                f"{(k + 1) * weight[(owner, j)]} of its owner {owner}")
     # Owned prices sum below (k + 1) times the assignment's weight.
-    if optimum is not None and sum(state.prices) > (k + 1) * optimum:
+    if optimum is not None and sum(prices) > (k + 1) * optimum:
         raise InvariantViolation(
             "price-sum-bound",
-            f"sum of prices {sum(state.prices)} exceeds (k + 1) * optimum "
+            f"sum of prices {sum(prices)} exceeds (k + 1) * optimum "
             f"{(k + 1) * optimum} (base units)")
     # An empty demand set must coincide with every neighbor being priced
     # at or above its valuation.
     for i in range(len(state.adj)):
         spec = demand_set_mwm(state, i)
-        dominated = all(k * w <= state.prices[j] for j, w in state.adj[i])
+        dominated = all(k * w <= prices[j] for _, j, w in state.adj[i])
         if (not spec.items) != dominated:
             raise InvariantViolation(
                 "empty-demand-characterization",
                 f"bidder {i}: demand empty={not spec.items} but dominated={dominated}")
     # Matched bidders are 2*eps*v_i(a_i)-happy against every item, where
-    # non-neighbors count as valuation 0.
-    neighbor_v: dict[tuple[int, int], int] = {}
-    for i, nbrs in enumerate(state.adj):
-        for j, w in nbrs:
-            neighbor_v[(i, j)] = k * w
+    # non-neighbors count as valuation 0. The best margin over the
+    # non-neighbors is minus the lowest price among them, and a bidder's
+    # deg + 1 cheapest items include that one.
+    n_r = state.sg.instance.n_r
+    by_price = sorted(range(n_r), key=prices.__getitem__)
     for i, a in enumerate(state.assignment):
         if a is None:
             continue
-        u = neighbor_v[(i, a)] - state.prices[a]
-        slack = 2 * weights[(i, a)]
-        for j in range(state.sg.instance.n_r):
-            rhs = neighbor_v.get((i, j), 0) - state.prices[j] - slack
+        u = k * weight[(i, a)] - prices[a]
+        slack = 2 * weight[(i, a)]
+        best = max(k * w - prices[j] for _, j, w in state.adj[i])
+        for j in by_price:
+            if (i, j) not in weight:
+                best = max(best, -prices[j])
+                break
+        if u >= best - slack:
+            continue
+        # Report the first violating item, in item order.
+        for j in range(n_r):
+            rhs = k * weight.get((i, j), 0) - prices[j] - slack
             if u < rhs:
                 raise InvariantViolation(
                     "weighted-happiness",
@@ -190,7 +207,6 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     budget = phase_budget(sg.bucket_count, eps)
     rng = random.Random(seed)
 
-    weights = {(i, j): w for i, j, w in sg.edges}
     bucket_of: dict[int, int] = {}  # weight -> edge_bucket, filled on demand
 
     executed = 0
@@ -206,16 +222,17 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
         executed = phase_no
 
         if kernel == "stream":
-            pairs = _stream_order_matching(state, weights)
+            pairs = _stream_order_matching(state)
         else:
             sub = Subgraph(bidders=[], candidates={}, buckets={})
+            specs: dict[int, DemandSpec] = {}
             for i in unmatched:
                 spec = demand_set_mwm(state, i)
                 if spec.items:
+                    specs[i] = spec
                     sub.bidders.append(i)
                     sub.candidates[i] = list(spec.items)
-                    for j in spec.items:
-                        w = weights[(i, j)]
+                    for j, w in zip(spec.items, spec.weights):
                         b = bucket_of.get(w)
                         if b is None:
                             b = bucket_of[w] = _bucket_index(w, sg.w_max, k)
@@ -223,15 +240,17 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
             got = bucket_ordered_maximal(sub, kernel=kernel, seed=rng)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
-            pairs = got.pairs
+            # A winner's weight on its item comes from its own demand set.
+            pairs = [(i, j, specs[i].weights[specs[i].items.index(j)])
+                     for i, j in got.pairs]
 
         prev_prices = list(state.prices) if audit else state.prices
-        evicted = [state.commit(i, j, weights[(i, j)]) for i, j in pairs]
+        evicted = [state.commit(i, j, w) for i, j, w in pairs]
         unmatched = state.next_bidders(unmatched, evicted)
         announcements += len(pairs)
 
         if audit:
-            _audit_phase(state, weights, prev_prices, optimum)
+            _audit_phase(state, prev_prices, optimum)
         state.snapshot(phase_no)
         if not pairs:
             break
@@ -250,9 +269,8 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     return result, trace
 
 
-def _stream_order_matching(state: MwmState, weights: dict[tuple[int, int], int]
-                           ) -> list[tuple[int, int]]:
-    """Greedy maximal matching in stream (edge list) order.
+def _stream_order_matching(state: MwmState) -> list[tuple[int, int, int]]:
+    """Greedy maximal matching in stream (edge list) order, as (i, j, w).
 
     Matches an edge the moment it qualifies for the bidder's demand set,
     using phase-start prices throughout; mirrors the streaming engine's
@@ -263,11 +281,11 @@ def _stream_order_matching(state: MwmState, weights: dict[tuple[int, int], int]
     for i in range(state.sg.instance.n_l):
         if state.assignment[i] is not None:
             continue
-        for j, w in state.adj[i]:
+        for _, j, w in state.adj[i]:
             margin = k * w - state.prices[j]
             if margin > 0 and margin > margin_best.get(i, 0):
                 margin_best[i] = margin
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []
     newly_matched: set[int] = set()
     claimed: set[int] = set()
     for i, j, w in state.sg.edges:
@@ -279,5 +297,5 @@ def _stream_order_matching(state: MwmState, weights: dict[tuple[int, int], int]
         if state.prices[j] < v and v - state.prices[j] >= margin_best[i] - w:
             newly_matched.add(i)
             claimed.add(j)
-            pairs.append((i, j))
+            pairs.append((i, j, w))
     return pairs

@@ -228,10 +228,10 @@ def run_reduced_mwm(
                 res, tr = stream_mwm(stream, eps, audit=audit)
             detail.level_results[(cp.index, lg.level)] = res
             detail.level_traces[(cp.index, lg.level)] = tr
-            weight_of = {(i, j): w for i, j, w in lg.edges}
-            level_matchings[lg.level] = [
-                (i, j, weight_of[(i, j)]) for i, j in res.pairs
-            ]
+            # The matched level edges, in res.pairs' order (by bidder).
+            mate = dict(res.pairs)
+            level_matchings[lg.level] = sorted(
+                e for e in lg.edges if mate.get(e[0]) == e[1])
         detail.outcomes.append(combine_levels(cp, level_matchings))
 
     best = max(detail.outcomes, key=lambda oc: (oc.weight, -oc.copy_index))

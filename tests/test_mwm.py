@@ -1,9 +1,12 @@
 """Weighted auction engine."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from auctionmatch import mwm
 from auctionmatch.auction import Auction
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import (
@@ -159,3 +162,161 @@ def test_price_audit_catches_a_double_step(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         _run(inst, Epsilon(3), audit=True, optimum=1)
     assert info.value.prop == "owned-price-bound"
+
+
+def test_run_mwm_keeps_no_per_edge_tables():
+    # The engine keeps per-vertex state beside the scaled graph's own edge
+    # tuples, under 80 bytes per edge here. A (i, j) -> w dict would add
+    # about 90 bytes per edge, and a copied (j, w) adjacency about 60.
+    inst = generate_random(1152, 1024, 16 / 1024, w_range=(1, 100), seed=9)
+    eps = Epsilon(8)
+    sg = scale_and_prune(inst, eps)
+    tracemalloc.start()
+    try:
+        run_mwm(sg, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * sg.m
+
+
+def _reference_demand_items(k, prices, nbrs):
+    """demand_set_mwm's items, computed over (item, weight) pairs."""
+    best = max([k * w - prices[j] for j, w in nbrs] + [0])
+    if not best:
+        return ()
+    ranked = sorted((prices[j], j) for j, w in nbrs
+                    if prices[j] < k * w and k * w - prices[j] >= best - w)
+    return tuple(j for _, j in ranked)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_demand_sets_carry_their_weights(seed):
+    rng = random.Random(seed)
+    inst = generate_random(20, 16, 0.3, w_range=(1, [5, 100, 10 ** 6][seed % 3]),
+                           seed=seed)
+    eps = Epsilon(rng.choice((2, 4, 8)))
+    sg = scale_and_prune(inst, eps)
+    nbrs = [[] for _ in range(inst.n_l)]
+    for i, j, w in sg.edges:
+        nbrs[i].append((j, w))
+    state = mwm._new_state(sg, eps)
+    for _ in range(20):
+        top = eps.k * sg.w_max
+        state.prices = [rng.choice((0, rng.randrange(top + 1))) for _ in range(inst.n_r)]
+        for i in range(inst.n_l):
+            spec = mwm.demand_set_mwm(state, i)
+            assert spec.items == _reference_demand_items(eps.k, state.prices, nbrs[i])
+            assert spec.weights == tuple(dict(nbrs[i])[j] for j in spec.items)
+
+
+def _reference_audit(state, prev_prices, optimum):
+    """_audit_phase as it was when it scanned every item for every matched
+    bidder, over a (bidder, item) -> weight table."""
+    k = state.k
+    weights = {(i, j): w for i, j, w in state.sg.edges}
+    for j, p in enumerate(state.prices):
+        if p < 0:
+            raise InvariantViolation("price-range", f"item {j} price {p} negative")
+        if p < prev_prices[j]:
+            raise InvariantViolation("price-monotonicity",
+                                     f"item {j} price fell {prev_prices[j]} -> {p}")
+        owner = state.owner[j]
+        if owner is None:
+            if p > 0:
+                raise InvariantViolation("positive-price-implies-matched",
+                                         f"item {j} priced {p} but unmatched")
+        elif p >= (k + 1) * weights[(owner, j)]:
+            raise InvariantViolation(
+                "owned-price-bound",
+                f"item {j} price {p} not below (k + 1) * w = "
+                f"{(k + 1) * weights[(owner, j)]} of its owner {owner}")
+    if optimum is not None and sum(state.prices) > (k + 1) * optimum:
+        raise InvariantViolation(
+            "price-sum-bound",
+            f"sum of prices {sum(state.prices)} exceeds (k + 1) * optimum "
+            f"{(k + 1) * optimum} (base units)")
+    for i in range(len(state.adj)):
+        spec = mwm.demand_set_mwm(state, i)
+        dominated = all(k * w <= state.prices[j] for _, j, w in state.adj[i])
+        if (not spec.items) != dominated:
+            raise InvariantViolation(
+                "empty-demand-characterization",
+                f"bidder {i}: demand empty={not spec.items} but dominated={dominated}")
+    for i, a in enumerate(state.assignment):
+        if a is None:
+            continue
+        u = k * weights[(i, a)] - state.prices[a]
+        slack = 2 * weights[(i, a)]
+        for j in range(state.sg.instance.n_r):
+            rhs = k * weights.get((i, j), 0) - state.prices[j] - slack
+            if u < rhs:
+                raise InvariantViolation(
+                    "weighted-happiness",
+                    f"bidder {i} utility {u} below margin {rhs} at item {j}")
+
+
+def _audit_outcome(audit, *args):
+    try:
+        audit(*args)
+    except InvariantViolation as exc:
+        return exc
+    return None
+
+
+def _double_step(self, i, j, step):
+    prev = Auction.commit(self, i, j, step)
+    self.prices[j] += step
+    return prev
+
+
+def _dearest_demand(state, bidder):
+    # every item of positive margin, dearest first: winners need not be happy
+    k, prices = state.k, state.prices
+    ranked = sorted((-prices[j], j, w) for _, j, w in state.adj[bidder]
+                    if k * w > prices[j])
+    if not ranked:
+        return mwm.DemandSpec(max_utility=None, items=(), weights=())
+    best = max(k * w + p for p, _, w in ranked)
+    _, items, weights = zip(*ranked)
+    return mwm.DemandSpec(max_utility=best, items=items, weights=weights)
+
+
+@pytest.mark.parametrize("mutant, caught", [
+    (None, None),
+    ("double-step", "owned-price-bound"),
+    ("dearest-demand", "weighted-happiness"),
+])
+def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
+    # The happiness check looks at a bidder's deg + 1 cheapest items only;
+    # every phase's outcome, down to the first violation's message, must be
+    # the one the scan over all items gives.
+    if mutant == "double-step":
+        monkeypatch.setattr(MwmState, "commit", _double_step)
+    elif mutant == "dearest-demand":
+        monkeypatch.setattr(mwm, "demand_set_mwm", _dearest_demand)
+    audit = mwm._audit_phase
+    seen = []
+
+    def compared(state, prev_prices, optimum):
+        got = _audit_outcome(audit, state, prev_prices, optimum)
+        want = _audit_outcome(_reference_audit, state, prev_prices, optimum)
+        assert (type(got), str(got)) == (type(want), str(want))
+        seen.append(got and got.prop)
+        if got is not None:
+            raise got
+
+    monkeypatch.setattr(mwm, "_audit_phase", compared)
+    for seed in range(40):
+        inst = generate_random(4 + seed % 13, 3 + seed * 7 % 13, (0.3, 0.6, 1.0)[seed % 3],
+                               w_range=(1, (3, 50, 10 ** 6)[seed % 3]), seed=seed)
+        opt = exact_mwm(inst).value
+        for k, kernel in ((2, "det"), (3, "rand"), (8, "det"), (8, "stream")):
+            try:
+                _run(inst, Epsilon(k), kernel=kernel, seed=seed, audit=True, optimum=opt)
+            except InvariantViolation:
+                pass
+    if mutant is None:
+        assert set(seen) == {None}
+    else:
+        assert caught in seen

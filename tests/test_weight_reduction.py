@@ -158,3 +158,22 @@ def test_levels_reuse_the_checked_edges(engine, monkeypatch):
         lambda cls, n_l, n_r, edges, b_l, b_r: cls.build(n_l, n_r, edges, b_l, b_r)))
     assert run_reduced_mwm(inst, eps, engine=engine) == (res, tr)
     assert len(checked) == tr.notes["n_levels"] > 1
+
+
+@pytest.mark.parametrize("engine, kernel", [
+    ("memory", "det"), ("memory", "rand"), ("stream-sequential", "det")])
+def test_level_matchings_are_the_matched_level_edges(engine, kernel):
+    for seed in range(5):
+        inst = generate_random(16, 14, 0.4, w_range=(1, 10 ** 6), seed=seed)
+        eps = Epsilon(4)
+        _, _, detail = run_reduced_mwm(inst, eps, engine=engine, kernel=kernel,
+                                       seed=seed, collect_detail=True)
+        for cp, outcome in zip(detail.partition.copies, detail.outcomes):
+            # each level's matched pairs, weighed through an edge table
+            expected = {}
+            for lg in cp.levels:
+                weight_of = {(i, j): w for i, j, w in lg.edges}
+                pairs = detail.level_results[(cp.index, lg.level)].pairs
+                expected[lg.level] = [(i, j, weight_of[(i, j)]) for i, j in pairs]
+            assert outcome.level_matchings == expected
+            assert outcome == combine_levels(cp, expected)
