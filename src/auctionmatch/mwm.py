@@ -121,10 +121,11 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
     return DemandSpec(max_utility=best, items=items, weights=weights)
 
 
-def _audit_phase(state: MwmState, prev_prices: list[int],
-                 optimum: int | None) -> None:
+def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
+                 weight: dict[tuple[int, int], int]) -> None:
+    """Check one phase's end state; ``weight`` maps each edge (i, j) of the
+    scaled graph to its original weight."""
     k, prices = state.k, state.prices
-    weight = {(i, j): w for i, j, w in state.sg.edges}
     for j, p in enumerate(prices):
         if p < 0:
             raise InvariantViolation("price-range", f"item {j} price {p} negative")
@@ -158,22 +159,17 @@ def _audit_phase(state: MwmState, prev_prices: list[int],
                 "empty-demand-characterization",
                 f"bidder {i}: demand empty={not spec.items} but dominated={dominated}")
     # Matched bidders are 2*eps*v_i(a_i)-happy against every item, where
-    # non-neighbors count as valuation 0. The best margin over the
-    # non-neighbors is minus the lowest price among them, and a bidder's
-    # deg + 1 cheapest items include that one.
+    # non-neighbors count as valuation 0. Only a neighbor can break it: with
+    # w the weight of (i, a), owned-price-bound above (a's owner is i) gives
+    # u = k*w - p_a > -w, while a non-neighbor's margin less the slack is
+    # -p_j - 2*w <= -2*w.
     n_r = state.sg.instance.n_r
-    by_price = sorted(range(n_r), key=prices.__getitem__)
     for i, a in enumerate(state.assignment):
         if a is None:
             continue
         u = k * weight[(i, a)] - prices[a]
         slack = 2 * weight[(i, a)]
-        best = max(k * w - prices[j] for _, j, w in state.adj[i])
-        for j in by_price:
-            if (i, j) not in weight:
-                best = max(best, -prices[j])
-                break
-        if u >= best - slack:
+        if u >= max(k * w - prices[j] for _, j, w in state.adj[i]) - slack:
             continue
         # Report the first violating item, in item order.
         for j in range(n_r):
@@ -208,6 +204,8 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     rng = random.Random(seed)
 
     bucket_of: dict[int, int] = {}  # weight -> edge_bucket, filled on demand
+    # The audit's edge -> weight table, built once per audited run.
+    weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 
     executed = 0
     proposal_rounds = 0
@@ -250,7 +248,7 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
         announcements += len(pairs)
 
         if audit:
-            _audit_phase(state, prev_prices, optimum)
+            _audit_phase(state, prev_prices, optimum, weight)
         state.snapshot(phase_no)
         if not pairs:
             break

@@ -245,6 +245,13 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     claims already made at that price; the commit then evicts, for each
     item, that many holders, lowest copy id first, in one sweep over the
     bidder copies.  Passes total 1 + 2 * rounds.
+
+    No assignment changes during a round's two passes, so each pass reads
+    a bidder's copies only when the bidder id differs from the previous
+    edge's, and skips a bidder with no free copy before any per-item
+    work.  The result is the same in any edge order; when a bidder's
+    edges are contiguous, as ``save_instance`` and ``generate_random``
+    write them, that work is paid once per bidder rather than per edge.
     """
     k = eps.k
     acct = SpaceAccountant()
@@ -318,14 +325,20 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         claimed_at_pmin = [0] * n_r
         acct.alloc(n_r, "round-claim-counts")
 
+        # Claims are applied only after the second pass, so what a bidder's
+        # copies hold is fixed for the round and is read once per run of its
+        # edges. A bidder whose copies are all matched can neither demand
+        # nor claim.
+        last = -1
         for i, j, _ in stream.traverse():
-            if rounds == 1:
-                has_edge[i] = True
-            lo, hi = start[i], start[i + 1]
-            held = assignment[lo:hi]
-            # A bidder whose copies are all matched can neither demand
-            # nor claim.
-            if j in held or None not in held:
+            if i != last:
+                last = i
+                if rounds == 1:
+                    has_edge[i] = True
+                lo, hi = start[i], start[i + 1]
+                held = assignment[lo:hi]
+                free = None in held
+            if not free or j in held:
                 continue
             p = pmin[j]
             if p < k:
@@ -333,7 +346,6 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     if assignment[bc] is None and cutoff[bc] <= p:
                         d = delta.get(bc)
                         if d is None:
-                            acct.alloc(1, "round-demands")
                             delta[bc] = p
                         elif p < d:
                             delta[bc] = p
@@ -352,20 +364,23 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 claimed_bidders.add(pick)
                 claimed_pairs.add((i, j))
                 claimed_at_pmin[j] += 1
-                acct.alloc(7, "round-claims")
 
         # Every copy of j at pmin[j] > 0 is held at exactly that price, so
         # n_min[j] - claimed_at_pmin[j] holders are still there to evict.
         evicting = False
+        last = -1
         for i, j, _ in stream.traverse():
+            if i != last:
+                last = i
+                lo, hi = start[i], start[i + 1]
+                held = assignment[lo:hi]
+                free = None in held
+            if not free:
+                continue
             p = pmin[j]
             if p >= k or n_min[j] - claimed_at_pmin[j] <= 0:
                 continue
-            if (i, j) in claimed_pairs:
-                continue
-            lo, hi = start[i], start[i + 1]
-            held = assignment[lo:hi]
-            if j in held or None not in held:
+            if (i, j) in claimed_pairs or j in held:
                 continue
             # delta[bc] == p already implies bc is unmatched and cutoff <= p
             for bc in range(lo, hi):
@@ -379,15 +394,18 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 evicting = True
             claimed_bidders.add(bc)
             claimed_pairs.add((i, j))
-            acct.alloc(7, "round-claims")
+
+        # No word is freed before the round ends, so metering its demands
+        # and claims once, after both passes, leaves the peak unchanged.
+        acct.alloc(len(delta), "round-demands")
+        acct.alloc(7 * len(claims), "round-claims")
 
         if evicting:
             # Each claim at pmin[j] > 0 evicts one holder at that price:
             # the lowest-id ones, as a first-fit scan per claim would.
-            for bc in range(n_copies):
-                j = assignment[bc]
-                if (j is not None and held_price[bc] == pmin[j]
-                        and claimed_at_pmin[j] > 0):
+            for bc, j in enumerate(assignment):
+                if (j is not None and claimed_at_pmin[j] > 0
+                        and held_price[bc] == pmin[j]):
                     claimed_at_pmin[j] -= 1
                     assignment[bc] = None
                     held_price[bc] = 0

@@ -298,8 +298,8 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
     audit = mwm._audit_phase
     seen = []
 
-    def compared(state, prev_prices, optimum):
-        got = _audit_outcome(audit, state, prev_prices, optimum)
+    def compared(state, prev_prices, optimum, weight):
+        got = _audit_outcome(audit, state, prev_prices, optimum, weight)
         want = _audit_outcome(_reference_audit, state, prev_prices, optimum)
         assert (type(got), str(got)) == (type(want), str(want))
         seen.append(got and got.prop)

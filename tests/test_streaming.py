@@ -1,7 +1,9 @@
 """Streaming engines, pass counting and space accounting."""
 
+import collections
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from auctionmatch import mcbm, streaming
 from auctionmatch.errors import InstanceFormatError, InvariantViolation
 from auctionmatch.graph import (BipartiteInstance, Epsilon, generate_random,
-                                loads_instance)
+                                loads_instance, save_instance)
 from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
@@ -43,8 +45,6 @@ def test_stream_counts_passes_and_replays_identically():
 
 
 def test_stream_file_roundtrip(tmp_path):
-    from auctionmatch.graph import save_instance
-
     inst = generate_random(
         5, 5, 0.6, w_range=(1, 4), b_l_range=(1, 2), seed=1)
     path = tmp_path / "inst.gr"
@@ -313,6 +313,67 @@ def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop):
     with pytest.raises(InvariantViolation) as info:
         mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
     assert info.value.prop == prop
+
+
+def _interleaved(inst: BipartiteInstance, seed: int) -> BipartiteInstance:
+    """``inst`` with its edges shuffled, then one bidder's edges moved to
+    the two ends, so that every pass begins with the bidder that ended
+    the pass before and that bidder's edges are not contiguous."""
+    rng = random.Random(seed)
+    edges = list(inst.edges)
+    rng.shuffle(edges)
+    degree = collections.Counter(i for i, _, _ in edges)
+    assert len(degree) > 1 and max(degree.values()) > 1
+    i = next(i for i, _, _ in edges if degree[i] > 1)
+    ends = [e for e in edges if e[0] == i][:2]
+    middle = [e for e in edges if e not in ends]
+    return BipartiteInstance(n_l=inst.n_l, n_r=inst.n_r,
+                             edges=(ends[0], *middle, ends[1]),
+                             b_l=inst.b_l, b_r=inst.b_r)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stream_mcbm_mirrors_memory_stream_kernel_in_any_edge_order(seed):
+    # A pass reads a bidder's copies once per run of its edges; with the
+    # bidders interleaved, runs are short and the reads must stay exact.
+    cap = 1 + seed % 4
+    inst = _interleaved(generate_random(
+        4 + seed % 5 * 6, 4 + seed % 7 * 4, 0.4, b_l_range=(1, cap),
+        b_r_range=(1, cap), seed=seed), seed)
+    for k in (2, 4, 8):
+        eps = Epsilon(k)
+        mem_res, mem_tr = run_mcbm(inst, eps, kernel="stream")
+        str_res, str_tr = stream_mcbm(EdgeStream.from_instance(inst), eps)
+        assert str_res.pairs == mem_res.pairs
+        assert str_tr.rounds_executed == mem_tr.rounds_executed
+        assert str_tr.passes == 1 + 2 * mem_tr.rounds_executed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_mcbm_audit_changes_no_result_in_any_edge_order(seed):
+    inst = generate_random(
+        24, 20, 0.3, b_l_range=(1, 4), b_r_range=(1, 3), seed=seed)
+    for src in (inst, _interleaved(inst, seed)):
+        for k in (2, 4, 8):
+            plain, plain_tr = stream_mcbm(EdgeStream.from_instance(src), Epsilon(k))
+            audited, audited_tr = stream_mcbm(EdgeStream.from_instance(src), Epsilon(k),
+                                              audit=True)
+            assert audited == plain
+            assert audited_tr.peak_words == plain_tr.peak_words
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+def test_stream_mcbm_from_path_equals_from_instance(tmp_path, interleave):
+    inst = generate_random(
+        40, 32, 0.15, b_l_range=(1, 4), b_r_range=(1, 4), seed=3)
+    if interleave:
+        inst = _interleaved(inst, 3)
+    path = tmp_path / "inst.gr"
+    save_instance(inst, path)
+    for k in (2, 4, 8):
+        from_file = stream_mcbm(EdgeStream.from_path(path), Epsilon(k), audit=True)
+        in_memory = stream_mcbm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
+        assert from_file == in_memory
 
 
 @pytest.mark.parametrize("seed", range(4))
