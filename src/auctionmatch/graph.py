@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import io
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import InstanceFormatError
@@ -44,10 +45,6 @@ class Epsilon:
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"eps must be 1/k with integer k >= 2, got k={self.k!r}")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(1, self.k)
-
     def __str__(self) -> str:
         return f"1/{self.k}"
 
@@ -74,6 +71,30 @@ def ceil_log(base: int, num: int, den: int = 1) -> int:
         power *= base
         t += 1
     return t
+
+
+def _first_repeat(n_l: int, edges) -> int | None:
+    """Index of the first edge whose pair (i, j) an earlier edge has, or None.
+
+    Every bidder ``i`` must lie in ``range(n_l)``. Each bidder's items go
+    into one row, at one pointer per edge, and a row repeats when its set
+    is shorter. Only then are the edges of the repeating bidders scanned
+    in order for the first repeat.
+    """
+    rows: list[list[int]] = [[] for _ in range(n_l)]
+    for i, j, _ in edges:
+        rows[i].append(j)
+    repeating = {i for i, row in enumerate(rows) if len(set(row)) != len(row)}
+    if not repeating:
+        return None
+    del rows
+    seen: set[tuple[int, int]] = set()
+    for k, (i, j, _) in enumerate(edges):
+        if i in repeating:
+            if (i, j) in seen:
+                return k
+            seen.add((i, j))
+    return None  # unreachable: a repeating row holds a repeat
 
 
 @dataclass(frozen=True)
@@ -104,25 +125,32 @@ class BipartiteInstance:
         for j, b in enumerate(self.b_r):
             if not 1 <= b <= n_l:
                 raise ValueError(f"item {j} capacity {b} outside [1, {n_l}]")
-        # An in-range pair (i, j) is the int i * n_r + j, which is unique.
-        seen: set[int] = set()
-        add = seen.add
-        for i, j, w in self.edges:
+        edges, error = self.edges, None
+        for k, (i, j, w) in enumerate(edges):
             if not (0 <= i < n_l and 0 <= j < n_r):
-                raise ValueError(f"edge ({i}, {j}) endpoint out of range")
-            if w < 1:
-                raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
-            key = i * n_r + j
-            if key in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            add(key)
+                error = f"edge ({i}, {j}) endpoint out of range"
+            elif w < 1:
+                error = f"edge ({i}, {j}) has non-positive weight {w}"
+            else:
+                continue
+            edges = edges[:k]
+            break
+        # the first bad edge is a repeat if one comes before the first
+        # edge out of range or of non-positive weight
+        k = _first_repeat(n_l, edges)
+        if k is not None:
+            i, j, _ = edges[k]
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        if error is not None:
+            raise ValueError(error)
 
     @classmethod
     def _checked_by_reader(cls, n_l: int, n_r: int, edges, b_l, b_r
                            ) -> "BipartiteInstance":
         """An instance built without ``__post_init__``, for fields that
         have already passed every one of its checks: those ``_parse_lines``
-        has checked line by line, and the levels of
+        has checked (every line as it is read, duplicates per bidder once
+        the read ends), and the levels of
         ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
         checked instance's edges, with unit capacities."""
         inst = object.__new__(cls)
@@ -204,17 +232,9 @@ class ScaledGraph:
         return min(w for _, _, w in self.edges)
 
     @property
-    def weight_spread(self) -> Fraction:
-        """Max/min ratio over surviving weights (the post-prune W)."""
-        return Fraction(self.w_max, self.w_min_surviving)
-
-    @property
     def bucket_count(self) -> int:
         """ceil(log_{1/eps} W) over surviving weights; 0 when all equal."""
         return ceil_log(self.eps.k, self.w_max, self.w_min_surviving)
-
-    def scaled_weight(self, w: int) -> Fraction:
-        return Fraction(w, self.w_max)
 
 
 def prune_exponent(k: int, m: int, w_min: int, w_max: int) -> int:
@@ -364,30 +384,47 @@ def read_edges(lines, header):
 
 def _parse_lines(lines) -> BipartiteInstance:
     """Read an instance. ``read_edges`` checks sizes, endpoints, weights
-    and capacities and this loop checks for duplicate edges, so that each
-    check runs once per edge.
+    and capacities line by line; duplicate edges are found per bidder once
+    the read ends, at one transient pointer per edge.
+
+    A duplicate is reported at its line, and before any error that
+    ``read_edges`` raises later, as a check made line by line would. The
+    input may be a pipe, so the line of each edge comes from the runs of
+    consecutive edge lines: the first edge index and line number of each
+    run, 16 bytes a run, and one run for a file ``save_instance`` wrote.
 
     Edges share one int object per vertex id, taken from ``ids``, instead
-    of holding two new ints each. That saves 64 bytes per edge for the
-    whole run, and fewer long-lived ints sit beside the duplicate keys, so
-    the memory those keys free when the load ends can be reused.
+    of holding two new ints each, which saves 64 bytes per edge for the
+    whole run.
     """
     header = SimpleNamespace()
     edges: list[tuple[int, int, int]] = []
     append = edges.append
-    seen: set[int] = set()
-    add = seen.add
-    ids = None
-    for line_no, i, j, w in read_edges(lines, header):
-        if ids is None:
-            ids = list(range(max(header.n_l, header.n_r)))
-        key = i * header.n_r + j  # unique: read_edges checked 0 <= j < n_r
-        if key in seen:
-            raise InstanceFormatError(f"duplicate edge ({i + 1}, {j + 1})", line_no)
-        add(key)
-        append((ids[i], ids[j], w))
+    run_edges, run_lines = array("q"), array("q")
+    next_line = ids = error = None
+    try:
+        for line_no, i, j, w in read_edges(lines, header):
+            if line_no != next_line:
+                if ids is None:
+                    ids = list(range(max(header.n_l, header.n_r)))
+                run_edges.append(len(edges))
+                run_lines.append(line_no)
+            next_line = line_no + 1
+            append((ids[i], ids[j], w))
+    except InstanceFormatError as exc:
+        error = exc
+    del append  # so that the list is freed once the tuple is built
+    edges = tuple(edges)
+    k = _first_repeat(header.n_l, edges) if edges else None
+    if k is not None:
+        run = bisect_right(run_edges, k) - 1
+        i, j, _ = edges[k]
+        raise InstanceFormatError(f"duplicate edge ({i + 1}, {j + 1})",
+                                  run_lines[run] + k - run_edges[run])
+    if error is not None:
+        raise error
     return BipartiteInstance._checked_by_reader(
-        header.n_l, header.n_r, tuple(edges), header.b_l, header.b_r)
+        header.n_l, header.n_r, edges, header.b_l, header.b_r)
 
 
 def loads_instance(text: str) -> BipartiteInstance:

@@ -1,9 +1,12 @@
 """Instance model, file format, generation, and scaling."""
 
 import hashlib
+import io
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from auctionmatch.errors import InstanceFormatError
@@ -11,18 +14,20 @@ from auctionmatch.graph import (
     MAX_SIDE,
     BipartiteInstance,
     Epsilon,
+    _parse_lines,
     ceil_log,
     dumps_instance,
     generate_random,
     load_instance,
     loads_instance,
+    read_edges,
     save_instance,
     scale_and_prune,
 )
+from test_streaming import _instance_texts
 
 
 def test_epsilon_accepts_unit_fractions():
-    assert Epsilon(2).value == pytest.approx(0.5)
     assert str(Epsilon(8)) == "1/8"
     assert Epsilon.parse("1/16").k == 16
 
@@ -68,6 +73,8 @@ def test_instance_errors_name_the_first_bad_edge():
         BipartiteInstance.build(2, 3, [(1, 0, 1), (0, 2, 1), (1, 0, 5)])
     with pytest.raises(ValueError, match=r"^edge \(0, 3\) endpoint out of range$"):
         BipartiteInstance.build(2, 3, [(0, 3, 1), (0, 3, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        BipartiteInstance.build(2, 3, [(1, 2, 1), (0, 0, 1), (1, 2, 1), (0, 3, 1)])
     with pytest.raises(ValueError, match=r"^edge \(1, 1\) has non-positive weight 0$"):
         BipartiteInstance.build(2, 3, [(1, 1, 0)])
     with pytest.raises(ValueError, match=r"^item 2 capacity 3 outside \[1, 2\]$"):
@@ -110,6 +117,94 @@ def test_duplicate_edge_is_a_format_error_at_its_line():
         loads_instance(text)
     assert str(info.value) == "line 6: duplicate edge (3, 2)"
     assert info.value.line_no == 6
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    # the first repeat in file order, not in bidder order
+    ("p bm 2 2 4\ne 1 1 1\ne 2 2 1\ne 2 2 3\ne 1 1 1\n", 4,
+     "duplicate edge (2, 2)"),
+    ("p bm 2 2 3\ne 1 1 1\ne 1 1 2\ne 1 x 1\n", 3, "duplicate edge (1, 1)"),
+    ("p bm 2 2 5\ne 1 2 1\ne 2 1 1\ne 1 2 3\n", 4, "duplicate edge (1, 2)"),
+    ("p bm 2 2 3\ne 1 1 1\ne 1 y 1\ne 1 1 1\n", 3,
+     "malformed edge line 'e 1 y 1'"),
+    ("c a\np bm 3 3 4\ne 1 1 1\n\nc mid\ne 2 2 1\ne 3 3 1\nc x\n\n\n"
+     "e 2 2 5\n", 11, "duplicate edge (2, 2)"),
+], ids=["file-order", "before-malformed", "before-count", "after-malformed",
+        "comments-between"])
+@pytest.mark.parametrize("parse", [
+    loads_instance,
+    lambda text: _parse_lines(iter(text.splitlines(keepends=True))),
+], ids=["string", "one-shot-iterator"])
+def test_duplicate_edge_comes_before_any_later_error(parse, text, line_no, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse(text)
+    assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def _packed_key_parse(lines):
+    """A loader that checks each edge for a duplicate as it is read, with
+    one packed key per edge in a set: the reference that the per-bidder
+    check after the read must agree with."""
+    header = SimpleNamespace()
+    edges = []
+    seen = set()
+    for line_no, i, j, w in read_edges(lines, header):
+        key = i * header.n_r + j
+        if key in seen:
+            raise InstanceFormatError(f"duplicate edge ({i + 1}, {j + 1})", line_no)
+        seen.add(key)
+        edges.append((i, j, w))
+    return BipartiteInstance._checked_by_reader(
+        header.n_l, header.n_r, tuple(edges), header.b_l, header.b_r)
+
+
+@st.composite
+def _texts_with_repeats(draw):
+    # _instance_texts repeats a line only now and then; copy up to two
+    # edge lines to later places, so that more texts hold a duplicate
+    # edge, before or after another error, and break the runs of edge
+    # lines with comment and blank lines
+    lines = draw(_instance_texts()).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2))):
+        edge_lines = [k for k, line in enumerate(lines) if line.startswith("e ")]
+        if not edge_lines:
+            break
+        at = draw(st.sampled_from(edge_lines))
+        lines.insert(draw(st.integers(at + 1, len(lines))), lines[at])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("c\n", "\n"))))
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_texts_with_repeats())
+def test_loader_agrees_with_packed_key_reference(text):
+    def outcome(parse):
+        try:
+            return parse()
+        except InstanceFormatError as exc:
+            return exc.line_no, str(exc)
+
+    assert outcome(lambda: loads_instance(text)) == outcome(
+        lambda: _packed_key_parse(io.StringIO(text, newline=None)))
+
+
+def test_load_peaks_little_above_what_it_keeps(tmp_path):
+    inst = generate_random(1152, 1024, 8 / 1024, seed=5)
+    path = tmp_path / "g.gr"
+    save_instance(inst, path)
+    load_instance(path)  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        loaded = load_instance(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == inst
+    # the edge list, the per-bidder rows and the run table cost about 20
+    # bytes per edge; one duplicate key per edge in a set would cost 99
+    assert (peak - kept) / inst.m < 40
 
 
 # sha256 of dumps_instance for each seeded configuration, as first drawn;
