@@ -146,7 +146,9 @@ def small_oracle_family() -> tuple[BipartiteInstance, ...]:
 
 def brute_force_mwm(inst: BipartiteInstance) -> int:
     """Bitmask DP over items; handles the unweighted case as weight 1."""
-    adj = inst.bidder_adjacency()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n_l)]
+    for i, j, w in inst.edges:
+        adj[i].append((j, w))
     memo: dict[tuple[int, int], int] = {}
 
     def best(i: int, used: int) -> int:
@@ -173,7 +175,11 @@ def brute_force_mcm(inst: BipartiteInstance) -> int:
 
 def brute_force_mcbm(inst: BipartiteInstance) -> int:
     """Enumerate per-bidder neighbor subsets against residual item caps."""
-    adj = [sorted(j for j, _ in nbrs) for nbrs in inst.bidder_adjacency()]
+    adj: list[list[int]] = [[] for _ in range(inst.n_l)]
+    for i, j, _ in inst.edges:
+        adj[i].append(j)
+    for nbrs in adj:
+        nbrs.sort()
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def best(i: int, caps: tuple[int, ...]) -> int:

@@ -127,8 +127,12 @@ class BipartiteInstance:
                 raise ValueError(f"item {j} capacity {b} outside [1, {n_l}]")
         edges, error = self.edges, None
         for k, (i, j, w) in enumerate(edges):
-            if not (0 <= i < n_l and 0 <= j < n_r):
+            if type(i) is not int or type(j) is not int:
+                error = f"edge ({i}, {j}) has a non-integer endpoint"
+            elif not (0 <= i < n_l and 0 <= j < n_r):
                 error = f"edge ({i}, {j}) endpoint out of range"
+            elif type(w) is not int:
+                error = f"edge ({i}, {j}) has non-integer weight {w}"
             elif w < 1:
                 error = f"edge ({i}, {j}) has non-positive weight {w}"
             else:
@@ -136,7 +140,7 @@ class BipartiteInstance:
             edges = edges[:k]
             break
         # the first bad edge is a repeat if one comes before the first
-        # edge out of range or of non-positive weight
+        # edge with a non-integer or out-of-range endpoint or weight
         k = _first_repeat(n_l, edges)
         if k is not None:
             i, j, _ = edges[k]
@@ -193,13 +197,6 @@ class BipartiteInstance:
         if not self.edges:
             raise ValueError("instance has no edges")
         return min(w for _, _, w in self.edges)
-
-    def bidder_adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-bidder list of (item, weight), in edge order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_l)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-        return adj
 
     def unit_capacities(self) -> bool:
         return all(b == 1 for b in self.b_l) and all(b == 1 for b in self.b_r)

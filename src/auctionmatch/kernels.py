@@ -9,6 +9,7 @@ price, then id, unless noted) and the kernels never look at prices again.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -26,13 +27,14 @@ class Subgraph:
     """Demand subgraph for one round.
 
     candidates[i] lists the items bidder i demands, in scan order. buckets,
-    when present, maps (bidder, item) to a weight bucket index (1 is the
-    heaviest bucket); bucket_ordered_maximal requires it.
+    when present, holds one row per bidder: buckets[i][t] is the weight
+    bucket index (1 is the heaviest bucket) of candidates[i][t].
+    bucket_ordered_maximal requires it.
     """
 
     bidders: list[int]
-    candidates: dict[int, list[int]]
-    buckets: dict[tuple[int, int], int] | None = None
+    candidates: dict[int, Sequence[int]]
+    buckets: dict[int, Sequence[int]] | None = None
 
 
 @dataclass
@@ -108,35 +110,57 @@ def bucket_ordered_maximal(sub: Subgraph, kernel: str = "det", seed=0) -> Kernel
     """Sweep weight buckets from heaviest (index 1) to lightest, keeping
     earlier matches; the union is maximal on the whole subgraph.
 
-    kernel 'det' runs the deterministic greedy inside each bucket, 'rand'
-    the randomized proposal kernel (proposal rounds accumulate across
-    buckets).
+    One pass groups each bidder's candidates by their bucket in
+    ``sub.buckets[i]``, keeping the bidder's scan order. kernel 'det' then
+    runs the deterministic greedy inside each bucket (bidders ascending,
+    the first still-free candidate), 'rand' the randomized proposal kernel
+    on each bucket's still-free candidates (proposal rounds accumulate
+    across buckets).
     """
     if sub.buckets is None:
         raise ValueError("bucket_ordered_maximal needs bucket indices")
+    layers: dict[int, dict[int, list[int]]] = {}  # bucket -> bidder -> items
+    for i in sub.bidders:
+        for j, b in zip(sub.candidates[i], sub.buckets[i]):
+            layer = layers.get(b)
+            if layer is None:
+                layers[b] = {i: [j]}
+                continue
+            items = layer.get(i)
+            if items is None:
+                layer[i] = [j]
+            else:
+                items.append(j)
     rng = _as_rng(seed) if kernel == "rand" else None
-    present = sorted({b for b in sub.buckets.values()})
     matched_bidders: set[int] = set()
     matched_items: set[int] = set()
     out = KernelMatching()
-    for b in present:
-        layer = Subgraph(bidders=[], candidates={})
-        for i in sub.bidders:
+    for b in sorted(layers):
+        layer = layers[b]
+        if rng is None:
+            for i in sorted(layer):
+                if i in matched_bidders:
+                    continue
+                for j in layer[i]:
+                    if j not in matched_items:
+                        matched_bidders.add(i)
+                        matched_items.add(j)
+                        out.pairs.append((i, j))
+                        break
+            continue
+        free = Subgraph(bidders=[], candidates={})
+        for i, items in layer.items():
             if i in matched_bidders:
                 continue
-            cands = [j for j in sub.candidates.get(i, [])
-                     if j not in matched_items and sub.buckets.get((i, j)) == b]
+            cands = [j for j in items if j not in matched_items]
             if cands:
-                layer.bidders.append(i)
-                layer.candidates[i] = cands
-        if not layer.bidders:
+                free.bidders.append(i)
+                free.candidates[i] = cands
+        if not free.bidders:
             continue
-        if kernel == "rand":
-            got = randomized_proposal_mm(layer, rng)
-            out.proposal_rounds += got.proposal_rounds
-            out.proposals += got.proposals
-        else:
-            got = greedy_maximal(layer)
+        got = randomized_proposal_mm(free, rng)
+        out.proposal_rounds += got.proposal_rounds
+        out.proposals += got.proposals
         for i, j in got.pairs:
             matched_bidders.add(i)
             matched_items.add(j)

@@ -46,10 +46,6 @@ class CopyGraph:
     def item_copies(self, j: int) -> range:
         return range(self.item_start[j], self.item_start[j + 1])
 
-    def copy_edge_count(self) -> int:
-        b_l, b_r = self.instance.b_l, self.instance.b_r
-        return sum(b_l[i] * b_r[j] for i, j, _ in self.instance.edges)
-
 
 def expand_copies(inst: BipartiteInstance) -> CopyGraph:
     """Expand bidders and items into unit-capacity copies."""

@@ -120,10 +120,15 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     proposals = 0
     announcements = 0
 
-    # Unmatched bidders with neighbours, ascending; evictions feed it.
+    # Unmatched bidders that can still bid, ascending; evictions feed it. A
+    # bidder with an empty demand set is priced out for good, since prices
+    # never fall, and leaves it. Rounds count as if it were still asked:
+    # once one is priced out, an empty worklist still runs a last round,
+    # which matches nothing and ends the run.
     bidders = [i for i in range(inst.n_l) if state.adj[i]]
+    priced_out = False
     for round_no in range(1, budget + 1):
-        if not bidders:
+        if not bidders and not priced_out:
             break
         executed = round_no
         sub = Subgraph(bidders=[], candidates={})
@@ -132,6 +137,7 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
             if demand:
                 sub.bidders.append(i)
                 sub.candidates[i] = demand
+        priced_out = priced_out or len(sub.bidders) < len(bidders)
         if kernel == "rand":
             got: KernelMatching = randomized_proposal_mm(sub, rng)
             proposal_rounds += got.proposal_rounds
@@ -139,7 +145,7 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
         else:
             got = greedy_maximal(sub)
         evicted = [state.commit(i, j, 1) for i, j in got.pairs]
-        bidders = state.next_bidders(bidders, evicted)
+        bidders = state.next_bidders(sub.bidders, evicted)
         announcements += len(got.pairs)
         if audit:
             _audit_round(state)

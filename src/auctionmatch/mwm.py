@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .auction import Auction, blackboard_trace, check_matching, phase_budget
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph
 from .kernels import Subgraph, bucket_ordered_maximal
 from .results import MatchingResult, RunTrace
+
+if TYPE_CHECKING:  # importing fractions also loads decimal
+    from fractions import Fraction
 
 __all__ = [
     "DemandSpec",
@@ -212,15 +215,21 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     proposals = 0
     announcements = 0
 
-    # Unmatched bidders with neighbours, ascending; evictions feed it.
+    # Unmatched bidders that can still bid, ascending; evictions feed it. A
+    # bidder with an empty demand set is priced out for good, since prices
+    # never fall, and leaves it. Rounds count as if it were still asked:
+    # once one is priced out, an empty worklist still runs a last round,
+    # which matches nothing and ends the run.
     unmatched = [i for i in range(inst.n_l) if state.adj[i]]
+    priced_out = False
     for phase_no in range(1, budget + 1):
-        if not unmatched:
+        if not unmatched and not priced_out:
             break
         executed = phase_no
 
         if kernel == "stream":
             pairs = _stream_order_matching(state)
+            bidding = unmatched
         else:
             sub = Subgraph(bidders=[], candidates={}, buckets={})
             specs: dict[int, DemandSpec] = {}
@@ -229,12 +238,16 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
                 if spec.items:
                     specs[i] = spec
                     sub.bidders.append(i)
-                    sub.candidates[i] = list(spec.items)
-                    for j, w in zip(spec.items, spec.weights):
+                    sub.candidates[i] = spec.items
+                    row = []
+                    for w in spec.weights:
                         b = bucket_of.get(w)
                         if b is None:
                             b = bucket_of[w] = _bucket_index(w, sg.w_max, k)
-                        sub.buckets[(i, j)] = b
+                        row.append(b)
+                    sub.buckets[i] = row
+            bidding = sub.bidders
+            priced_out = priced_out or len(bidding) < len(unmatched)
             got = bucket_ordered_maximal(sub, kernel=kernel, seed=rng)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
@@ -244,7 +257,7 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
 
         prev_prices = list(state.prices) if audit else state.prices
         evicted = [state.commit(i, j, w) for i, j, w in pairs]
-        unmatched = state.next_bidders(unmatched, evicted)
+        unmatched = state.next_bidders(bidding, evicted)
         announcements += len(pairs)
 
         if audit:

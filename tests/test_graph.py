@@ -81,6 +81,25 @@ def test_instance_errors_name_the_first_bad_edge():
         BipartiteInstance.build(2, 3, [], b_r=[1, 1, 3])
 
 
+@pytest.mark.parametrize("edge,message", [
+    ((0, 0.5, 1), r"^edge \(0, 0\.5\) has a non-integer endpoint$"),
+    ((0.0, 1, 1), r"^edge \(0\.0, 1\) has a non-integer endpoint$"),
+    ((0, 1, 1.5), r"^edge \(0, 1\) has non-integer weight 1\.5$"),
+])
+def test_instance_rejects_non_integer_edges(edge, message):
+    # built directly, as ``build`` would cast the fields to int first
+    def direct(edges):
+        return BipartiteInstance(2, 2, tuple(edges), (1, 1), (1, 1))
+
+    with pytest.raises(ValueError, match=message):
+        direct([edge])
+    with pytest.raises(ValueError, match=message):
+        direct([(1, 0, 1), edge, (1, 0, 1)])
+    # a duplicate before the bad edge is the one named
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 0\)$"):
+        direct([(1, 0, 1), (1, 0, 2), edge])
+
+
 def test_roundtrip_preserves_edge_order():
     inst = BipartiteInstance.build(
         3, 2, [(2, 0, 5), (0, 1, 1), (1, 0, 7)], b_l=[1, 2, 1], b_r=[2, 1])

@@ -87,7 +87,7 @@ def test_bucket_order_prefers_heavy_buckets():
     sub = Subgraph(
         bidders=[0, 1],
         candidates={0: [0], 1: [0]},
-        buckets={(0, 0): 2, (1, 0): 1},
+        buckets={0: [2], 1: [1]},
     )
     got = bucket_ordered_maximal(sub)
     assert got.pairs == [(1, 0)]
@@ -104,8 +104,7 @@ def test_bucket_order_is_maximal_across_buckets(kernel, seed):
     rng = random.Random(9)
     sub = _random_subgraph(rng, 12, 10)
     sub.buckets = {
-        (i, j): 1 + (i + j) % 3
-        for i in sub.bidders for j in sub.candidates[i]
+        i: [1 + (i + j) % 3 for j in sub.candidates[i]] for i in sub.bidders
     }
     got = bucket_ordered_maximal(sub, kernel=kernel, seed=seed)
     _assert_matching(sub, got.pairs)

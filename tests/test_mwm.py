@@ -1,11 +1,15 @@
 """Weighted auction engine."""
 
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import auctionmatch
 from auctionmatch import mwm
 from auctionmatch.auction import Auction
 from auctionmatch.errors import InvariantViolation
@@ -54,6 +58,23 @@ def test_integer_bucket_index_matches_edge_bucket(w_max, k):
     # building the reduced Fraction w / w_max
     for w in range(1, w_max + 1):
         assert _bucket_index(w, w_max, k) == edge_bucket(Fraction(w, w_max), Epsilon(k))
+
+
+def test_weighted_engine_loads_neither_fractions_nor_decimal():
+    # a child interpreter, so that no other test's imports count
+    src = Path(auctionmatch.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from auctionmatch.graph import Epsilon, generate_random, scale_and_prune\n"
+        "from auctionmatch.mwm import run_mwm\n"
+        "eps = Epsilon(4)\n"
+        "inst = generate_random(6, 5, 0.5, w_range=(1, 90), seed=1)\n"
+        "run_mwm(scale_and_prune(inst, eps), eps, audit=True)\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_phase_budget_rule():

@@ -204,7 +204,9 @@ def test_oracles_import_neither_numpy_nor_scipy():
 def _recursive_mcm_pairs(inst):
     # a maximum matching by one recursive depth-first augmenting search per
     # bidder, an independent reference for exact_mcm
-    adj = [[j for j, _ in nbrs] for nbrs in inst.bidder_adjacency()]
+    adj = [[] for _ in range(inst.n_l)]
+    for i, j, _ in inst.edges:
+        adj[i].append(j)
     match_item = [-1] * inst.n_r
 
     def try_augment(i, visited):

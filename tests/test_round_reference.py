@@ -1,0 +1,296 @@
+"""The round loops of the cardinality and weighted engines, and the bucket
+kernel, against reference copies of their earlier forms.
+
+The references ask every unmatched bidder with a neighbour for a demand set
+in every round, and key weight buckets by (bidder, item). The engines drop a
+bidder whose demand set came back empty (prices never fall, so it can never
+demand again) and hand the kernel one bucket row per bidder; results, round
+counts and blackboard traces must not change.
+"""
+
+import random
+
+import pytest
+
+from auctionmatch import mcm, mwm
+from auctionmatch.auction import blackboard_trace, check_matching, phase_budget, round_budget
+from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
+from auctionmatch.kernels import (
+    KernelMatching,
+    Subgraph,
+    bucket_ordered_maximal,
+    greedy_maximal,
+    randomized_proposal_mm,
+)
+from auctionmatch.results import MatchingResult, RunTrace
+
+
+def _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel="det", seed=0):
+    """bucket_ordered_maximal over ``buckets`` keyed by (bidder, item),
+    one rescan of every candidate per bucket."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    matched_bidders, matched_items = set(), set()
+    out = KernelMatching()
+    for b in sorted(set(buckets.values())):
+        layer = Subgraph(bidders=[], candidates={})
+        for i in sub.bidders:
+            if i in matched_bidders:
+                continue
+            cands = [j for j in sub.candidates.get(i, [])
+                     if j not in matched_items and buckets.get((i, j)) == b]
+            if cands:
+                layer.bidders.append(i)
+                layer.candidates[i] = cands
+        if not layer.bidders:
+            continue
+        if kernel == "rand":
+            got = randomized_proposal_mm(layer, rng)
+            out.proposal_rounds += got.proposal_rounds
+            out.proposals += got.proposals
+        else:
+            got = greedy_maximal(layer)
+        for i, j in got.pairs:
+            matched_bidders.add(i)
+            matched_items.add(j)
+            out.pairs.append((i, j))
+    out.pairs.sort()
+    return out
+
+
+def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
+    state = mcm._new_state(inst, eps)
+    budget = round_budget(eps)
+    rng = random.Random(seed)
+    executed = proposal_rounds = proposals = announcements = 0
+    bidders = [i for i in range(inst.n_l) if state.adj[i]]
+    for round_no in range(1, budget + 1):
+        if not bidders:
+            break
+        executed = round_no
+        sub = Subgraph(bidders=[], candidates={})
+        for i in bidders:
+            demand = mcm.demand_set_mcm(state, i)
+            if demand:
+                sub.bidders.append(i)
+                sub.candidates[i] = demand
+        if kernel == "rand":
+            got = randomized_proposal_mm(sub, rng)
+            proposal_rounds += got.proposal_rounds
+            proposals += got.proposals
+        else:
+            got = greedy_maximal(sub)
+        evicted = [state.commit(i, j, 1) for i, j in got.pairs]
+        bidders = state.next_bidders(bidders, evicted)
+        announcements += len(got.pairs)
+        if audit:
+            mcm._audit_round(state)
+        state.snapshot(round_no)
+        if not got.pairs:
+            break
+    best = state.best_pairs()
+    valid = check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, inst.edges)[2]
+    blackboard = None
+    if kernel == "rand":
+        blackboard = blackboard_trace(inst.n_r, eps.k, executed, proposal_rounds,
+                                      proposals, announcements)
+    return (MatchingResult(pairs=best, value=state.best_value,
+                           round_captured=state.best_round, valid=valid),
+            RunTrace(rounds_executed=executed, round_budget=budget,
+                     blackboard=blackboard))
+
+
+def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
+    inst, k = sg.instance, eps.k
+    state = mwm._new_state(sg, eps)
+    budget = phase_budget(sg.bucket_count, eps)
+    rng = random.Random(seed)
+    weight = {(i, j): w for i, j, w in sg.edges}
+    executed = proposal_rounds = proposals = announcements = 0
+    unmatched = [i for i in range(inst.n_l) if state.adj[i]]
+    for phase_no in range(1, budget + 1):
+        if not unmatched:
+            break
+        executed = phase_no
+        if kernel == "stream":
+            pairs = mwm._stream_order_matching(state)
+        else:
+            sub = Subgraph(bidders=[], candidates={})
+            buckets = {}
+            for i in unmatched:
+                spec = mwm.demand_set_mwm(state, i)
+                if spec.items:
+                    sub.bidders.append(i)
+                    sub.candidates[i] = list(spec.items)
+                    for j, w in zip(spec.items, spec.weights):
+                        buckets[(i, j)] = mwm._bucket_index(w, sg.w_max, k)
+            got = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, rng)
+            proposal_rounds += got.proposal_rounds
+            proposals += got.proposals
+            pairs = [(i, j, weight[(i, j)]) for i, j in got.pairs]
+        prev_prices = list(state.prices)
+        evicted = [state.commit(i, j, w) for i, j, w in pairs]
+        unmatched = state.next_bidders(unmatched, evicted)
+        announcements += len(pairs)
+        if audit:
+            mwm._audit_phase(state, prev_prices, None, weight)
+        state.snapshot(phase_no)
+        if not pairs:
+            break
+    best = state.best_pairs()
+    valid = check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, sg.edges)[2]
+    blackboard = None
+    if kernel == "rand":
+        blackboard = blackboard_trace(inst.n_r, k * sg.w_max, executed,
+                                      proposal_rounds, proposals, announcements)
+    return (MatchingResult(pairs=best, value=state.best_value,
+                           round_captured=state.best_round, valid=valid),
+            RunTrace(rounds_executed=executed, round_budget=budget,
+                     blackboard=blackboard))
+
+
+def _instances(count=12):
+    # more bidders than items, so that bidders get priced out
+    for seed in range(count):
+        rng = random.Random(seed)
+        n_r = rng.randint(5, 24)
+        n_l = n_r + rng.randint(0, 8)
+        w_max = rng.choice([1, 9, 1000])
+        yield seed, generate_random(n_l, n_r, rng.choice([0.1, 0.25, 0.5]),
+                                    w_range=(1, w_max), seed=seed)
+
+
+class _DemandSpy:
+    """Stands in for a demand-set function: counts calls and fails on a
+    call for a bidder whose demand set already came back empty."""
+
+    def __init__(self, demand, empty):
+        self.demand, self.empty = demand, empty
+        self.calls = 0
+        self.priced_out: set[int] = set()
+
+    def __call__(self, state, i):
+        assert i not in self.priced_out, f"bidder {i} asked again after an empty demand"
+        self.calls += 1
+        got = self.demand(state, i)
+        if self.empty(got):
+            self.priced_out.add(i)
+        return got
+
+
+def _spy(monkeypatch, module, name, empty):
+    spy = _DemandSpy(getattr(module, name), empty)
+    monkeypatch.setattr(module, name, spy)
+    return spy
+
+
+# (instance, eps) whose last round, the fourth with either kernel, asks no
+# bidder: every unmatched bidder is priced out, and the round runs only so
+# that it counts as before, with nothing to match.
+_MCM_LAST_ROUND_PRICED_OUT = (
+    BipartiteInstance.build(4, 3, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 1, 1),
+                                   (2, 1, 1), (3, 0, 1), (3, 1, 1)]),
+    Epsilon(2))
+_MWM_LAST_ROUND_PRICED_OUT = (
+    BipartiteInstance.build(3, 2, [(0, 0, 1), (1, 0, 3), (1, 1, 2), (2, 0, 3)]),
+    Epsilon(2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bucket_rows_match_the_tuple_keyed_kernel(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        sub = Subgraph(bidders=[], candidates={}, buckets={})
+        buckets = {}
+        for i in rng.sample(range(2 * n), n):  # bidders in no fixed order
+            cands = rng.sample(range(n), rng.randint(1, n))
+            sub.bidders.append(i)
+            sub.candidates[i] = cands
+            sub.buckets[i] = [rng.randint(1, 4) for _ in cands]
+            buckets.update(zip(((i, j) for j in cands), sub.buckets[i]))
+        for kernel, kernel_seed in [("det", 0)] + [("rand", s) for s in range(4)]:
+            got = bucket_ordered_maximal(sub, kernel=kernel, seed=kernel_seed)
+            want = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, kernel_seed)
+            assert (got.pairs, got.proposal_rounds, got.proposals) == (
+                want.pairs, want.proposal_rounds, want.proposals)
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+def test_mcm_matches_the_every_bidder_loop(kernel, monkeypatch):
+    calls = reference_calls = 0
+    for seed, inst in _instances():
+        for eps in (Epsilon(2), Epsilon(4), Epsilon(inst.n_l + 1)):
+            want = _reference_run_mcm(inst, eps, kernel, seed, audit=True)
+            assert mcm.run_mcm(inst, eps, kernel, seed, audit=True) == want
+            with monkeypatch.context() as m:
+                spy = _spy(m, mcm, "demand_set_mcm", lambda got: not got)
+                assert mcm.run_mcm(inst, eps, kernel, seed) == want
+            calls += spy.calls
+            with monkeypatch.context() as m:
+                spy = _spy(m, mcm, "demand_set_mcm", lambda got: False)
+                _reference_run_mcm(inst, eps, kernel, seed)
+            reference_calls += spy.calls
+    assert calls < reference_calls
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand", "stream"])
+def test_mwm_matches_the_every_bidder_loop(kernel, monkeypatch):
+    calls = reference_calls = 0
+    for seed, inst in _instances():
+        for eps in (Epsilon(2), Epsilon(4)):
+            sg = scale_and_prune(inst, eps)
+            want = _reference_run_mwm(sg, eps, kernel, seed, audit=True)
+            assert mwm.run_mwm(sg, eps, kernel, seed, audit=True) == want
+            with monkeypatch.context() as m:
+                spy = _spy(m, mwm, "demand_set_mwm", lambda got: not got.items)
+                assert mwm.run_mwm(sg, eps, kernel, seed) == want
+            calls += spy.calls
+            with monkeypatch.context() as m:
+                spy = _spy(m, mwm, "demand_set_mwm", lambda got: False)
+                _reference_run_mwm(sg, eps, kernel, seed)
+            reference_calls += spy.calls
+    if kernel == "stream":
+        assert calls == reference_calls == 0
+    else:
+        assert calls < reference_calls
+
+
+@pytest.mark.parametrize("engine", ["mcm", "mwm"])
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+@pytest.mark.parametrize("audit", [False, True])
+def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
+                                                         monkeypatch):
+    if engine == "mcm":
+        inst, eps = _MCM_LAST_ROUND_PRICED_OUT
+        want = _reference_run_mcm(inst, eps, kernel, audit=audit)
+        module, demand, kernel_fn = mcm, "demand_set_mcm", (
+            "randomized_proposal_mm" if kernel == "rand" else "greedy_maximal")
+    else:
+        inst, eps = _MWM_LAST_ROUND_PRICED_OUT
+        want = _reference_run_mwm(scale_and_prune(inst, eps), eps, kernel, audit=audit)
+        module, demand, kernel_fn = mwm, "demand_set_mwm", "bucket_ordered_maximal"
+    # log demand and kernel calls in order, to find the last round's calls
+    log = []
+    inner_demand, inner_kernel = getattr(module, demand), getattr(module, kernel_fn)
+
+    def logged_demand(state, i):
+        log.append("demand")
+        return inner_demand(state, i)
+
+    def logged_kernel(sub, *args, **kwargs):
+        log.append(("kernel", list(sub.bidders)))
+        return inner_kernel(sub, *args, **kwargs)
+
+    monkeypatch.setattr(module, demand, logged_demand)
+    monkeypatch.setattr(module, kernel_fn, logged_kernel)
+    if engine == "mcm":
+        got = mcm.run_mcm(inst, eps, kernel, audit=audit)
+    else:
+        got = mwm.run_mwm(scale_and_prune(inst, eps), eps, kernel, audit=audit)
+    assert got == want
+    assert got[1].rounds_executed == 4
+    kernel_calls = [t for t, e in enumerate(log) if e != "demand"]
+    assert len(kernel_calls) == 4
+    assert log[kernel_calls[-1]] == ("kernel", [])
+    if not audit:  # the audit asks every bidder, after the kernel
+        assert log[kernel_calls[-2] + 1:kernel_calls[-1]] == []
