@@ -18,7 +18,8 @@ from .auction import Auction, blackboard_trace, check_matching
 from .auction import round_budget as mcm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
-from .kernels import KernelMatching, Subgraph, greedy_maximal, randomized_proposal_mm
+from .kernels import KernelMatching, Subgraph, randomized_proposal_mm
+from .kernels import greedy_maximal  # noqa: F401 -- bench/tracer.py wraps mcm.greedy_maximal
 from .results import MatchingResult, RunTrace
 
 __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
@@ -27,7 +28,8 @@ __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
 @dataclass(kw_only=True)
 class McmState(Auction):
     """Auction state whose prices are integers in [0, k] counting units of
-    1/k; every commit steps a price by one unit and the value by one."""
+    1/k; every commit steps a price by one unit and the value by one.
+    ``adj[i]`` lists bidder i's items ascending."""
 
     inst: BipartiteInstance
     k: int
@@ -38,6 +40,8 @@ def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:
     adj: list[list[int]] = [[] for _ in range(inst.n_l)]
     for i, j, _ in inst.edges:
         adj[i].append(j)
+    for items in adj:
+        items.sort()
     return McmState(
         inst=inst,
         k=eps.k,
@@ -99,6 +103,50 @@ def _audit_round(state: McmState) -> None:
                     f"{k - state.prices[j]}/{k} - eps")
 
 
+def _round(state: McmState, bidders: list[int], kernel: str,
+           rng: random.Random) -> tuple[list[int], KernelMatching]:
+    """One round's demand sets and maximal matching, at round-start prices.
+
+    Returns the bidders, ascending, whose demand set is not empty, and the
+    matching. With 'rand' their ``demand_set_mcm`` lists go to
+    ``randomized_proposal_mm``. With 'det' each bidder's adjacency is
+    scanned once: its items come ascending, so the cheapest ones below k
+    come in the order ``demand_set_mcm`` lists them, and the bidder takes
+    the first of them that no earlier bidder took, as ``greedy_maximal``
+    would with bidders ascending.
+    """
+    demanders: list[int] = []
+    if kernel == "rand":
+        candidates: dict[int, list[int]] = {}
+        for i in bidders:
+            demand = demand_set_mcm(state, i)
+            if demand:
+                demanders.append(i)
+                candidates[i] = demand
+        return demanders, randomized_proposal_mm(
+            Subgraph(bidders=demanders, candidates=candidates), rng)
+    prices, k, adj = state.prices, state.k, state.adj
+    taken: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for i in bidders:
+        # ``pick`` is the first untaken item at the cheapest price so far.
+        best = k
+        pick = None
+        for j in adj[i]:
+            p = prices[j]
+            if p < best:
+                best = p
+                pick = None if j in taken else j
+            elif p == best and pick is None and j not in taken:
+                pick = j
+        if best < k:
+            demanders.append(i)
+            if pick is not None:
+                taken.add(pick)
+                pairs.append((i, pick))
+    return demanders, KernelMatching(pairs=pairs)
+
+
 def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
             seed: int = 0, audit: bool = False) -> tuple[MatchingResult, RunTrace]:
     """Run the cardinality auction for up to ceil(2/eps^2) rounds.
@@ -131,21 +179,12 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
         if not bidders and not priced_out:
             break
         executed = round_no
-        sub = Subgraph(bidders=[], candidates={})
-        for i in bidders:
-            demand = demand_set_mcm(state, i)
-            if demand:
-                sub.bidders.append(i)
-                sub.candidates[i] = demand
-        priced_out = priced_out or len(sub.bidders) < len(bidders)
-        if kernel == "rand":
-            got: KernelMatching = randomized_proposal_mm(sub, rng)
-            proposal_rounds += got.proposal_rounds
-            proposals += got.proposals
-        else:
-            got = greedy_maximal(sub)
+        demanders, got = _round(state, bidders, kernel, rng)
+        priced_out = priced_out or len(demanders) < len(bidders)
+        proposal_rounds += got.proposal_rounds
+        proposals += got.proposals
         evicted = [state.commit(i, j, 1) for i, j in got.pairs]
-        bidders = state.next_bidders(sub.bidders, evicted)
+        bidders = state.next_bidders(demanders, evicted)
         announcements += len(got.pairs)
         if audit:
             _audit_round(state)

@@ -480,16 +480,18 @@ def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
             "positive-price-implies-matched",
             f"{matched} matched copies vs {priced} positively priced copies")
     per_pair: set[tuple[int, int]] = set()
-    for bc, j in enumerate(assignment):
-        if j is None:
-            continue
-        if held_price[bc] < 1:
-            raise InvariantViolation("held-price", f"copy {bc} matched at price 0")
-        pair = (bisect_right(start, bc) - 1, j)
-        if pair in per_pair:
-            raise InvariantViolation("one-item-match",
-                                     f"pair {pair} matched twice")
-        per_pair.add(pair)
+    for i in range(n_l):
+        for bc in range(start[i], start[i + 1]):
+            j = assignment[bc]
+            if j is None:
+                continue
+            if held_price[bc] < 1:
+                raise InvariantViolation("held-price", f"copy {bc} matched at price 0")
+            pair = (i, j)
+            if pair in per_pair:
+                raise InvariantViolation("one-item-match",
+                                         f"pair {pair} matched twice")
+            per_pair.add(pair)
 
 
 def _audit_mcbm_stream_demand(adj, views, bidding, delta, start, assignment,
@@ -523,13 +525,17 @@ def _audit_mcbm_stream_demand(adj, views, bidding, delta, start, assignment,
         for bc in range(lo, hi):
             if assignment[bc] is None:
                 continue
-            paid = held_price[bc]
-            for j in views[bc]:
+            paid, view, cut = held_price[bc], views[bc], cutoff[bc]
+            for j in view:
                 if paid > pmin[j] + 1:
                     raise InvariantViolation(
                         "copy-happiness",
                         f"bidder copy {bc} paid {paid}/{k} but item {j} "
                         f"offers a copy at {pmin[j]}/{k}")
-            eligible = _stream_eligible(items, held, cutoff[bc], pmin)
-            reopened += sum(1 for j in eligible - views[bc] if paid > pmin[j] + 1)
+            # not in the view, underpaid, and eligible now (as
+            # ``_stream_eligible`` filters); most items fail the first test
+            for j in items:
+                if (j not in view and paid > pmin[j] + 1 and j not in held
+                        and pmin[j] >= cut):
+                    reopened += 1
     return reopened

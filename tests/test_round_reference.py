@@ -4,8 +4,10 @@ kernel, against reference copies of their earlier forms.
 The references ask every unmatched bidder with a neighbour for a demand set
 in every round, and key weight buckets by (bidder, item). The engines drop a
 bidder whose demand set came back empty (prices never fall, so it can never
-demand again) and hand the kernel one bucket row per bidder; results, round
-counts and blackboard traces must not change.
+demand again) and hand the kernel one bucket row per bidder, and the
+deterministic cardinality round finds each bidder's demand and greedy pick
+in one scan of its adjacency; results, round counts and blackboard traces
+must not change, also when edge lines are not in item order.
 """
 
 import random
@@ -263,8 +265,24 @@ def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
     if engine == "mcm":
         inst, eps = _MCM_LAST_ROUND_PRICED_OUT
         want = _reference_run_mcm(inst, eps, kernel, audit=audit)
-        module, demand, kernel_fn = mcm, "demand_set_mcm", (
-            "randomized_proposal_mm" if kernel == "rand" else "greedy_maximal")
+        if kernel == "det":
+            # the det round scans demand and picks inline, so the worklist
+            # each round hands on is what shows the last round's bidders
+            handed_on = []
+            inner_next = mcm.McmState.next_bidders
+
+            def logged_next(self, bidders, evicted):
+                handed_on.append(inner_next(self, bidders, evicted))
+                return handed_on[-1]
+
+            monkeypatch.setattr(mcm.McmState, "next_bidders", logged_next)
+            got = mcm.run_mcm(inst, eps, kernel, audit=audit)
+            assert got == want
+            assert got[1].rounds_executed == 4
+            assert len(handed_on) == 4
+            assert handed_on[2] == []
+            return
+        module, demand, kernel_fn = mcm, "demand_set_mcm", "randomized_proposal_mm"
     else:
         inst, eps = _MWM_LAST_ROUND_PRICED_OUT
         want = _reference_run_mwm(scale_and_prune(inst, eps), eps, kernel, audit=audit)
@@ -294,3 +312,70 @@ def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
     assert log[kernel_calls[-1]] == ("kernel", [])
     if not audit:  # the audit asks every bidder, after the kernel
         assert log[kernel_calls[-2] + 1:kernel_calls[-1]] == []
+
+
+def _shuffled(inst, seed):
+    """``inst`` with its edge lines in a seeded random order, so that a
+    bidder's adjacency, built in edge order, is not in item order."""
+    edges = list(inst.edges)
+    random.Random(seed).shuffle(edges)
+    return BipartiteInstance(n_l=inst.n_l, n_r=inst.n_r, edges=tuple(edges),
+                             b_l=inst.b_l, b_r=inst.b_r)
+
+
+def _out_of_item_order(inst):
+    last = {}
+    for i, j, _ in inst.edges:
+        if j < last.get(i, -1):
+            return True
+        last[i] = j
+    return False
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+def test_one_scan_round_matches_the_reference_on_shuffled_edges(kernel):
+    for seed in range(10):
+        inst = _shuffled(generate_random(72, 64, 4 / 64, seed=seed), seed)
+        assert _out_of_item_order(inst)
+        for eps, audit in ((Epsilon(8), seed % 2 == 0), (Epsilon(73), seed % 3 == 0)):
+            assert mcm.run_mcm(inst, eps, kernel, seed, audit) == _reference_run_mcm(
+                inst, eps, kernel, seed, audit)
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+def test_one_scan_round_matches_the_reference_in_exact_mode(kernel):
+    # eps = 1/(n_l + 1) runs a price war of thousands of rounds
+    for seed, audit in ((0, False), (1, True)):
+        inst = _shuffled(generate_random(216, 192, 4 / 192, seed=seed), seed)
+        assert _out_of_item_order(inst)
+        eps = Epsilon(inst.n_l + 1)
+        got = mcm.run_mcm(inst, eps, kernel, seed, audit)
+        want = _reference_run_mcm(inst, eps, kernel, seed, audit)
+        assert got[1].rounds_executed > 1000
+        assert got == want
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+def test_priced_out_bidders_never_reach_the_round_again(kernel, monkeypatch):
+    inner = mcm._round
+    rounds = 0
+    priced_out: set[int] = set()
+
+    def spy(state, bidders, kernel, rng):
+        nonlocal rounds
+        rounds += 1
+        assert not priced_out.intersection(bidders)
+        demanders, got = inner(state, bidders, kernel, rng)
+        priced_out.update(set(bidders) - set(demanders))
+        return demanders, got
+
+    monkeypatch.setattr(mcm, "_round", spy)
+    runs_with_priced_out = 0
+    for seed, inst in _instances():
+        for eps in (Epsilon(2), Epsilon(inst.n_l + 1)):
+            rounds = 0
+            priced_out.clear()
+            _, trace = mcm.run_mcm(inst, eps, kernel, seed)
+            assert rounds == trace.rounds_executed
+            runs_with_priced_out += bool(priced_out)
+    assert runs_with_priced_out > 0

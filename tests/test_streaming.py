@@ -414,3 +414,26 @@ def test_blackboard_round_mean_tracks_log_bound():
     base = 4 * math.ceil(math.log2(inst.n_l + inst.n_r))
     assert base <= 4 * mean
     assert mean <= 4 * base
+
+
+def test_stream_mcbm_audit_names_the_pair_two_copies_hold():
+    # bidder 1 has no copies; copies 1 and 2 of bidder 2 both hold item 1
+    with pytest.raises(InvariantViolation) as info:
+        streaming._audit_mcbm_stream(
+            n_l=3, n_r=2, start=[0, 1, 1, 3], assignment=[0, 1, 1],
+            held_price=[1, 1, 1], pmin=[1, 1], n_min=[1, 2], n_max=[0, 0],
+            b_r=[1, 2], k=4)
+    assert info.value.prop == "one-item-match"
+    assert "pair (2, 1) matched twice" in str(info.value)
+
+
+def test_stream_mcbm_reopened_pairs_skip_cutoff_and_sibling_items():
+    # copy 0 (cutoff 2) holds item 3 and paid 4; item 1 is eligible now,
+    # outside its view and cheaper by more than a step: one re-opened pair.
+    # Item 0 is as cheap but below the cutoff, and item 2 is held by
+    # sibling copy 1, so neither counts.
+    reopened = streaming._audit_mcbm_stream_demand(
+        adj=[[0, 1, 2, 3]], views={0: frozenset({3}), 1: frozenset({2})},
+        bidding=set(), delta={}, start=[0, 2], assignment=[3, 2],
+        held_price=[4, 1], cutoff=[2, 0], pmin=[0, 2, 2, 3], k=8)
+    assert reopened == 1
