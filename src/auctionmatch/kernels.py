@@ -3,7 +3,8 @@
 Every engine round boils down to one maximal matching on the bipartite
 subgraph of unmatched bidders and their demanded items. The engines build a
 Subgraph whose candidate lists are already in scan priority order (ascending
-price, then id, unless noted) and the kernels never look at prices again.
+price, then id, unless noted), or for ``bucket_sweep`` one sorted list of
+candidate tuples, and the kernels never look at prices again.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 __all__ = [
     "Subgraph",
     "KernelMatching",
     "greedy_maximal",
     "bucket_ordered_maximal",
+    "bucket_sweep",
     "nondup_maximal",
     "randomized_proposal_mm",
 ]
@@ -107,55 +111,56 @@ def randomized_proposal_mm(sub: Subgraph, seed=0) -> KernelMatching:
 
 
 def bucket_ordered_maximal(sub: Subgraph, kernel: str = "det", seed=0) -> KernelMatching:
+    """``bucket_sweep`` over a Subgraph: ``sub.buckets[i][t]`` is the
+    bucket of ``sub.candidates[i][t]``, and t keeps the bidder's scan
+    order within a bucket."""
+    if sub.buckets is None:
+        raise ValueError("bucket_ordered_maximal needs bucket indices")
+    ranked = [(b, i, t, j, 0) for i in sub.bidders
+              for t, (j, b) in enumerate(zip(sub.candidates[i], sub.buckets[i]))]
+    ranked.sort()
+    out = bucket_sweep(ranked, _as_rng(seed) if kernel == "rand" else None)
+    out.pairs = [(i, j) for i, j, _ in out.pairs]
+    return out
+
+
+def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
+                 rng: random.Random | None = None) -> KernelMatching:
     """Sweep weight buckets from heaviest (index 1) to lightest, keeping
     earlier matches; the union is maximal on the whole subgraph.
 
-    One pass groups each bidder's candidates by their bucket in
-    ``sub.buckets[i]``, keeping the bidder's scan order. kernel 'det' then
-    runs the deterministic greedy inside each bucket (bidders ascending,
-    the first still-free candidate), 'rand' the randomized proposal kernel
-    on each bucket's still-free candidates (proposal rounds accumulate
-    across buckets).
+    ``ranked`` holds one (bucket, bidder, key, item, weight) tuple per
+    candidate, sorted, so each bidder's candidates in a bucket come in
+    ``key`` order. Without ``rng`` this is the deterministic greedy inside
+    each bucket (bidders ascending, the first still-free candidate); with
+    it, the randomized proposal kernel on each bucket's still-free
+    candidates (proposal rounds accumulate across buckets). Pairs come back
+    as (bidder, item, weight), sorted.
     """
-    if sub.buckets is None:
-        raise ValueError("bucket_ordered_maximal needs bucket indices")
-    layers: dict[int, dict[int, list[int]]] = {}  # bucket -> bidder -> items
-    for i in sub.bidders:
-        for j, b in zip(sub.candidates[i], sub.buckets[i]):
-            layer = layers.get(b)
-            if layer is None:
-                layers[b] = {i: [j]}
-                continue
-            items = layer.get(i)
-            if items is None:
-                layer[i] = [j]
-            else:
-                items.append(j)
-    rng = _as_rng(seed) if kernel == "rand" else None
     matched_bidders: set[int] = set()
     matched_items: set[int] = set()
     out = KernelMatching()
-    for b in sorted(layers):
-        layer = layers[b]
-        if rng is None:
-            for i in sorted(layer):
-                if i in matched_bidders:
-                    continue
-                for j in layer[i]:
-                    if j not in matched_items:
-                        matched_bidders.add(i)
-                        matched_items.add(j)
-                        out.pairs.append((i, j))
-                        break
-            continue
+    if rng is None:
+        for _, i, _, j, w in ranked:
+            if i not in matched_bidders and j not in matched_items:
+                matched_bidders.add(i)
+                matched_items.add(j)
+                out.pairs.append((i, j, w))
+        out.pairs.sort()
+        return out
+    for _, run in groupby(ranked, itemgetter(0)):
         free = Subgraph(bidders=[], candidates={})
-        for i, items in layer.items():
-            if i in matched_bidders:
+        weight: dict[tuple[int, int], int] = {}
+        for _, i, _, j, w in run:
+            if i in matched_bidders or j in matched_items:
                 continue
-            cands = [j for j in items if j not in matched_items]
-            if cands:
+            cands = free.candidates.get(i)
+            if cands is None:
                 free.bidders.append(i)
-                free.candidates[i] = cands
+                free.candidates[i] = [j]
+            else:
+                cands.append(j)
+            weight[i, j] = w
         if not free.bidders:
             continue
         got = randomized_proposal_mm(free, rng)
@@ -164,7 +169,7 @@ def bucket_ordered_maximal(sub: Subgraph, kernel: str = "det", seed=0) -> Kernel
         for i, j in got.pairs:
             matched_bidders.add(i)
             matched_items.add(j)
-            out.pairs.append((i, j))
+            out.pairs.append((i, j, weight[i, j]))
     out.pairs.sort()
     return out
 

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 from .auction import Auction, blackboard_trace, check_matching, phase_budget
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph
-from .kernels import Subgraph, bucket_ordered_maximal
+from .kernels import KernelMatching, bucket_sweep
+from .kernels import bucket_ordered_maximal  # noqa: F401 -- bench/tracer.py wraps mwm.bucket_ordered_maximal
 from .results import MatchingResult, RunTrace
 
 if TYPE_CHECKING:  # importing fractions also loads decimal
@@ -183,6 +184,43 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
                     f"bidder {i} utility {u} below margin {rhs} at item {j}")
 
 
+def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
+           bucket_of: dict[int, int]) -> tuple[list[int], KernelMatching]:
+    """One phase's demand sets and bucket-ordered maximal matching, at
+    phase-start prices.
+
+    Returns the bidders, ascending, whose demand set is not empty, and the
+    matching as (i, j, w) pairs. Each bidder's adjacency is scanned twice,
+    for its best margin and then for the items ``demand_set_mwm`` would
+    list; every demanded item goes into one list as (bucket, bidder,
+    price, item, weight), sorted once for ``bucket_sweep``. ``bucket_of``
+    caches ``_bucket_index`` by weight across phases.
+    """
+    k, prices, adj, w_max = state.k, state.prices, state.adj, state.sg.w_max
+    demanders: list[int] = []
+    ranked: list[tuple[int, int, int, int, int]] = []
+    for i in bidders:
+        row = adj[i]
+        best = 0
+        for _, j, w in row:
+            margin = k * w - prices[j]
+            if margin > best:
+                best = margin
+        if not best:
+            continue
+        demanders.append(i)
+        for _, j, w in row:
+            p = prices[j]
+            v = k * w
+            if p < v and v - p >= best - w:
+                b = bucket_of.get(w)
+                if b is None:
+                    b = bucket_of[w] = _bucket_index(w, w_max, k)
+                ranked.append((b, i, p, j, w))
+    ranked.sort()
+    return demanders, bucket_sweep(ranked, rng if kernel == "rand" else None)
+
+
 def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
             audit: bool = False, optimum: int | None = None
             ) -> tuple[MatchingResult, RunTrace]:
@@ -231,29 +269,11 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
             pairs = _stream_order_matching(state)
             bidding = unmatched
         else:
-            sub = Subgraph(bidders=[], candidates={}, buckets={})
-            specs: dict[int, DemandSpec] = {}
-            for i in unmatched:
-                spec = demand_set_mwm(state, i)
-                if spec.items:
-                    specs[i] = spec
-                    sub.bidders.append(i)
-                    sub.candidates[i] = spec.items
-                    row = []
-                    for w in spec.weights:
-                        b = bucket_of.get(w)
-                        if b is None:
-                            b = bucket_of[w] = _bucket_index(w, sg.w_max, k)
-                        row.append(b)
-                    sub.buckets[i] = row
-            bidding = sub.bidders
+            bidding, got = _phase(state, unmatched, kernel, rng, bucket_of)
             priced_out = priced_out or len(bidding) < len(unmatched)
-            got = bucket_ordered_maximal(sub, kernel=kernel, seed=rng)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
-            # A winner's weight on its item comes from its own demand set.
-            pairs = [(i, j, specs[i].weights[specs[i].items.index(j)])
-                     for i, j in got.pairs]
+            pairs = got.pairs
 
         prev_prices = list(state.prices) if audit else state.prices
         evicted = [state.commit(i, j, w) for i, j, w in pairs]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from auctionmatch.graph import (
 from auctionmatch.mwm import (MwmState, _bucket_index, edge_bucket, phase_budget,
                               run_mwm)
 from auctionmatch.oracles import exact_mwm
+from test_round_reference import _reference_phase
 
 
 def _run(inst, eps, **kw):
@@ -303,10 +305,20 @@ def _dearest_demand(state, bidder):
     return mwm.DemandSpec(max_utility=best, items=items, weights=weights)
 
 
+def _lowering_commit(self, i, j, step):
+    # also takes one unit off the dearest other item's price
+    prev = Auction.commit(self, i, j, step)
+    p, other = max((p, o) for o, p in enumerate(self.prices) if o != j)
+    if p > 0:
+        self.prices[other] -= 1
+    return prev
+
+
 @pytest.mark.parametrize("mutant, caught", [
     (None, None),
     ("double-step", "owned-price-bound"),
     ("dearest-demand", "weighted-happiness"),
+    ("lowered-price", "price-monotonicity"),
 ])
 def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
     # The happiness check looks at a bidder's deg + 1 cheapest items only;
@@ -315,15 +327,20 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
     if mutant == "double-step":
         monkeypatch.setattr(MwmState, "commit", _double_step)
     elif mutant == "dearest-demand":
-        monkeypatch.setattr(mwm, "demand_set_mwm", _dearest_demand)
+        # the phase reads demand sets only through this reference copy
+        monkeypatch.setattr(mwm, "_phase", partial(_reference_phase,
+                                                   demand=_dearest_demand))
+    elif mutant == "lowered-price":
+        monkeypatch.setattr(MwmState, "commit", _lowering_commit)
     audit = mwm._audit_phase
     seen = []
+    kernel = None
 
     def compared(state, prev_prices, optimum, weight):
         got = _audit_outcome(audit, state, prev_prices, optimum, weight)
         want = _audit_outcome(_reference_audit, state, prev_prices, optimum)
         assert (type(got), str(got)) == (type(want), str(want))
-        seen.append(got and got.prop)
+        seen.append((kernel, got and got.prop))
         if got is not None:
             raise got
 
@@ -337,7 +354,12 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
                 _run(inst, Epsilon(k), kernel=kernel, seed=seed, audit=True, optimum=opt)
             except InvariantViolation:
                 pass
+    caught_by = {prop for _, prop in seen} - {None}
     if mutant is None:
-        assert set(seen) == {None}
+        assert not caught_by
+    elif mutant == "lowered-price":
+        assert caught_by == {caught}
     else:
-        assert caught in seen
+        assert caught in caught_by
+    if mutant == "dearest-demand":
+        assert {kern for kern, prop in seen if prop == caught} == {"det", "rand"}

@@ -4,10 +4,12 @@ kernel, against reference copies of their earlier forms.
 The references ask every unmatched bidder with a neighbour for a demand set
 in every round, and key weight buckets by (bidder, item). The engines drop a
 bidder whose demand set came back empty (prices never fall, so it can never
-demand again) and hand the kernel one bucket row per bidder, and the
-deterministic cardinality round finds each bidder's demand and greedy pick
-in one scan of its adjacency; results, round counts and blackboard traces
-must not change, also when edge lines are not in item order.
+demand again), the deterministic cardinality round finds each bidder's
+demand and greedy pick in one scan of its adjacency, and the weighted phase
+sorts every demanded item into one (bucket, bidder, price, item, weight)
+list instead of building demand sets and a Subgraph; results, round counts
+and blackboard traces must not change, also when edge lines are not in
+item order.
 """
 
 import random
@@ -25,6 +27,7 @@ from auctionmatch.kernels import (
     randomized_proposal_mm,
 )
 from auctionmatch.results import MatchingResult, RunTrace
+from auctionmatch.weight_reduction import run_reduced_mwm
 
 
 def _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel="det", seed=0):
@@ -101,6 +104,26 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
                      blackboard=blackboard))
 
 
+def _reference_phase(state, bidders, kernel, rng, bucket_of, demand=None):
+    """mwm._phase as the path it replaced: a demand set per bidder, a
+    Subgraph of them, and the tuple-keyed bucket kernel. ``demand`` defaults
+    to ``mwm.demand_set_mwm``; ``bucket_of`` is not used."""
+    demand = demand or mwm.demand_set_mwm
+    sub = Subgraph(bidders=[], candidates={})
+    buckets, weight = {}, {}
+    for i in bidders:
+        spec = demand(state, i)
+        if spec.items:
+            sub.bidders.append(i)
+            sub.candidates[i] = list(spec.items)
+            for j, w in zip(spec.items, spec.weights):
+                buckets[(i, j)] = mwm._bucket_index(w, state.sg.w_max, state.k)
+                weight[(i, j)] = w
+    got = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, rng)
+    got.pairs = [(i, j, weight[(i, j)]) for i, j in got.pairs]
+    return sub.bidders, got
+
+
 def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
     inst, k = sg.instance, eps.k
     state = mwm._new_state(sg, eps)
@@ -116,19 +139,10 @@ def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
         if kernel == "stream":
             pairs = mwm._stream_order_matching(state)
         else:
-            sub = Subgraph(bidders=[], candidates={})
-            buckets = {}
-            for i in unmatched:
-                spec = mwm.demand_set_mwm(state, i)
-                if spec.items:
-                    sub.bidders.append(i)
-                    sub.candidates[i] = list(spec.items)
-                    for j, w in zip(spec.items, spec.weights):
-                        buckets[(i, j)] = mwm._bucket_index(w, sg.w_max, k)
-            got = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, rng)
+            _, got = _reference_phase(state, unmatched, kernel, rng, None)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
-            pairs = [(i, j, weight[(i, j)]) for i, j in got.pairs]
+            pairs = got.pairs
         prev_prices = list(state.prices)
         evicted = [state.commit(i, j, w) for i, j, w in pairs]
         unmatched = state.next_bidders(unmatched, evicted)
@@ -185,6 +199,24 @@ def _spy(monkeypatch, module, name, empty):
     return spy
 
 
+class _RoundSpy:
+    """Stands in for a round step, ``mcm._round`` or ``mwm._phase``: counts
+    calls and fails on a call handed a bidder whose demand set already came
+    back empty."""
+
+    def __init__(self, step):
+        self.step = step
+        self.rounds = 0
+        self.priced_out: set[int] = set()
+
+    def __call__(self, state, bidders, *args):
+        assert not self.priced_out.intersection(bidders), "a priced-out bidder bid again"
+        self.rounds += 1
+        demanders, got = self.step(state, bidders, *args)
+        self.priced_out.update(set(bidders) - set(demanders))
+        return demanders, got
+
+
 # (instance, eps) whose last round, the fourth with either kernel, asks no
 # bidder: every unmatched bidder is priced out, and the round runs only so
 # that it counts as before, with nothing to match.
@@ -237,24 +269,20 @@ def test_mcm_matches_the_every_bidder_loop(kernel, monkeypatch):
 
 @pytest.mark.parametrize("kernel", ["det", "rand", "stream"])
 def test_mwm_matches_the_every_bidder_loop(kernel, monkeypatch):
-    calls = reference_calls = 0
+    runs_with_priced_out = 0
     for seed, inst in _instances():
         for eps in (Epsilon(2), Epsilon(4)):
             sg = scale_and_prune(inst, eps)
             want = _reference_run_mwm(sg, eps, kernel, seed, audit=True)
             assert mwm.run_mwm(sg, eps, kernel, seed, audit=True) == want
             with monkeypatch.context() as m:
-                spy = _spy(m, mwm, "demand_set_mwm", lambda got: not got.items)
+                spy = _RoundSpy(mwm._phase)
+                m.setattr(mwm, "_phase", spy)
                 assert mwm.run_mwm(sg, eps, kernel, seed) == want
-            calls += spy.calls
-            with monkeypatch.context() as m:
-                spy = _spy(m, mwm, "demand_set_mwm", lambda got: False)
-                _reference_run_mwm(sg, eps, kernel, seed)
-            reference_calls += spy.calls
-    if kernel == "stream":
-        assert calls == reference_calls == 0
-    else:
-        assert calls < reference_calls
+            # one phase step per phase; the stream kernel needs none
+            assert spy.rounds == (0 if kernel == "stream" else want[1].rounds_executed)
+            runs_with_priced_out += bool(spy.priced_out)
+    assert runs_with_priced_out > 0 or kernel == "stream"
 
 
 @pytest.mark.parametrize("engine", ["mcm", "mwm"])
@@ -262,34 +290,50 @@ def test_mwm_matches_the_every_bidder_loop(kernel, monkeypatch):
 @pytest.mark.parametrize("audit", [False, True])
 def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
                                                          monkeypatch):
-    if engine == "mcm":
-        inst, eps = _MCM_LAST_ROUND_PRICED_OUT
-        want = _reference_run_mcm(inst, eps, kernel, audit=audit)
-        if kernel == "det":
-            # the det round scans demand and picks inline, so the worklist
-            # each round hands on is what shows the last round's bidders
-            handed_on = []
-            inner_next = mcm.McmState.next_bidders
-
-            def logged_next(self, bidders, evicted):
-                handed_on.append(inner_next(self, bidders, evicted))
-                return handed_on[-1]
-
-            monkeypatch.setattr(mcm.McmState, "next_bidders", logged_next)
-            got = mcm.run_mcm(inst, eps, kernel, audit=audit)
-            assert got == want
-            assert got[1].rounds_executed == 4
-            assert len(handed_on) == 4
-            assert handed_on[2] == []
-            return
-        module, demand, kernel_fn = mcm, "demand_set_mcm", "randomized_proposal_mm"
-    else:
+    if engine == "mwm":
         inst, eps = _MWM_LAST_ROUND_PRICED_OUT
-        want = _reference_run_mwm(scale_and_prune(inst, eps), eps, kernel, audit=audit)
-        module, demand, kernel_fn = mwm, "demand_set_mwm", "bucket_ordered_maximal"
+        sg = scale_and_prune(inst, eps)
+        want = _reference_run_mwm(sg, eps, kernel, audit=audit)
+        # the phase scans demand and matches inline, so what each phase is
+        # handed and finds demanding shows the last phase's bidders
+        phases = []
+        inner_phase = mwm._phase
+
+        def logged_phase(state, bidders, *args):
+            demanders, got = inner_phase(state, bidders, *args)
+            phases.append((list(bidders), demanders, got.pairs))
+            return demanders, got
+
+        monkeypatch.setattr(mwm, "_phase", logged_phase)
+        got = mwm.run_mwm(sg, eps, kernel, audit=audit)
+        assert got == want
+        assert got[1].rounds_executed == 4
+        assert len(phases) == 4
+        assert any(len(d) < len(b) for b, d, _ in phases[:3])
+        assert phases[-1] == ([], [], [])
+        return
+    inst, eps = _MCM_LAST_ROUND_PRICED_OUT
+    want = _reference_run_mcm(inst, eps, kernel, audit=audit)
+    if kernel == "det":
+        # the det round scans demand and picks inline, so the worklist
+        # each round hands on is what shows the last round's bidders
+        handed_on = []
+        inner_next = mcm.McmState.next_bidders
+
+        def logged_next(self, bidders, evicted):
+            handed_on.append(inner_next(self, bidders, evicted))
+            return handed_on[-1]
+
+        monkeypatch.setattr(mcm.McmState, "next_bidders", logged_next)
+        got = mcm.run_mcm(inst, eps, kernel, audit=audit)
+        assert got == want
+        assert got[1].rounds_executed == 4
+        assert len(handed_on) == 4
+        assert handed_on[2] == []
+        return
     # log demand and kernel calls in order, to find the last round's calls
     log = []
-    inner_demand, inner_kernel = getattr(module, demand), getattr(module, kernel_fn)
+    inner_demand, inner_kernel = mcm.demand_set_mcm, mcm.randomized_proposal_mm
 
     def logged_demand(state, i):
         log.append("demand")
@@ -299,12 +343,9 @@ def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
         log.append(("kernel", list(sub.bidders)))
         return inner_kernel(sub, *args, **kwargs)
 
-    monkeypatch.setattr(module, demand, logged_demand)
-    monkeypatch.setattr(module, kernel_fn, logged_kernel)
-    if engine == "mcm":
-        got = mcm.run_mcm(inst, eps, kernel, audit=audit)
-    else:
-        got = mwm.run_mwm(scale_and_prune(inst, eps), eps, kernel, audit=audit)
+    monkeypatch.setattr(mcm, "demand_set_mcm", logged_demand)
+    monkeypatch.setattr(mcm, "randomized_proposal_mm", logged_kernel)
+    got = mcm.run_mcm(inst, eps, kernel, audit=audit)
     assert got == want
     assert got[1].rounds_executed == 4
     kernel_calls = [t for t, e in enumerate(log) if e != "demand"]
@@ -358,24 +399,41 @@ def test_one_scan_round_matches_the_reference_in_exact_mode(kernel):
 @pytest.mark.parametrize("kernel", ["det", "rand"])
 def test_priced_out_bidders_never_reach_the_round_again(kernel, monkeypatch):
     inner = mcm._round
-    rounds = 0
-    priced_out: set[int] = set()
-
-    def spy(state, bidders, kernel, rng):
-        nonlocal rounds
-        rounds += 1
-        assert not priced_out.intersection(bidders)
-        demanders, got = inner(state, bidders, kernel, rng)
-        priced_out.update(set(bidders) - set(demanders))
-        return demanders, got
-
-    monkeypatch.setattr(mcm, "_round", spy)
     runs_with_priced_out = 0
     for seed, inst in _instances():
         for eps in (Epsilon(2), Epsilon(inst.n_l + 1)):
-            rounds = 0
-            priced_out.clear()
+            spy = _RoundSpy(inner)
+            monkeypatch.setattr(mcm, "_round", spy)
             _, trace = mcm.run_mcm(inst, eps, kernel, seed)
-            assert rounds == trace.rounds_executed
-            runs_with_priced_out += bool(priced_out)
+            assert spy.rounds == trace.rounds_executed
+            runs_with_priced_out += bool(spy.priced_out)
     assert runs_with_priced_out > 0
+
+
+@pytest.mark.parametrize("kernel", ["det", "rand"])
+def test_sorted_phase_matches_the_subgraph_path(kernel, monkeypatch):
+    # weights up to 10^6 put demanded items of one phase in several buckets
+    bucket_counts = set()
+    for seed in range(6):
+        inst = _shuffled(generate_random(40 + seed, 32, 6 / 32, w_range=(1, 10 ** 6),
+                                         seed=seed), seed)
+        assert _out_of_item_order(inst)
+        for eps in (Epsilon(2), Epsilon(3), Epsilon(8)):
+            sg = scale_and_prune(inst, eps)
+            bucket_counts.add(sg.bucket_count)
+            for audit in (False, True):
+                got = mwm.run_mwm(sg, eps, kernel, seed, audit)
+                with monkeypatch.context() as m:
+                    m.setattr(mwm, "_phase", _reference_phase)
+                    want = mwm.run_mwm(sg, eps, kernel, seed, audit)
+                assert got == want
+                assert (got[1].blackboard is not None) == (kernel == "rand")
+        eps = Epsilon(3)
+        got = run_reduced_mwm(inst, eps, "memory", kernel, seed, collect_detail=True)
+        with monkeypatch.context() as m:
+            m.setattr(mwm, "_phase", _reference_phase)
+            want = run_reduced_mwm(inst, eps, "memory", kernel, seed, collect_detail=True)
+        assert got[:2] == want[:2]
+        assert got[2].level_results == want[2].level_results
+        assert got[2].level_traces == want[2].level_traces
+    assert max(bucket_counts) >= 3
