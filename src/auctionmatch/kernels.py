@@ -149,21 +149,16 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
         out.pairs.sort()
         return out
     for _, run in groupby(ranked, itemgetter(0)):
-        free = Subgraph(bidders=[], candidates={})
+        candidates: dict[int, list[int]] = {}
         weight: dict[tuple[int, int], int] = {}
         for _, i, _, j, w in run:
-            if i in matched_bidders or j in matched_items:
-                continue
-            cands = free.candidates.get(i)
-            if cands is None:
-                free.bidders.append(i)
-                free.candidates[i] = [j]
-            else:
-                cands.append(j)
-            weight[i, j] = w
-        if not free.bidders:
+            if i not in matched_bidders and j not in matched_items:
+                candidates.setdefault(i, []).append(j)
+                weight[i, j] = w
+        if not candidates:
             continue
-        got = randomized_proposal_mm(free, rng)
+        got = randomized_proposal_mm(Subgraph(bidders=list(candidates),
+                                              candidates=candidates), rng)
         out.proposal_rounds += got.proposal_rounds
         out.proposals += got.proposals
         for i, j in got.pairs:
