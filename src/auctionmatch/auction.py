@@ -4,16 +4,19 @@ Every engine runs the auction of Demange, Gale and Sotomayor and of
 Bertsekas: prices rise on an integer grid, each round commits one maximal
 matching over the unmatched bidders' demands, and displaced bidders bid
 again. ``Auction`` holds that state, commits with eviction, feeds the
-evicted owners back to the next round's bidders, and keeps the matched
-value and the best round-end assignment; the engines report
-through ``check_matching`` and ``blackboard_trace``.
+evicted owners back to the next round's bidders, keeps the matched value
+and the best round-end assignment, and runs the round loop around each
+engine's step; the engines report through ``check_matching`` and
+``blackboard_trace``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graph import Epsilon
+from .kernels import KernelMatching
 from .results import BlackboardTrace
 
 __all__ = ["Auction", "blackboard_trace", "check_matching", "phase_budget",
@@ -87,6 +90,48 @@ class Auction:
             self.best_value = self.value
             self.best_round = round_no
             self.best = list(self.assignment)
+
+    def run_rounds(self, bidders: list[int], budget: int,
+                   step: Callable[[list[int]], tuple[list[int], KernelMatching]],
+                   audit: Callable[[list[int]], Callable[[], None]] | None = None
+                   ) -> tuple[int, int, int, int]:
+        """Run up to ``budget`` rounds from the worklist ``bidders``.
+
+        ``step(bidders)`` returns, at round-start prices, the bidders to ask
+        again and a matching of (bidder, item, price step) pairs; the pairs
+        are committed and ``next_bidders`` of the kept bidders is the next
+        worklist. ``audit(bidders)`` runs at round start and returns the
+        check run after the commits, before the snapshot.
+
+        A bidder the step drops is priced out for good, since prices never
+        fall, yet rounds count as if it were still asked: once one is, an
+        empty worklist still runs a last round, which matches nothing. A
+        round with no pairs and nothing kept ends the run. Returns the
+        rounds executed and the summed proposal rounds, proposals and
+        committed pairs, in ``blackboard_trace``'s order.
+        """
+        executed = proposal_rounds = proposals = committed = 0
+        priced_out = False
+        commit = self.commit
+        for round_no in range(1, budget + 1):
+            if not bidders and not priced_out:
+                break
+            executed = round_no
+            check = audit(bidders) if audit is not None else None
+            kept, got = step(bidders)
+            priced_out = priced_out or len(kept) < len(bidders)
+            proposal_rounds += got.proposal_rounds
+            proposals += got.proposals
+            pairs = got.pairs
+            committed += len(pairs)
+            evicted = [commit(i, j, s) for i, j, s in pairs]
+            bidders = self.next_bidders(kept, evicted)
+            if check is not None:
+                check()
+            self.snapshot(round_no)
+            if not pairs and not kept:
+                break
+        return executed, proposal_rounds, proposals, committed
 
     def best_pairs(self) -> tuple[tuple[int, int], ...]:
         """The best assignment as (bidder, item) pairs sorted by bidder."""

@@ -1,10 +1,11 @@
 """Maximal-matching kernels run on per-round demand subgraphs.
 
 Every engine round boils down to one maximal matching on the bipartite
-subgraph of unmatched bidders and their demanded items. The engines build a
-Subgraph whose candidate lists are already in scan priority order (ascending
-price, then id, unless noted), or for ``bucket_sweep`` one sorted list of
-candidate tuples, and the kernels never look at prices again.
+subgraph of unmatched bidders and their demanded items. The 'rand' mcm
+round and the 'det' mcbm round hand a kernel a Subgraph whose candidate
+lists are already in scan priority order (ascending price, then id);
+``mwm._phase`` hands ``bucket_sweep`` one sorted list of candidate tuples,
+and the 'det' mcm round does its greedy inline. Kernels never read prices.
 """
 
 from __future__ import annotations

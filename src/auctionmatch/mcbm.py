@@ -18,7 +18,7 @@ from .auction import Auction, check_matching
 from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
-from .kernels import Subgraph, nondup_maximal
+from .kernels import KernelMatching, Subgraph, nondup_maximal
 from .results import BMatchingResult, RunTrace
 
 
@@ -188,43 +188,38 @@ def run_mcbm(
     budget = mcbm_round_budget(eps)
     trace = RunTrace(rounds_executed=0, round_budget=budget)
 
-    views: dict[int, frozenset[int]] = {}
-    if audit:
-        trace.notes["reopened_pairs"] = 0
-
-    # Unmatched bidder copies with neighbours, ascending; evictions feed it.
-    unmatched = [bc for bc in range(cg.n_bidder_copies)
-                 if state.adj[cg.bidder_orig[bc]]]
-    for rnd in range(1, budget + 1):
-        if not unmatched:
-            break
-        trace.rounds_executed = rnd
-        prev_prices = list(state.prices) if audit else None
-        prev_cutoffs = list(state.cutoffs) if audit else None
-        if audit:
-            for bc in unmatched:
-                views[bc] = _eligible_items(state, bc)
-
-        if kernel == "det":
-            demanded, pairs = _det_round(state, unmatched)
-        else:
-            demanded, pairs = _stream_round(state, unmatched)
-
-        evicted = [state.commit(bc, jc, 1) for bc, jc in pairs]
-        unmatched = state.next_bidders(unmatched, evicted)
-
+    def step(unmatched):
+        # A copy unmatched at round start is never evicted in its own
+        # round, so the demanders that win nothing are those the commits
+        # leave unmatched. While any copy demands, every unmatched copy
+        # stays: a sibling eviction can give an empty demand set items.
+        demanded, pairs = (_det_round if kernel == "det" else _stream_round)(
+            state, unmatched)
+        won = {bc for bc, _ in pairs}
         for bc in demanded:
-            if state.assignment[bc] is None:
+            if bc not in won:
                 state.cutoffs[bc] += 1
+        return ((unmatched if demanded else []),
+                KernelMatching(pairs=[(bc, jc, 1) for bc, jc in pairs]))
 
-        if audit:
+    views: dict[int, frozenset[int]] = {}
+
+    def audited(unmatched):  # round start: keep what the check compares
+        prev_prices, prev_cutoffs = list(state.prices), list(state.cutoffs)
+        for bc in unmatched:
+            views[bc] = _eligible_items(state, bc)
+
+        def check():
             trace.notes["reopened_pairs"] += _audit_round(
                 state, prev_prices, prev_cutoffs, views)
+        return check
 
-        state.snapshot(rnd)
-
-        if not pairs and not demanded:
-            break
+    if audit:
+        trace.notes["reopened_pairs"] = 0
+    # Unmatched bidder copies with neighbours, ascending; evictions feed it.
+    trace.rounds_executed = state.run_rounds(
+        [bc for bc in range(cg.n_bidder_copies) if state.adj[cg.bidder_orig[bc]]],
+        budget, step, audited if audit else None)[0]
 
     best_pairs = tuple(sorted(
         (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))

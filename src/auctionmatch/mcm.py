@@ -108,8 +108,8 @@ def _round(state: McmState, bidders: list[int], kernel: str,
     """One round's demand sets and maximal matching, at round-start prices.
 
     Returns the bidders, ascending, whose demand set is not empty, and the
-    matching. With 'rand' their ``demand_set_mcm`` lists go to
-    ``randomized_proposal_mm``. With 'det' each bidder's adjacency is
+    matching as (i, j, 1) pairs. With 'rand' their ``demand_set_mcm`` lists
+    go to ``randomized_proposal_mm``. With 'det' each bidder's adjacency is
     scanned once: its items come ascending, so the cheapest ones below k
     come in the order ``demand_set_mcm`` lists them, and the bidder takes
     the first of them that no earlier bidder took, as ``greedy_maximal``
@@ -123,11 +123,13 @@ def _round(state: McmState, bidders: list[int], kernel: str,
             if demand:
                 demanders.append(i)
                 candidates[i] = demand
-        return demanders, randomized_proposal_mm(
+        got = randomized_proposal_mm(
             Subgraph(bidders=demanders, candidates=candidates), rng)
+        got.pairs = [(i, j, 1) for i, j in got.pairs]
+        return demanders, got
     prices, k, adj = state.prices, state.k, state.adj
     taken: set[int] = set()
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []
     for i in bidders:
         # ``pick`` is the first untaken item at the cheapest price so far.
         best = k
@@ -143,7 +145,7 @@ def _round(state: McmState, bidders: list[int], kernel: str,
             demanders.append(i)
             if pick is not None:
                 taken.add(pick)
-                pairs.append((i, pick))
+                pairs.append((i, pick, 1))
     return demanders, KernelMatching(pairs=pairs)
 
 
@@ -163,34 +165,12 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     budget = mcm_round_budget(eps)
     rng = random.Random(seed)
 
-    executed = 0
-    proposal_rounds = 0
-    proposals = 0
-    announcements = 0
-
-    # Unmatched bidders that can still bid, ascending; evictions feed it. A
-    # bidder with an empty demand set is priced out for good, since prices
-    # never fall, and leaves it. Rounds count as if it were still asked:
-    # once one is priced out, an empty worklist still runs a last round,
-    # which matches nothing and ends the run.
-    bidders = [i for i in range(inst.n_l) if state.adj[i]]
-    priced_out = False
-    for round_no in range(1, budget + 1):
-        if not bidders and not priced_out:
-            break
-        executed = round_no
-        demanders, got = _round(state, bidders, kernel, rng)
-        priced_out = priced_out or len(demanders) < len(bidders)
-        proposal_rounds += got.proposal_rounds
-        proposals += got.proposals
-        evicted = [state.commit(i, j, 1) for i, j in got.pairs]
-        bidders = state.next_bidders(demanders, evicted)
-        announcements += len(got.pairs)
-        if audit:
-            _audit_round(state)
-        state.snapshot(round_no)
-        if not got.pairs:
-            break
+    # The worklist starts with the bidders that have a neighbour; the audit
+    # keeps nothing from round start.
+    totals = state.run_rounds(
+        [i for i in range(inst.n_l) if state.adj[i]], budget,
+        lambda bidders: _round(state, bidders, kernel, rng),
+        (lambda _: lambda: _audit_round(state)) if audit else None)
 
     best_pairs = state.best_pairs()
     valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
@@ -199,8 +179,7 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
                             round_captured=state.best_round, valid=valid)
     blackboard = None
     if kernel == "rand":
-        blackboard = blackboard_trace(inst.n_r, eps.k, executed,
-                                      proposal_rounds, proposals, announcements)
-    trace = RunTrace(rounds_executed=executed, round_budget=budget,
+        blackboard = blackboard_trace(inst.n_r, eps.k, *totals)
+    trace = RunTrace(rounds_executed=totals[0], round_budget=budget,
                      blackboard=blackboard)
     return result, trace

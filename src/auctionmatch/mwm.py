@@ -239,7 +239,6 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     if not sg.edges:
         raise ValueError("scaled graph has no surviving edges")
     inst = sg.instance
-    k = eps.k
     state = _new_state(sg, eps)
     budget = phase_budget(sg.bucket_count, eps)
     rng = random.Random(seed)
@@ -248,43 +247,21 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     # The audit's edge -> weight table, built once per audited run.
     weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 
-    executed = 0
-    proposal_rounds = 0
-    proposals = 0
-    announcements = 0
+    # The stream kernel scans every unmatched bidder's edges itself, so it
+    # keeps the worklist while it matches anything.
+    def stream_step(bidders):
+        pairs = _stream_order_matching(state)
+        return (bidders if pairs else []), KernelMatching(pairs=pairs)
 
-    # Unmatched bidders that can still bid, ascending; evictions feed it. A
-    # bidder with an empty demand set is priced out for good, since prices
-    # never fall, and leaves it. Rounds count as if it were still asked:
-    # once one is priced out, an empty worklist still runs a last round,
-    # which matches nothing and ends the run.
-    unmatched = [i for i in range(inst.n_l) if state.adj[i]]
-    priced_out = False
-    for phase_no in range(1, budget + 1):
-        if not unmatched and not priced_out:
-            break
-        executed = phase_no
+    def audited(bidders):  # round start: keep the prices for monotonicity
+        prev_prices = list(state.prices)
+        return lambda: _audit_phase(state, prev_prices, optimum, weight)
 
-        if kernel == "stream":
-            pairs = _stream_order_matching(state)
-            bidding = unmatched
-        else:
-            bidding, got = _phase(state, unmatched, kernel, rng, bucket_of)
-            priced_out = priced_out or len(bidding) < len(unmatched)
-            proposal_rounds += got.proposal_rounds
-            proposals += got.proposals
-            pairs = got.pairs
-
-        prev_prices = list(state.prices) if audit else state.prices
-        evicted = [state.commit(i, j, w) for i, j, w in pairs]
-        unmatched = state.next_bidders(bidding, evicted)
-        announcements += len(pairs)
-
-        if audit:
-            _audit_phase(state, prev_prices, optimum, weight)
-        state.snapshot(phase_no)
-        if not pairs:
-            break
+    totals = state.run_rounds(
+        [i for i in range(inst.n_l) if state.adj[i]], budget,
+        stream_step if kernel == "stream"
+        else lambda bidders: _phase(state, bidders, kernel, rng, bucket_of),
+        audited if audit else None)
 
     best_pairs = state.best_pairs()
     valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
@@ -293,9 +270,8 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
                             round_captured=state.best_round, valid=valid)
     blackboard = None
     if kernel == "rand":
-        blackboard = blackboard_trace(inst.n_r, k * sg.w_max, executed,
-                                      proposal_rounds, proposals, announcements)
-    trace = RunTrace(rounds_executed=executed, round_budget=budget,
+        blackboard = blackboard_trace(inst.n_r, eps.k * sg.w_max, *totals)
+    trace = RunTrace(rounds_executed=totals[0], round_budget=budget,
                      blackboard=blackboard)
     return result, trace
 

@@ -1,8 +1,10 @@
-"""The shared auction core: commit with eviction, snapshots, result check."""
+"""The shared auction core: commit with eviction, snapshots, the round
+driver, result check."""
 
 import pytest
 
 from auctionmatch.auction import Auction, blackboard_trace, check_matching
+from auctionmatch.kernels import KernelMatching
 
 EDGES = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1))
 
@@ -82,3 +84,106 @@ def test_blackboard_trace_bit_widths():
     assert bb.rounds == 10
     assert (bb.proposal_bits_each, bb.price_bits_each) == (3, 3)
     assert bb.total_bits == 6 * 3 + 2 * 3
+
+
+class _ScriptedStep:
+    """A round step that plays ``script``, one (kept, pairs, proposal
+    rounds, proposals) entry per call, and records what each call was
+    handed; ``kept`` None keeps every bidder handed. Past the script's end
+    it keeps nothing and matches nothing."""
+
+    def __init__(self, *script):
+        self.script = list(script)
+        self.handed: list[list[int]] = []
+
+    def __call__(self, bidders):
+        self.handed.append(list(bidders))
+        if not self.script:
+            return [], KernelMatching()
+        kept, pairs, proposal_rounds, proposals = self.script.pop(0)
+        return (list(bidders) if kept is None else kept,
+                KernelMatching(pairs=pairs, proposal_rounds=proposal_rounds,
+                               proposals=proposals))
+
+
+def test_run_rounds_with_no_bidders_runs_no_round():
+    auc = _auction()
+    step = _ScriptedStep()
+    assert auc.run_rounds([], 10, step) == (0, 0, 0, 0)
+    assert step.handed == []
+    assert auc.best_round == 0
+
+
+def test_run_rounds_runs_one_empty_round_after_a_bidder_is_priced_out():
+    # every bidder kept: both win, the worklist empties, the run stops
+    auc = _auction()
+    step = _ScriptedStep((None, [(0, 0, 1), (1, 1, 1)], 0, 0))
+    assert auc.run_rounds([0, 1], 10, step)[0] == 1
+    assert step.handed == [[0, 1]]
+    # bidder 2 priced out: the empty worklist still runs a last round
+    auc = _auction()
+    step = _ScriptedStep(([0, 1], [(0, 0, 1), (1, 1, 1)], 0, 0))
+    assert auc.run_rounds([0, 1, 2], 10, step)[0] == 2
+    assert step.handed == [[0, 1, 2], []]
+    assert (auc.best_value, auc.best_round) == (2, 1)
+
+
+def test_run_rounds_stops_at_the_budget():
+    # two bidders take item 0 from each other every round
+    handed = []
+
+    def war(bidders):
+        handed.append(list(bidders))
+        return bidders, KernelMatching(pairs=[(bidders[0], 0, 1)])
+
+    auc = _auction(n_bidders=2, n_items=1)
+    assert auc.run_rounds([0, 1], 7, war) == (7, 0, 0, 7)
+    assert handed == [[0, 1], [1], [0], [1], [0], [1], [0]]
+    assert auc.prices == [7]
+
+
+def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
+    log = []
+
+    class Logged(Auction):
+        def commit(self, i, j, step):
+            log.append(("commit", i))
+            return super().commit(i, j, step)
+
+        def snapshot(self, round_no):
+            log.append(("snapshot", round_no))
+            super().snapshot(round_no)
+
+    def audit(bidders):
+        log.append(("audit", list(bidders)))
+        return lambda: log.append(("check", auc.value))
+
+    def step(bidders):
+        log.append(("step", list(bidders)))
+        return next(plays)
+
+    plays = iter([([0, 1, 2], KernelMatching(pairs=[(0, 0, 1), (1, 1, 1)])),
+                  ([2], KernelMatching(pairs=[(2, 0, 1)])),
+                  ([], KernelMatching())])
+    auc = Logged(prices=[0, 0], assignment=[None] * 3, owner=[None] * 2)
+    assert auc.run_rounds([0, 1, 2], 10, step, audit)[0] == 3
+    assert log == [
+        ("audit", [0, 1, 2]), ("step", [0, 1, 2]), ("commit", 0), ("commit", 1),
+        ("check", 2), ("snapshot", 1),
+        ("audit", [2]), ("step", [2]), ("commit", 2), ("check", 2), ("snapshot", 2),
+        ("audit", [0]), ("step", [0]), ("check", 2), ("snapshot", 3),
+    ]
+
+
+def test_run_rounds_sums_the_steps_counts():
+    auc = _auction(n_bidders=4, n_items=3)
+    step = _ScriptedStep(
+        (None, [(0, 0, 2), (1, 1, 3)], 2, 5),
+        (None, [(3, 0, 1)], 1, 3),
+        ([0], [], 4, 1),
+    )
+    # the third round keeps a bidder but matches nothing, so a fourth runs
+    assert auc.run_rounds([0, 1, 2, 3], 10, step) == (4, 7, 9, 3)
+    assert step.handed == [[0, 1, 2, 3], [2, 3], [0, 2], [0]]
+    assert auc.prices == [3, 3, 0]
+    assert (auc.best_value, auc.best_round) == (5, 1)

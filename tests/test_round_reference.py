@@ -9,14 +9,16 @@ demand and greedy pick in one scan of its adjacency, and the weighted phase
 sorts every demanded item into one (bucket, bidder, price, item, weight)
 list instead of building demand sets and a Subgraph; results, round counts
 and blackboard traces must not change, also when edge lines are not in
-item order.
+item order. The three engines run their rounds through
+``Auction.run_rounds``; the capacitated reference is a round loop of its
+own, which raises the cutoffs after the commits.
 """
 
 import random
 
 import pytest
 
-from auctionmatch import mcm, mwm
+from auctionmatch import mcbm, mcm, mwm
 from auctionmatch.auction import blackboard_trace, check_matching, phase_budget, round_budget
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
 from auctionmatch.kernels import (
@@ -26,7 +28,7 @@ from auctionmatch.kernels import (
     greedy_maximal,
     randomized_proposal_mm,
 )
-from auctionmatch.results import MatchingResult, RunTrace
+from auctionmatch.results import BMatchingResult, MatchingResult, RunTrace
 from auctionmatch.weight_reduction import run_reduced_mwm
 
 
@@ -164,6 +166,65 @@ def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
                      blackboard=blackboard))
 
 
+def _reference_run_mcbm(inst, eps, kernel="det", seed=0, audit=False):
+    cg = mcbm.expand_copies(inst)
+    state = mcbm.McbmState(cg=cg, k=eps.k)
+    budget = round_budget(eps)
+    trace = RunTrace(rounds_executed=0, round_budget=budget)
+
+    views = {}
+    if audit:
+        trace.notes["reopened_pairs"] = 0
+
+    # Unmatched bidder copies with neighbours, ascending; evictions feed it.
+    unmatched = [bc for bc in range(cg.n_bidder_copies)
+                 if state.adj[cg.bidder_orig[bc]]]
+    for rnd in range(1, budget + 1):
+        if not unmatched:
+            break
+        trace.rounds_executed = rnd
+        prev_prices = list(state.prices) if audit else None
+        prev_cutoffs = list(state.cutoffs) if audit else None
+        if audit:
+            for bc in unmatched:
+                views[bc] = mcbm._eligible_items(state, bc)
+
+        if kernel == "det":
+            demanded, pairs = mcbm._det_round(state, unmatched)
+        else:
+            demanded, pairs = mcbm._stream_round(state, unmatched)
+
+        evicted = [state.commit(bc, jc, 1) for bc, jc in pairs]
+        unmatched = state.next_bidders(unmatched, evicted)
+
+        for bc in demanded:
+            if state.assignment[bc] is None:
+                state.cutoffs[bc] += 1
+
+        if audit:
+            trace.notes["reopened_pairs"] += mcbm._audit_round(
+                state, prev_prices, prev_cutoffs, views)
+
+        state.snapshot(rnd)
+
+        if not pairs and not demanded:
+            break
+
+    best_pairs = tuple(sorted(
+        (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
+    bidder_usage, item_usage, valid = check_matching(
+        best_pairs, inst.b_l, inst.b_r, inst.edges)
+    result = BMatchingResult(
+        pairs=best_pairs,
+        cardinality=len(best_pairs),
+        round_captured=state.best_round,
+        bidder_usage=bidder_usage,
+        item_usage=item_usage,
+        valid=valid,
+    )
+    return result, trace
+
+
 def _instances(count=12):
     # more bidders than items, so that bidders get priced out
     for seed in range(count):
@@ -251,20 +312,30 @@ def test_bucket_rows_match_the_tuple_keyed_kernel(seed):
 
 @pytest.mark.parametrize("kernel", ["det", "rand"])
 def test_mcm_matches_the_every_bidder_loop(kernel, monkeypatch):
-    calls = reference_calls = 0
+    calls = reference_calls = runs_with_priced_out = 0
     for seed, inst in _instances():
         for eps in (Epsilon(2), Epsilon(4), Epsilon(inst.n_l + 1)):
             want = _reference_run_mcm(inst, eps, kernel, seed, audit=True)
             assert mcm.run_mcm(inst, eps, kernel, seed, audit=True) == want
             with monkeypatch.context() as m:
                 spy = _spy(m, mcm, "demand_set_mcm", lambda got: not got)
+                round_spy = _RoundSpy(mcm._round)
+                m.setattr(mcm, "_round", round_spy)
                 assert mcm.run_mcm(inst, eps, kernel, seed) == want
+            # one round step per round
+            assert round_spy.rounds == want[1].rounds_executed
+            runs_with_priced_out += bool(round_spy.priced_out)
             calls += spy.calls
             with monkeypatch.context() as m:
                 spy = _spy(m, mcm, "demand_set_mcm", lambda got: False)
                 _reference_run_mcm(inst, eps, kernel, seed)
             reference_calls += spy.calls
-    assert calls < reference_calls
+    assert runs_with_priced_out > 0
+    # only the 'rand' round asks demand_set_mcm; 'det' scans demand inline
+    if kernel == "rand":
+        assert calls < reference_calls
+    else:
+        assert calls == 0
 
 
 @pytest.mark.parametrize("kernel", ["det", "rand", "stream"])
@@ -437,3 +508,22 @@ def test_sorted_phase_matches_the_subgraph_path(kernel, monkeypatch):
         assert got[2].level_results == want[2].level_results
         assert got[2].level_traces == want[2].level_traces
     assert max(bucket_counts) >= 3
+
+
+@pytest.mark.parametrize("kernel", ["det", "stream"])
+def test_mcbm_matches_its_own_round_loop(kernel):
+    # capacities up to 4 give sibling copies that evict one another, and
+    # copies whose demand set is empty until such an eviction
+    reopened = 0
+    for seed in range(12):
+        inst = _shuffled(generate_random(14 + seed, 12, (0.2, 0.35, 0.6)[seed % 3],
+                                         b_l_range=(1, 4), b_r_range=(1, 4),
+                                         seed=seed), seed)
+        assert _out_of_item_order(inst)
+        for eps in (Epsilon(2), Epsilon(4), Epsilon(8)):
+            for audit in (False, True):
+                got = mcbm.run_mcbm(inst, eps, kernel, seed, audit)
+                want = _reference_run_mcbm(inst, eps, kernel, seed, audit)
+                assert got == want  # the trace's notes included
+                reopened += got[1].notes.get("reopened_pairs", 0)
+    assert reopened > 0
