@@ -208,9 +208,8 @@ class ScaledGraph:
 
     Surviving edges keep their original integer weights and order; the
     scaled weight of (i, j, w) is the exact rational w / w_max. The prune
-    threshold is eps**prune_exponent, where the exponent came from the
-    pre-prune edge count and weight spread (or was inherited, when a scaled
-    graph is re-scaled).
+    threshold is eps**prune_exponent, where the exponent comes from the
+    pre-prune edge count and weight spread.
     """
 
     instance: BipartiteInstance
@@ -225,13 +224,10 @@ class ScaledGraph:
         return len(self.edges)
 
     @property
-    def w_min_surviving(self) -> int:
-        return min(w for _, _, w in self.edges)
-
-    @property
     def bucket_count(self) -> int:
         """ceil(log_{1/eps} W) over surviving weights; 0 when all equal."""
-        return ceil_log(self.eps.k, self.w_max, self.w_min_surviving)
+        w_min = min(w for _, _, w in self.edges)
+        return ceil_log(self.eps.k, self.w_max, w_min)
 
 
 def prune_exponent(k: int, m: int, w_min: int, w_max: int) -> int:
@@ -241,27 +237,18 @@ def prune_exponent(k: int, m: int, w_min: int, w_max: int) -> int:
     return ceil_log(k, w_max, w_min) + 1
 
 
-def scale_and_prune(inst: BipartiteInstance, eps: Epsilon,
-                    threshold_exponent: int | None = None) -> ScaledGraph:
+def scale_and_prune(inst: BipartiteInstance, eps: Epsilon) -> ScaledGraph:
     """Divide weights by w_max and drop edges below eps**t.
 
-    t is ceil(log_{1/eps} min(m, W)) + 1 computed from the graph as given;
-    pass ``threshold_exponent`` to inherit the exponent of an earlier scaling
-    instead (re-scaling a scaled graph's survivors with the inherited
-    exponent changes nothing). Exact arithmetic: an edge survives iff
-    w * k**t >= w_max.
+    t is ceil(log_{1/eps} min(m, W)) + 1 computed from the graph as given.
+    Exact arithmetic: an edge survives iff w * k**t >= w_max.
     """
     if not inst.edges:
         raise ValueError("cannot scale an instance with no edges")
     k = eps.k
     w_max = inst.w_max
     m = inst.m
-    if threshold_exponent is None:
-        t = prune_exponent(k, m, inst.w_min, w_max)
-    else:
-        if threshold_exponent < 0:
-            raise ValueError("threshold exponent must be >= 0")
-        t = threshold_exponent
+    t = prune_exponent(k, m, inst.w_min, w_max)
     power = k ** t
     survivors = tuple(e for e in inst.edges if e[2] * power >= w_max)
     return ScaledGraph(

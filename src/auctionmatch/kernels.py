@@ -55,23 +55,13 @@ def _as_rng(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def greedy_maximal(sub: Subgraph, rng: random.Random | None = None) -> KernelMatching:
-    """One greedy pass; maximal because items never become free again.
-
-    Deterministic order scans bidders ascending and candidates in list
-    order. With ``rng`` both orders are shuffled instead.
-    """
-    bidders = sorted(sub.bidders)
-    if rng is not None:
-        rng.shuffle(bidders)
+def greedy_maximal(sub: Subgraph) -> KernelMatching:
+    """One greedy pass, bidders ascending and candidates in list order;
+    maximal because items never become free again."""
     taken: set[int] = set()
     out = KernelMatching()
-    for i in bidders:
-        cands = sub.candidates.get(i, [])
-        if rng is not None:
-            cands = list(cands)
-            rng.shuffle(cands)
-        for j in cands:
+    for i in sorted(sub.bidders):
+        for j in sub.candidates.get(i, []):
             if j not in taken:
                 taken.add(j)
                 out.pairs.append((i, j))
@@ -171,16 +161,16 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
 
 
 def nondup_maximal(sub: Subgraph, *, bidder_orig: dict[int, int],
-                   item_orig: dict[int, int], item_matched: set[int],
+                   item_orig: dict[int, int], owner: list[int | None],
                    held: set[tuple[int, int]]) -> KernelMatching:
     """Maximal matching on a copy graph that never pairs two copies of the
     same original (bidder, item) combination.
 
-    Runs two sub-phases: first only currently unmatched item copies (no
-    eviction needed), then everything left. ``held`` lists original pairs
-    already matched in the engine state; together with the pairs formed here
-    it blocks duplicates. Bidder copies scan ascending, candidates in list
-    order.
+    Runs two sub-phases: first only the item copies whose ``owner`` is
+    None (no eviction needed), then everything left. ``held`` lists original
+    pairs already matched in the engine state; together with the pairs
+    formed here it blocks duplicates. Bidder copies scan ascending,
+    candidates in list order.
     """
     out = KernelMatching()
     claimed_items: set[int] = set()
@@ -195,7 +185,7 @@ def nondup_maximal(sub: Subgraph, *, bidder_orig: dict[int, int],
             for jc in sub.candidates.get(ic, []):
                 if jc in claimed_items:
                     continue
-                if not allow_matched and jc in item_matched:
+                if not allow_matched and owner[jc] is not None:
                     continue
                 oj = item_orig[jc]
                 if (oi, oj) in used_pairs:

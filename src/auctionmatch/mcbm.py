@@ -74,11 +74,9 @@ class McbmState(Auction):
     """Auction state over the copy graph, one price unit per commit.
 
     ``held`` holds the original (bidder, item) pairs the copy assignment
-    covers; ``item_matched`` the owned item copies, which never become
-    free again; ``pmin[j]`` is the cheapest copy price of original item j;
-    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``,
-    ``item_matched`` and ``pmin`` in step with the copy assignment and
-    prices.
+    covers; ``pmin[j]`` is the cheapest copy price of original item j;
+    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``
+    and ``pmin`` in step with the copy assignment and prices.
     """
 
     def __init__(self, cg: CopyGraph, k: int) -> None:
@@ -89,7 +87,6 @@ class McbmState(Auction):
         self.k = k
         self.cutoffs = [0] * cg.n_bidder_copies
         self.held: set[tuple[int, int]] = set()
-        self.item_matched: set[int] = set()
         self.pmin = [0] * cg.instance.n_r
         self.adj: list[list[int]] = [[] for _ in range(cg.instance.n_l)]
         for i, j, _ in cg.instance.edges:
@@ -102,7 +99,6 @@ class McbmState(Auction):
         if prev is not None:
             self.held.discard((cg.bidder_orig[prev], oj))
         self.held.add((cg.bidder_orig[i], oj))
-        self.item_matched.add(j)
         self.pmin[oj] = min(self.prices[cg.item_start[oj]:cg.item_start[oj + 1]])
         return prev
 
@@ -251,7 +247,7 @@ def _det_round(
         sub,
         bidder_orig=cg.bidder_orig,
         item_orig=cg.item_orig,
-        item_matched=state.item_matched,
+        owner=state.owner,
         held=state.held,
     )
     return sorted(demands), got.pairs

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .auction import Auction, blackboard_trace, check_matching, phase_budget
 from .errors import InvariantViolation
-from .graph import Epsilon, ScaledGraph
+from .graph import Epsilon, ScaledGraph, ceil_log
 from .kernels import KernelMatching, bucket_sweep
 from .kernels import bucket_ordered_maximal  # noqa: F401 -- bench/tracer.py wraps mwm.bucket_ordered_maximal
 from .results import MatchingResult, RunTrace
@@ -48,17 +48,7 @@ def edge_bucket(scaled_w: Fraction, eps: Epsilon) -> int:
     num, den = scaled_w.numerator, scaled_w.denominator
     if num <= 0 or num > den:
         raise ValueError(f"scaled weight {scaled_w} outside (0, 1]")
-    return _bucket_index(num, den, eps.k)
-
-
-def _bucket_index(w: int, w_max: int, k: int) -> int:
-    """``edge_bucket`` of the scaled weight w / w_max, for 0 < w <= w_max."""
-    b = 1
-    power = 1  # k**(b-1)
-    while w * power < w_max:
-        power *= k
-        b += 1
-    return b
+    return 1 + ceil_log(eps.k, den, num)
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,7 @@ class MwmState(Auction):
     """Auction state with prices in base units 1/(k * w_max); a win at
     original weight w steps the price by w units and the value by w."""
 
-    sg: ScaledGraph
+    sg: ScaledGraph | None  # None in stream_mwm's audit state
     k: int
     adj: list[list[tuple[int, int, int]]]  # per bidder: its (i, j, w) in sg.edges
 
@@ -128,7 +118,8 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
 def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
                  weight: dict[tuple[int, int], int]) -> None:
     """Check one phase's end state; ``weight`` maps each edge (i, j) of the
-    scaled graph to its original weight."""
+    scaled graph to its original weight. Reads no ``state.sg``, so that
+    ``stream_mwm`` audits its own lists through it too."""
     k, prices = state.k, state.prices
     for j, p in enumerate(prices):
         if p < 0:
@@ -141,6 +132,10 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
             if p > 0:
                 raise InvariantViolation("positive-price-implies-matched",
                                          f"item {j} priced {p} but unmatched")
+        elif state.assignment[owner] != j:
+            raise InvariantViolation(
+                "assignment-owner-mismatch",
+                f"item {j} owner {owner} is assigned {state.assignment[owner]}")
         # The owner bid below its valuation k*w and stepped the price by w.
         elif p >= (k + 1) * weight[(owner, j)]:
             raise InvariantViolation(
@@ -167,7 +162,7 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
     # w the weight of (i, a), owned-price-bound above (a's owner is i) gives
     # u = k*w - p_a > -w, while a non-neighbor's margin less the slack is
     # -p_j - 2*w <= -2*w.
-    n_r = state.sg.instance.n_r
+    n_r = len(prices)
     for i, a in enumerate(state.assignment):
         if a is None:
             continue
@@ -194,7 +189,7 @@ def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
     for its best margin and then for the items ``demand_set_mwm`` would
     list; every demanded item goes into one list as (bucket, bidder,
     price, item, weight), sorted once for ``bucket_sweep``. ``bucket_of``
-    caches ``_bucket_index`` by weight across phases.
+    caches each weight's ``edge_bucket`` across phases.
     """
     k, prices, adj, w_max = state.k, state.prices, state.adj, state.sg.w_max
     demanders: list[int] = []
@@ -215,7 +210,7 @@ def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
             if p < v and v - p >= best - w:
                 b = bucket_of.get(w)
                 if b is None:
-                    b = bucket_of[w] = _bucket_index(w, w_max, k)
+                    b = bucket_of[w] = 1 + ceil_log(k, w_max, w)
                 ranked.append((b, i, p, j, w))
     ranked.sort()
     return demanders, bucket_sweep(ranked, rng if kernel == "rand" else None)

@@ -110,6 +110,11 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     weight range, hence the phase budget) and one pass matching edges
     greedily in stream order, exactly as the in-memory engine's stream
     kernel does.  Passes total 1 + 2 * phases.
+
+    With ``audit`` every phase end runs ``mwm._audit_phase`` on the
+    stream's own prices, owners and assignment. The audit's copy of the
+    surviving edges is kept outside the accountant and read from the first
+    pass: it checks the engine and is no part of it.
     """
     k = eps.k
     acct = SpaceAccountant()
@@ -119,7 +124,10 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     w_min = None
     n_l = n_r = 0
     acct.alloc(8, "scalars")
-    for i, j, w in stream.traverse():
+    edges = stream.traverse()
+    if audit:  # the audit's copy of the edges, taken in this pass
+        edges = list(edges)
+    for i, j, w in edges:
         m += 1
         w_max = max(w_max, w)
         w_min = w if w_min is None else min(w_min, w)
@@ -137,6 +145,20 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     has_edge = [False] * n_l
     acct.alloc(2 * n_r + 4 * n_l, "vertex-state")
 
+    if audit:
+        from .mwm import MwmState, _audit_phase
+
+        # The surviving edges per bidder and by pair, as run_mwm holds them.
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n_l)]
+        weight: dict[tuple[int, int], int] = {}
+        for e in edges:
+            i, j, w = e
+            if w >= w_cut:
+                adj[i].append(e)
+                weight[i, j] = w
+        state = MwmState(sg=None, k=k, prices=prices, assignment=assignment,
+                         owner=auc.owner, gain=auc.gain, adj=adj)
+
     budget = None
     phases = 0
 
@@ -148,6 +170,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             if not live:
                 break
         phases += 1
+        if audit:
+            prev_prices = list(prices)
 
         margin_best: dict[int, int] = {}
         if phases == 1:
@@ -195,7 +219,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             auc.commit(i, j, w)
 
         if audit:
-            _audit_mwm_stream(prices, auc.owner, assignment, auc.gain, k)
+            _audit_phase(state, prev_prices, None, weight)
         auc.snapshot(phases)
 
         acct.free(n_margins, "margins")
@@ -210,24 +234,6 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     trace = RunTrace(rounds_executed=phases, round_budget=budget or 0,
                      passes=stream.passes, peak_words=acct.peak)
     return result, trace
-
-
-def _audit_mwm_stream(prices, owner, assignment, gain, k) -> None:
-    # A bid at weight w finds the price below k * w and adds w, so an
-    # owned item stays below (k + 1) times its owner's matched weight.
-    for j, p in enumerate(prices):
-        if p < 0:
-            raise InvariantViolation("price-range", f"item {j} price {p} negative")
-        if owner[j] is not None and p >= (k + 1) * gain[owner[j]]:
-            raise InvariantViolation(
-                "price-range", f"item {j} price {p} not below (k + 1) * "
-                f"{gain[owner[j]]}, its owner's matched weight")
-        if p > 0 and owner[j] is None:
-            raise InvariantViolation("positive-price-implies-matched",
-                                     f"item {j} priced {p} but unmatched")
-        if owner[j] is not None and assignment[owner[j]] != j:
-            raise InvariantViolation("assignment-owner-mismatch",
-                                     f"item {j} owner disagrees")
 
 
 def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False

@@ -79,8 +79,28 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     else:
         solve = this.run_mcbm if mode == "memory" else this.stream_mcbm
     oracle = getattr(this, f"exact_{algo}") if verify else None
+    # A failed audit leaves every result field None.
+    report = {
+        "algo": algo,
+        "eps": str(eps),
+        "instance": {
+            "n_l": inst.n_l, "n_r": inst.n_r, "m": inst.m,
+            "sum_b_l": inst.sum_b_l, "sum_b_r": inst.sum_b_r,
+        },
+        "mode": mode,
+        "kernel": kernel,
+        "seed": seed,
+        "rounds": None,
+        "passes": None,
+        "peak_words": None,
+        "blackboard": None,
+        "result_value": None,
+        "oracle_value": None,
+        "ratio": None,
+        "audit": None,
+        "verify": None,
+    }
     t0 = time.perf_counter()
-    audit_outcome = None
     exit_code = 0
 
     try:
@@ -104,72 +124,34 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
             else:
                 res, tr = solve(this.EdgeStream.from_instance(inst), eps, audit=audit)
             value = res.cardinality
-        if audit:
-            audit_outcome = "ok"
     except InvariantViolation as exc:
-        report = {
-            "algo": algo,
-            "eps": str(eps),
-            "instance": {
-                "n_l": inst.n_l, "n_r": inst.n_r, "m": inst.m,
-                "sum_b_l": inst.sum_b_l, "sum_b_r": inst.sum_b_r,
-            },
-            "mode": mode,
-            "kernel": kernel,
-            "seed": seed,
-            "rounds": None,
-            "passes": None,
-            "peak_words": None,
-            "blackboard": None,
-            "result_value": None,
-            "oracle_value": None,
-            "ratio": None,
-            "audit": {"violated": exc.prop, "detail": str(exc)},
-            "verify": None,
-            "wall_time_s": round(time.perf_counter() - t0, 6),
-        }
+        report["audit"] = {"violated": exc.prop, "detail": str(exc)}
+        report["wall_time_s"] = round(time.perf_counter() - t0, 6)
         return report, 1
 
-    oracle_value = None
-    ratio = None
-    verify_block = None
+    if audit:
+        report["audit"] = "ok"
     if verify:
         oracle_value = oracle(inst).value
-        ratio = value / oracle_value if oracle_value else None
         ok, prop = _bound_holds(algo, mode, kernel, eps, value, oracle_value)
-        verify_block = {"passed": ok, "property": prop}
+        report["oracle_value"] = oracle_value
+        report["ratio"] = value / oracle_value if oracle_value else None
+        report["verify"] = {"passed": ok, "property": prop}
         if not ok:
             exit_code = 1
 
     streamed = mode == "stream" or (mode == "gp" and gp_schedule is not None)
-    blackboard = None
+    if streamed:
+        report["passes"] = tr.passes
+        report["peak_words"] = tr.peak_words
     if tr.blackboard is not None:
-        blackboard = {
+        report["blackboard"] = {
             "rounds": tr.blackboard.rounds,
             "proposal_rounds": tr.blackboard.proposal_rounds,
             "coordination_rounds": tr.blackboard.coordination_rounds,
             "total_bits": tr.blackboard.total_bits,
         }
-
-    report = {
-        "algo": algo,
-        "eps": str(eps),
-        "instance": {
-            "n_l": inst.n_l, "n_r": inst.n_r, "m": inst.m,
-            "sum_b_l": inst.sum_b_l, "sum_b_r": inst.sum_b_r,
-        },
-        "mode": mode,
-        "kernel": kernel,
-        "seed": seed,
-        "rounds": {"executed": tr.rounds_executed, "budget": tr.round_budget},
-        "passes": tr.passes if streamed else None,
-        "peak_words": tr.peak_words if streamed else None,
-        "blackboard": blackboard,
-        "result_value": value,
-        "oracle_value": oracle_value,
-        "ratio": ratio,
-        "audit": audit_outcome,
-        "verify": verify_block,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-    }
+    report["rounds"] = {"executed": tr.rounds_executed, "budget": tr.round_budget}
+    report["result_value"] = value
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     return report, exit_code

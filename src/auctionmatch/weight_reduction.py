@@ -39,7 +39,6 @@ def weight_bucket(w: int, w_min: int, k: int) -> int:
 class LevelGraph:
     """Edges of one copy that fall into one level of buckets."""
 
-    copy_index: int
     level: int
     edges: tuple[Edge, ...]
 
@@ -67,8 +66,6 @@ class CopyPartition:
 
 @dataclass(frozen=True)
 class WeightPartition:
-    instance: BipartiteInstance
-    eps: Epsilon
     copies: tuple[CopyPartition, ...]
 
     @property
@@ -97,11 +94,11 @@ def build_partition(inst: BipartiteInstance, eps: Epsilon) -> WeightPartition:
             else:
                 level_edges.setdefault((b - r - 1) // c, []).append(edge)
         levels = tuple(
-            LevelGraph(copy_index=r, level=lv, edges=tuple(level_edges[lv]))
+            LevelGraph(level=lv, edges=tuple(level_edges[lv]))
             for lv in sorted(level_edges)
         )
         copies.append(CopyPartition(index=r, levels=levels, removed=tuple(removed)))
-    return WeightPartition(instance=inst, eps=eps, copies=tuple(copies))
+    return WeightPartition(copies=tuple(copies))
 
 
 @dataclass(frozen=True)

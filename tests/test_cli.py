@@ -253,6 +253,10 @@ def test_run_imports_only_what_its_algo_and_mode_need(k22):
                                         "--mode", "stream"])
     assert "streaming" in streamed
     assert streamed.isdisjoint({"mwm", "mcbm", "mcm", "oracles", "criteria"})
+    # the streamed weighted audit is mwm's own
+    audited = _modules_after_run(k22, ["--algo", "mwm", "--eps", "1/4",
+                                       "--mode", "stream", "--audit"])
+    assert audited - streamed == {"mwm"}
 
 
 def test_package_names_resolve_on_first_access():

@@ -312,17 +312,6 @@ def test_prune_drops_tiny_edges():
     assert sg.pruned_count == 3
 
 
-def test_scale_is_idempotent_with_carried_exponent():
-    inst = generate_random(10, 10, 0.4, w_range=(1, 10**4), seed=1)
-    sg = scale_and_prune(inst, Epsilon(2))
-    survivors = BipartiteInstance.build(
-        inst.n_l, inst.n_r, sg.edges, b_l=inst.b_l, b_r=inst.b_r)
-    again = scale_and_prune(survivors, Epsilon(2),
-                            threshold_exponent=sg.prune_exponent)
-    assert again.edges == sg.edges
-    assert again.pruned_count == 0
-
-
 def test_scale_rejects_empty():
     inst = BipartiteInstance.build(2, 2, [])
     with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ def test_nondup_blocks_duplicate_original_pairs():
         sub,
         bidder_orig={0: 0, 1: 0},
         item_orig={0: 0, 1: 0},
-        item_matched=set(),
+        owner=[None, None],
         held=set(),
     )
     assert len(got.pairs) == 1
@@ -130,7 +130,7 @@ def test_nondup_respects_already_held_pairs():
         sub,
         bidder_orig={0: 0},
         item_orig={0: 0},
-        item_matched=set(),
+        owner=[None],
         held={(0, 0)},
     )
     assert got.pairs == []
@@ -144,7 +144,7 @@ def test_nondup_prefers_unmatched_item_copies():
         sub,
         bidder_orig={0: 0},
         item_orig={0: 0, 1: 1},
-        item_matched={0},
+        owner=[0, None],
         held=set(),
     )
     assert got.pairs == [(0, 1)]
@@ -171,7 +171,7 @@ def test_nondup_output_never_duplicates_originals(seed, caps):
         held.add((rng.randrange(n_orig), rng.randrange(n_orig)))
     got = nondup_maximal(
         sub, bidder_orig=bidder_orig, item_orig=item_orig,
-        item_matched=set(), held=held)
+        owner=[None] * len(item_orig), held=held)
     seen = set(held)
     for bc, jc in got.pairs:
         pair = (bidder_orig[bc], item_orig[jc])

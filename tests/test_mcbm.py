@@ -210,4 +210,5 @@ def test_commit_keeps_held_pairs_and_item_minima():
     assert state.commit(0, 1, 1) is None
     assert state.prices == [2, 1, 1, 0]
     assert (state.pmin, state.held) == ([1, 0], {(0, 0), (0, 1), (1, 0)})
-    assert state.item_matched == {0, 1, 2}
+    # owned item copies never become free again
+    assert state.owner == [2, 0, 1, None]

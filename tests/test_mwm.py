@@ -20,8 +20,7 @@ from auctionmatch.graph import (
     generate_random,
     scale_and_prune,
 )
-from auctionmatch.mwm import (MwmState, _bucket_index, edge_bucket, phase_budget,
-                              run_mwm)
+from auctionmatch.mwm import MwmState, edge_bucket, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
 from test_round_reference import _reference_phase
 
@@ -56,10 +55,13 @@ def test_edge_bucket_rule():
 @pytest.mark.parametrize("w_max, k", [
     (1, 2), (7, 2), (100, 3), (100, 8), (729, 3), (1000, 4), (4096, 16)])
 def test_integer_bucket_index_matches_edge_bucket(w_max, k):
-    # the engine buckets a weight from the ints (w, w_max, k), without
-    # building the reduced Fraction w / w_max
+    # edge_bucket's defining inequality eps**(b-1) <= w / w_max < eps**(b-2),
+    # in integers; the upper bound holds for b = 1 since w <= w_max < k * w_max
     for w in range(1, w_max + 1):
-        assert _bucket_index(w, w_max, k) == edge_bucket(Fraction(w, w_max), Epsilon(k))
+        b = edge_bucket(Fraction(w, w_max), Epsilon(k))
+        assert b >= 1
+        assert w * k ** (b - 1) >= w_max
+        assert b == 1 or w * k ** (b - 2) < w_max
 
 
 def test_weighted_engine_loads_neither_fractions_nor_decimal():

@@ -15,6 +15,7 @@ own, which raises the cutoffs after the commits.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from auctionmatch.kernels import (
     greedy_maximal,
     randomized_proposal_mm,
 )
+from auctionmatch.mwm import edge_bucket
 from auctionmatch.results import BMatchingResult, MatchingResult, RunTrace
 from auctionmatch.weight_reduction import run_reduced_mwm
 
@@ -119,7 +121,8 @@ def _reference_phase(state, bidders, kernel, rng, bucket_of, demand=None):
             sub.bidders.append(i)
             sub.candidates[i] = list(spec.items)
             for j, w in zip(spec.items, spec.weights):
-                buckets[(i, j)] = mwm._bucket_index(w, state.sg.w_max, state.k)
+                buckets[(i, j)] = edge_bucket(Fraction(w, state.sg.w_max),
+                                              Epsilon(state.k))
                 weight[(i, j)] = w
     got = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, rng)
     got.pairs = [(i, j, weight[(i, j)]) for i, j in got.pairs]

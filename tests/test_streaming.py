@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from auctionmatch import mcbm, streaming
+from auctionmatch.auction import Auction
+from auctionmatch.criteria import mwm_family
 from auctionmatch.errors import InstanceFormatError, InvariantViolation
 from auctionmatch.graph import (BipartiteInstance, Epsilon, generate_random,
                                 loads_instance, save_instance)
@@ -21,10 +23,10 @@ from auctionmatch.streaming import (
     STREAM_MCBM_SPACE_FACTOR,
     EdgeStream,
     SpaceAccountant,
-    _audit_mwm_stream,
     stream_mcbm,
     stream_mwm,
 )
+from auctionmatch.weight_reduction import run_reduced_mwm
 
 
 def test_stream_requires_exactly_one_source():
@@ -195,12 +197,99 @@ def test_stream_mwm_audit_accepts_prices_above_k_w_max():
     assert res.valid
 
 
+_core_commit = Auction.commit
+
+
+def _stream_audit_outcome(inst, k, commit):
+    """The property of the first violation an audited ``stream_mwm`` run on
+    ``inst`` at eps 1/k raises with ``commit`` as the core's, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Auction, "commit", commit)
+        try:
+            stream_mwm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
+        except InvariantViolation as exc:
+            return exc.prop
+    return None
+
+
 def test_stream_mwm_audit_bounds_price_by_owner_weight():
+    # one bidder buys its one item of weight w in the first phase; a commit
+    # that then sets the price shows where the shared audit draws the line
     k, w = 4, 3
+    inst = BipartiteInstance.build(1, 1, [(0, 0, w)])
+
+    def priced(price):
+        def set_price(self, i, j, step):
+            prev = _core_commit(self, i, j, step)
+            self.prices[j] = price
+            return prev
+        return set_price
+
     # (k + 1) * w - 1 is the highest price one bid at weight w can leave
-    _audit_mwm_stream([(k + 1) * w - 1, 0], [0, None], [0], [w], k)
-    with pytest.raises(InvariantViolation, match="price-range"):
-        _audit_mwm_stream([(k + 1) * w, 0], [0, None], [0], [w], k)
+    assert _stream_audit_outcome(inst, k, priced((k + 1) * w - 1)) is None
+    assert (_stream_audit_outcome(inst, k, priced((k + 1) * w))
+            == "owned-price-bound")
+
+
+def _double_step(self, i, j, step):
+    prev = _core_commit(self, i, j, step)
+    self.prices[j] += step
+    return prev
+
+
+def _lowering_commit(self, i, j, step):
+    # also takes one unit off the dearest other item's price
+    prev = _core_commit(self, i, j, step)
+    p, other = max((p, o) for o, p in enumerate(self.prices) if o != j)
+    if p > 0:
+        self.prices[other] -= 1
+    return prev
+
+
+def _misowning_commit(self, i, j, step):
+    # records the next bidder, not the winner, as the item's owner
+    prev = _core_commit(self, i, j, step)
+    self.owner[j] = (i + 1) % len(self.assignment)
+    return prev
+
+
+def test_stream_mwm_audit_catches_a_double_step():
+    # two bidders of weight 1 on one item at eps 1/3: steps of w end at
+    # price 3 < (k + 1) * w, steps of 2w reach 4
+    inst = BipartiteInstance.build(2, 1, [(0, 0, 1), (1, 0, 1)])
+    assert _stream_audit_outcome(inst, 3, _core_commit) is None
+    assert (_stream_audit_outcome(inst, 3, _double_step)
+            == "owned-price-bound")
+    caught = [_stream_audit_outcome(inst, k, _double_step)
+              for inst in mwm_family()[::10] for k in (2, 8)]
+    assert set(caught) == {None, "owned-price-bound", "weighted-happiness"}
+
+
+def test_stream_mwm_audit_catches_a_lowered_price():
+    caught = [_stream_audit_outcome(inst, k, _lowering_commit)
+              for inst in mwm_family()[::10] for k in (2, 8)]
+    assert set(caught) == {None, "price-monotonicity"}
+
+
+def test_stream_mwm_audit_names_a_corrupted_owner():
+    inst = BipartiteInstance.build(2, 1, [(0, 0, 1), (1, 0, 1)])
+    assert (_stream_audit_outcome(inst, 3, _misowning_commit)
+            == "assignment-owner-mismatch")
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_stream_mwm_audit_changes_no_result_or_trace(tmp_path, k):
+    # the audit's state is unmetered and reads no stream pass of its own
+    eps = Epsilon(k)
+    path = tmp_path / "w.gr"
+    for inst in mwm_family()[::25]:
+        save_instance(inst, path)
+        for make in (lambda: EdgeStream.from_instance(inst),
+                     lambda: EdgeStream.from_path(path)):
+            assert stream_mwm(make(), eps, audit=True) == stream_mwm(make(), eps)
+        for engine in ("stream-sequential", "stream-concurrent"):
+            assert (run_reduced_mwm(inst, eps, engine=engine, audit=True)
+                    == run_reduced_mwm(inst, eps, engine=engine))
 
 
 def test_stream_mwm_space_grows_linearly():
