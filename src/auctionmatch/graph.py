@@ -154,9 +154,12 @@ class BipartiteInstance:
         """An instance built without ``__post_init__``, for fields that
         have already passed every one of its checks: those ``_parse_lines``
         has checked (every line as it is read, duplicates per bidder once
-        the read ends), and the levels of
+        the read ends), the levels of
         ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
-        checked instance's edges, with unit capacities."""
+        checked instance's edges, with unit capacities, and the audit state
+        of ``streaming.stream_mcbm``, from a stream's first pass. A path
+        stream's edges may repeat a pair; that audit state tolerates it,
+        because its adjacency feeds only set and emptiness tests."""
         inst = object.__new__(cls)
         for name, value in (("n_l", n_l), ("n_r", n_r), ("edges", edges),
                             ("b_l", b_l), ("b_r", b_r)):

@@ -12,6 +12,7 @@ on the original graph.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .auction import Auction, check_matching
@@ -172,10 +173,8 @@ def run_mcbm(
     identical matchings.  Returns the best projection seen over rounds
     together with a trace of rounds executed against the budget.
 
-    With ``audit`` every round start records, for each unmatched bidder
-    copy, the items it may bid on (its demand view), and every round end
-    runs ``_audit_round``; ``trace.notes["reopened_pairs"]`` sums the
-    re-opened pairs it counts.
+    With ``audit`` every round runs ``_round_audit``;
+    ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
     """
     if kernel not in ("det", "stream"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -199,23 +198,14 @@ def run_mcbm(
                 KernelMatching(pairs=[(bc, jc, 1) for bc, jc in pairs]))
 
     views: dict[int, frozenset[int]] = {}
-
-    def audited(unmatched):  # round start: keep what the check compares
-        prev_prices, prev_cutoffs = list(state.prices), list(state.cutoffs)
-        for bc in unmatched:
-            views[bc] = _eligible_items(state, bc)
-
-        def check():
-            trace.notes["reopened_pairs"] += _audit_round(
-                state, prev_prices, prev_cutoffs, views)
-        return check
-
     if audit:
         trace.notes["reopened_pairs"] = 0
     # Unmatched bidder copies with neighbours, ascending; evictions feed it.
     trace.rounds_executed = state.run_rounds(
         [bc for bc in range(cg.n_bidder_copies) if state.adj[cg.bidder_orig[bc]]],
-        budget, step, audited if audit else None)[0]
+        budget, step,
+        (lambda unmatched: _round_audit(state, unmatched, views, trace.notes))
+        if audit else None)[0]
 
     best_pairs = tuple(sorted(
         (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
@@ -354,6 +344,25 @@ def _stream_round(
     return sorted(delta), pairs
 
 
+def _round_audit(state: McbmState, unmatched: list[int],
+                 views: dict[int, frozenset[int]], notes: dict) -> Callable[[], None]:
+    """The audit of one round of either capacitated engine.
+
+    Run at round start: keeps the prices and cutoffs and records, in
+    ``views``, the items each copy in ``unmatched`` may bid on (its demand
+    view). Returns the round-end check, which runs ``_audit_round`` and
+    adds its re-opened pairs to ``notes["reopened_pairs"]``.
+    """
+    prev_prices, prev_cutoffs = list(state.prices), list(state.cutoffs)
+    for bc in unmatched:
+        views[bc] = _eligible_items(state, bc)
+
+    def check() -> None:
+        notes["reopened_pairs"] += _audit_round(
+            state, prev_prices, prev_cutoffs, views)
+    return check
+
+
 def _audit_round(
     state: McbmState,
     prev_prices: list[int] | None,
@@ -434,6 +443,9 @@ def _audit_round(
                 f"item copy {jc} priced {p}/{k} but unmatched",
             )
 
+    # From here on ``pmin`` is each item's cheapest copy price and no price
+    # exceeds k, so an item's copies all cost k exactly when ``pmin`` does,
+    # and a copy can beat ``utility`` only if the cheapest one does.
     reopened = 0
     for bc in range(cg.n_bidder_copies):
         jc = state.assignment[bc]
@@ -441,8 +453,7 @@ def _audit_round(
             # An empty demand set must coincide with every copy of every
             # eligible item being priced at the full valuation k.
             empty = not find_demand_set(state, bc)
-            priced_out = all(state.prices[c] == k for j in _eligible_items(state, bc)
-                             for c in cg.item_copies(j))
+            priced_out = all(state.pmin[j] == k for j in _eligible_items(state, bc))
             if empty != priced_out:
                 raise InvariantViolation(
                     "empty-demand-characterization",
@@ -472,14 +483,16 @@ def _check_copy_happiness(
     and an item's cheapest price can rise past the copy's cutoff after it
     bought.  See the README section on the capacitated happiness check.
     """
-    cg = state.cg
+    cg, k, pmin = state.cg, state.k, state.pmin
     for j in state.adj[cg.bidder_orig[bcopy]]:
-        if j not in items:
+        # only an item whose cheapest copy beats ``utility`` is scanned,
+        # so that the first such copy is named
+        if j not in items or utility >= k - pmin[j] - 1:
             continue
         for jc in cg.item_copies(j):
-            if utility < state.k - state.prices[jc] - 1:
+            if utility < k - state.prices[jc] - 1:
                 raise InvariantViolation(
                     "copy-happiness",
-                    f"bidder copy {bcopy} utility {utility}/{state.k} but item "
-                    f"copy {jc} offers {state.k - state.prices[jc]}/{state.k}",
+                    f"bidder copy {bcopy} utility {utility}/{k} but item "
+                    f"copy {jc} offers {k - state.prices[jc]}/{k}",
                 )

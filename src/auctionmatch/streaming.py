@@ -258,19 +258,19 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     work.  The result is the same in any edge order; when a bidder's
     edges are contiguous, as ``save_instance`` and ``generate_random``
     write them, that work is paid once per bidder rather than per edge.
+
+    With ``audit`` every round runs ``mcbm._round_audit``, the in-memory
+    engine's audit, on a copy layout of the item counts (``_as_copies``),
+    and ``_check_demands`` on the first pass's demands;
+    ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
+    The audit's state is built from the first pass and kept outside the
+    accountant: it checks the engine and is no part of it.
     """
     k = eps.k
     acct = SpaceAccountant()
 
-    # The audit keeps each bidder's items and each bidder copy's demand
-    # view outside the accountant: it checks the engine and is no part of it.
-    if audit:
-        edges = [(i, j) for i, j, _ in stream.traverse()]
-        adj: list[list[int]] = [[] for _ in range(stream.n_l)]
-        for i, j in edges:
-            adj[i].append(j)
-        views: dict[int, frozenset[int]] = {}
-        reopened = 0
+    if audit:  # the audit's copy of the edges, taken in this pass
+        edges = list(stream.traverse())
     else:
         for _ in stream.traverse():
             pass
@@ -300,6 +300,16 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     has_edge = [False] * n_l
     acct.alloc(n_l, "bidder-flags")
 
+    if audit:
+        from .mcbm import McbmState, _round_audit, expand_copies
+
+        # the audit reads the stream's own cutoffs and minimum prices
+        state = McbmState(expand_copies(BipartiteInstance._checked_by_reader(
+            n_l, n_r, edges, stream.b_l, stream.b_r)), k)
+        state.cutoffs, state.pmin = cutoff, pmin
+        views: dict[int, frozenset[int]] = {}
+        notes = {"reopened_pairs": 0}
+
     budget = round_budget(eps)
     rounds = 0
 
@@ -311,18 +321,11 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 break
         rounds += 1
         if audit:
-            # Each unmatched copy's view, and those whose view holds an item
-            # below full price: the copies this round's first pass must
-            # give a demand.
-            bidding = set()
-            for i, items in enumerate(adj):
-                lo, hi = start[i], start[i + 1]
-                held = assignment[lo:hi]
-                for bc in range(lo, hi):
-                    if assignment[bc] is None:
-                        view = views[bc] = _stream_eligible(items, held, cutoff[bc], pmin)
-                        if any(pmin[j] < k for j in view):
-                            bidding.add(bc)
+            # The copies whose view holds an item below full price are those
+            # this round's first pass must give a demand.
+            unmatched = [bc for bc, j in enumerate(assignment) if j is None]
+            check = _round_audit(state, unmatched, views, notes)
+            bidding = {bc for bc in unmatched if any(pmin[j] < k for j in views[bc])}
 
         delta: dict[int, int] = {}
         claims: list[tuple[int, int]] = []
@@ -435,11 +438,9 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 cutoff[bc] += 1
 
         if audit:
-            _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
-                               pmin, n_min, n_max, b_r, k)
-            reopened += _audit_mcbm_stream_demand(adj, views, bidding, delta, start,
-                                                  assignment, held_price, cutoff,
-                                                  pmin, k)
+            _as_copies(state, assignment, held_price, n_min, n_max)
+            check()
+            _check_demands(bidding, delta, k)
 
         auc.snapshot(rounds)
 
@@ -457,66 +458,63 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     trace = RunTrace(rounds_executed=rounds, round_budget=budget,
                      passes=stream.passes, peak_words=acct.peak)
     if audit:
-        trace.notes["reopened_pairs"] = reopened
+        trace.notes = notes
     return result, trace
 
 
-def _stream_eligible(items, held, cutoff, pmin) -> frozenset[int]:
-    """Items of a bidder that its copy at ``cutoff`` may bid on: no copy of
-    the bidder holds the item (``held`` lists what its copies hold) and
-    the item's cheapest copy costs at least the cutoff. These are the
-    items both passes of a round filter on."""
-    return frozenset(j for j in items if j not in held and pmin[j] >= cutoff)
+def _as_copies(state, assignment, held_price, n_min, n_max) -> None:
+    """Lay ``stream_mcbm``'s item counts out as item copies in ``state``,
+    the ``mcbm.McbmState`` its audit reads, whose ``pmin`` is the stream's.
 
-
-def _audit_mcbm_stream(n_l, n_r, start, assignment, held_price,
-                       pmin, n_min, n_max, b_r, k) -> None:
-    for j in range(n_r):
-        if n_min[j] <= 0 and b_r[j] > 0:
-            raise InvariantViolation("item-state", f"item {j} has no copies at pmin")
-        if n_min[j] + n_max[j] != b_r[j]:
-            raise InvariantViolation("item-state", f"item {j} copy counts drift")
-        top = pmin[j] + (1 if n_max[j] else 0)
-        if top > k:
-            raise InvariantViolation("price-range", f"item {j} price {top}/{k} above 1")
-    matched = sum(1 for a in assignment if a is not None)
-    priced = sum(b_r[j] - (n_min[j] if pmin[j] == 0 else 0) for j in range(n_r))
-    if matched != priced:
-        raise InvariantViolation(
-            "positive-price-implies-matched",
-            f"{matched} matched copies vs {priced} positively priced copies")
-    per_pair: set[tuple[int, int]] = set()
-    for i in range(n_l):
-        for bc in range(start[i], start[i + 1]):
-            j = assignment[bc]
-            if j is None:
-                continue
-            if held_price[bc] < 1:
-                raise InvariantViolation("held-price", f"copy {bc} matched at price 0")
-            pair = (i, j)
-            if pair in per_pair:
-                raise InvariantViolation("one-item-match",
-                                         f"pair {pair} matched twice")
-            per_pair.add(pair)
-
-
-def _audit_mcbm_stream_demand(adj, views, bidding, delta, start, assignment,
-                              held_price, cutoff, pmin, k) -> int:
-    """The demand-view check of ``mcbm._audit_round`` on the stream state.
-
-    ``views[bc]`` holds the items bidder copy bc was eligible for at the
-    start of the last round it began unmatched, and ``bidding`` the copies
-    of this round's views with an item below full price. A copy unmatched
-    at the start of the round must have demanded (be in ``delta``) exactly
-    when it is in ``bidding``: its demand set is empty exactly when every
-    copy of every item in its view is priced k. A matched copy must be
-    happy against every item of its view at current prices: it paid at
-    most one step above the item's cheapest copy. Returns the number of
-    (bidder copy, item) pairs where a matched copy is underpaid against an
-    item that is eligible now but was not in its view, re-opened by a
-    sibling eviction or by the item's cheapest price crossing the copy's
-    cutoff; those are counted, not raised.
+    Item j's first ``n_max[j]`` copies are priced ``pmin[j] + 1`` and the
+    rest ``pmin[j]``; each holder, in ascending bidder-copy order, takes
+    the next free copy at the price it paid. Only what no layout can hold
+    is raised here; ``mcbm._audit_round`` checks the rest. A round claims
+    at most ``n_min[j]`` copies of j, so ``pmin[j]`` rises at most one step
+    a round, and the laid-out price at any position never falls.
     """
+    cg, k, pmin, prices = state.cg, state.k, state.pmin, state.prices
+    starts = cg.item_start
+    free = {}  # (item, price): [next free copy at that price, end of them]
+    for j, p in enumerate(pmin):
+        lo, hi = starts[j], starts[j + 1]
+        mid = lo + n_max[j]
+        if n_min[j] <= 0 or mid + n_min[j] != hi:
+            raise InvariantViolation(
+                "item-state", f"item {j}: {n_min[j]} copies at its minimum price "
+                f"and {n_max[j]} above it, for capacity {hi - lo}")
+        prices[lo:mid] = [p + 1] * n_max[j]
+        prices[mid:hi] = [p] * n_min[j]
+        free[j, p + 1], free[j, p] = [lo, mid], [mid, hi]
+    state.owner[:] = [None] * len(state.owner)
+    state.held.clear()
+    for bc, j in enumerate(assignment):
+        if j is None:
+            state.assignment[bc] = None
+            continue
+        paid = held_price[bc]
+        slot = free.get((j, paid))
+        if paid < 1 or slot is None:
+            raise InvariantViolation(
+                "held-price", f"bidder copy {bc} paid {paid}/{k} for item {j}, "
+                f"whose cheapest copy costs {pmin[j]}/{k}")
+        jc, end = slot
+        if jc == end:
+            raise InvariantViolation(
+                "item-state", f"item {j} has more holders at {paid}/{k} than "
+                "copies at that price")
+        slot[0] = jc + 1
+        state.assignment[bc] = jc
+        state.owner[jc] = bc
+        state.held.add((cg.bidder_orig[bc], j))
+
+
+def _check_demands(bidding: set[int], delta: dict[int, int], k: int) -> None:
+    """The check of ``stream_mcbm``'s demand pass: the copies it gave a
+    demand (``delta``) must be those unmatched at round start whose demand
+    view holds an item below full price k (``bidding``). A copy's demand
+    set is empty exactly when every copy of every item in its view is
+    priced k."""
     wrong = bidding.symmetric_difference(delta)
     if wrong:
         bc = min(wrong)
@@ -524,24 +522,3 @@ def _audit_mcbm_stream_demand(adj, views, bidding, delta, start, assignment,
             "empty-demand-characterization",
             f"bidder copy {bc}: demand empty={bc not in delta} but every "
             f"copy in its view priced {k}/{k}={bc not in bidding}")
-    reopened = 0
-    for i, items in enumerate(adj):
-        lo, hi = start[i], start[i + 1]
-        held = assignment[lo:hi]
-        for bc in range(lo, hi):
-            if assignment[bc] is None:
-                continue
-            paid, view, cut = held_price[bc], views[bc], cutoff[bc]
-            for j in view:
-                if paid > pmin[j] + 1:
-                    raise InvariantViolation(
-                        "copy-happiness",
-                        f"bidder copy {bc} paid {paid}/{k} but item {j} "
-                        f"offers a copy at {pmin[j]}/{k}")
-            # not in the view, underpaid, and eligible now (as
-            # ``_stream_eligible`` filters); most items fail the first test
-            for j in items:
-                if (j not in view and paid > pmin[j] + 1 and j not in held
-                        and pmin[j] >= cut):
-                    reopened += 1
-    return reopened

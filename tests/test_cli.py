@@ -257,6 +257,13 @@ def test_run_imports_only_what_its_algo_and_mode_need(k22):
     audited = _modules_after_run(k22, ["--algo", "mwm", "--eps", "1/4",
                                        "--mode", "stream", "--audit"])
     assert audited - streamed == {"mwm"}
+    # and the streamed capacitated audit is mcbm's own
+    capacitated = _modules_after_run(k22, ["--algo", "mcbm", "--eps", "1/4",
+                                           "--mode", "stream"])
+    assert capacitated.isdisjoint({"mwm", "mcbm", "mcm", "oracles", "criteria"})
+    audited = _modules_after_run(k22, ["--algo", "mcbm", "--eps", "1/4",
+                                       "--mode", "stream", "--audit"])
+    assert audited - capacitated == {"mcbm"}
 
 
 def test_package_names_resolve_on_first_access():

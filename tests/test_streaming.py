@@ -365,19 +365,44 @@ def test_stream_mcbm_audit_counts_reopened_pairs_as_memory_does(seed):
         plain_res, plain_tr.peak_words, plain_tr.passes)
 
 
+def _laid_out(b_l, b_r, edges, k, assignment, held_price, pmin, n_min, n_max,
+              cutoffs=None):
+    """A ``McbmState`` over the unit-weight instance on ``edges``, holding
+    ``stream_mcbm``'s count-based item state as ``streaming._as_copies``
+    lays it out for the shared audit."""
+    inst = BipartiteInstance.build(len(b_l), len(b_r), [(i, j, 1) for i, j in edges],
+                                   b_l, b_r)
+    state = mcbm.McbmState(mcbm.expand_copies(inst), k)
+    state.pmin = list(pmin)
+    if cutoffs is not None:
+        state.cutoffs = list(cutoffs)
+    streaming._as_copies(state, assignment, held_price, n_min, n_max)
+    return state
+
+
 def test_stream_mcbm_happiness_allows_one_step_above_the_view():
     # bidder 0's one copy holds item 1 while item 0, in its view, still
     # has a copy at price 0: paying 1 is within one step, paying 2 is not
     def audit(paid):
-        return streaming._audit_mcbm_stream_demand(
-            adj=[[0, 1]], views={0: frozenset({0, 1})}, bidding=set(), delta={},
-            start=[0, 1], assignment=[1], held_price=[paid], cutoff=[0],
-            pmin=[0, 1], k=4)
+        state = _laid_out([1], [1, 1], [(0, 0), (0, 1)], 4, assignment=[1],
+                          held_price=[paid], pmin=[0, paid], n_min=[1, 1],
+                          n_max=[0, 0])
+        return mcbm._audit_round(state, None, None, {0: frozenset({0, 1})})
 
     assert audit(1) == 0
     with pytest.raises(InvariantViolation) as info:
         audit(2)
     assert info.value.prop == "copy-happiness"
+
+
+def _stream_mcbm_mutant(line, mutant_line):
+    """``stream_mcbm`` with one source line replaced, and the module scope
+    it runs in."""
+    source = inspect.getsource(stream_mcbm)
+    assert source.count(line) == 1
+    scope = dict(vars(streaming))
+    exec(source.replace(line, mutant_line), scope)
+    return scope["stream_mcbm"], scope
 
 
 @pytest.mark.parametrize("line, mutant_line, prop", [
@@ -388,20 +413,51 @@ def test_stream_mcbm_happiness_allows_one_step_above_the_view():
     ("if p < k:", "if p < k - 1:", "empty-demand-characterization"),
 ])
 def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop):
-    # item counts, prices and held pairs stay consistent under either
-    # mutant, so only the demand-view check sees it
-    source = inspect.getsource(stream_mcbm)
-    assert source.count(line) == 1
-    scope = dict(vars(streaming))
-    exec(source.replace(line, mutant_line), scope)
-    mutant = scope["stream_mcbm"]
+    # Item counts, prices and held pairs stay consistent under either
+    # mutant. Without the demand check the shared audit still sees a copy
+    # that bought dearer than its view offered, but not demands that go
+    # missing.
+    mutant, scope = _stream_mcbm_mutant(line, mutant_line)
     inst = generate_random(8, 8, 0.5, b_l_range=(1, 3), b_r_range=(1, 3), seed=0)
-    scope["_audit_mcbm_stream_demand"] = lambda *args: 0
-    mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
-    scope["_audit_mcbm_stream_demand"] = streaming._audit_mcbm_stream_demand
+    scope["_check_demands"] = lambda *args: None
+    if prop == "copy-happiness":
+        with pytest.raises(InvariantViolation) as info:
+            mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+        assert info.value.prop == prop
+    else:
+        mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+    scope["_check_demands"] = streaming._check_demands
     with pytest.raises(InvariantViolation) as info:
         mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
     assert info.value.prop == prop
+
+
+def test_stream_mcbm_audit_catches_a_cutoff_reset():
+    # Every third round puts each cutoff back to 0. The stream's earlier
+    # audit, which kept no round-start cutoffs, let this run through.
+    mutant, _ = _stream_mcbm_mutant(
+        "                cutoff[bc] += 1\n",
+        "                cutoff[bc] += 1\n"
+        "        if rounds % 3 == 0:\n"
+        "            cutoff[:] = [0] * n_copies\n")
+    inst = generate_random(24, 20, 0.3, b_l_range=(1, 4), b_r_range=(1, 3), seed=0)
+    with pytest.raises(InvariantViolation) as info:
+        mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+    assert info.value.prop == "cutoff-monotonicity"
+
+
+def test_stream_mcbm_audit_catches_a_double_price_step():
+    # An item's minimum price skips a step once its last copy at the
+    # minimum is claimed, so its holders paid a price no copy has. At
+    # k = 2 no price leaves [0, k] on this instance, and the stream's
+    # earlier audit, which compared no held price with its item's prices,
+    # let the run through.
+    mutant, _ = _stream_mcbm_mutant("                pmin[j] += 1\n",
+                                    "                pmin[j] += 2\n")
+    inst = generate_random(24, 20, 0.3, b_l_range=(1, 4), b_r_range=(1, 3), seed=0)
+    with pytest.raises(InvariantViolation) as info:
+        mutant(EdgeStream.from_instance(inst), Epsilon(2), audit=True)
+    assert info.value.prop == "held-price"
 
 
 def _interleaved(inst: BipartiteInstance, seed: int) -> BipartiteInstance:
@@ -506,23 +562,82 @@ def test_blackboard_round_mean_tracks_log_bound():
 
 
 def test_stream_mcbm_audit_names_the_pair_two_copies_hold():
-    # bidder 1 has no copies; copies 1 and 2 of bidder 2 both hold item 1
+    # copies 2 and 3 of bidder 2 both hold item 1
+    state = _laid_out([1, 1, 2], [1, 2], [(0, 0), (2, 1)], 4,
+                      assignment=[0, None, 1, 1], held_price=[1, 0, 1, 1],
+                      pmin=[1, 1], n_min=[1, 2], n_max=[0, 0])
     with pytest.raises(InvariantViolation) as info:
-        streaming._audit_mcbm_stream(
-            n_l=3, n_r=2, start=[0, 1, 1, 3], assignment=[0, 1, 1],
-            held_price=[1, 1, 1], pmin=[1, 1], n_min=[1, 2], n_max=[0, 0],
-            b_r=[1, 2], k=4)
+        mcbm._audit_round(state, None, None, {})
     assert info.value.prop == "one-item-match"
-    assert "pair (2, 1) matched twice" in str(info.value)
+    assert "original pair (2, 1) matched through two copy pairs" in str(info.value)
 
 
 def test_stream_mcbm_reopened_pairs_skip_cutoff_and_sibling_items():
     # copy 0 (cutoff 2) holds item 3 and paid 4; item 1 is eligible now,
     # outside its view and cheaper by more than a step: one re-opened pair.
-    # Item 0 is as cheap but below the cutoff, and item 2 is held by
-    # sibling copy 1, so neither counts.
-    reopened = streaming._audit_mcbm_stream_demand(
-        adj=[[0, 1, 2, 3]], views={0: frozenset({3}), 1: frozenset({2})},
-        bidding=set(), delta={}, start=[0, 2], assignment=[3, 2],
-        held_price=[4, 1], cutoff=[2, 0], pmin=[0, 2, 2, 3], k=8)
-    assert reopened == 1
+    # Item 0 is cheaper still but below the cutoff, and item 2 is held by
+    # sibling copy 1, so neither counts. Bidder 1 holds item 1, so that
+    # every positively priced copy is held.
+    state = _laid_out([2, 1], [1, 1, 1, 1],
+                      [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1)], 8,
+                      assignment=[3, 2, 1], held_price=[4, 1, 2], pmin=[0, 2, 1, 4],
+                      n_min=[1] * 4, n_max=[0] * 4, cutoffs=[2, 0, 0])
+    views = {0: frozenset({3}), 1: frozenset({2}), 2: frozenset({1})}
+    assert mcbm._audit_round(state, None, None, views) == 1
+
+
+@pytest.mark.parametrize("n_min, n_max", [([1], [0]), ([0], [2]), ([3], [0])])
+def test_stream_mcbm_layout_rejects_copy_counts_that_drift(n_min, n_max):
+    # item 0 has two copies, at least one of them at its minimum price
+    with pytest.raises(InvariantViolation) as info:
+        _laid_out([1, 1], [2], [(0, 0), (1, 0)], 4, assignment=[None, None],
+                  held_price=[0, 0], pmin=[0], n_min=n_min, n_max=n_max)
+    assert info.value.prop == "item-state"
+
+
+@pytest.mark.parametrize("paid", [0, 3])
+def test_stream_mcbm_layout_rejects_a_price_no_copy_has(paid):
+    # item 0's copies cost 1 and 2; a holder paid 0 or 3
+    with pytest.raises(InvariantViolation) as info:
+        _laid_out([1, 1], [2], [(0, 0), (1, 0)], 4, assignment=[0, 0],
+                  held_price=[2, paid], pmin=[1], n_min=[1], n_max=[1])
+    assert info.value.prop == "held-price"
+
+
+def test_stream_mcbm_layout_rejects_more_holders_than_copies_at_a_price():
+    # one copy of item 0 costs 2, and two holders paid 2 for it
+    with pytest.raises(InvariantViolation) as info:
+        _laid_out([1, 1], [2], [(0, 0), (1, 0)], 4, assignment=[0, 0],
+                  held_price=[2, 2], pmin=[1], n_min=[1], n_max=[1])
+    assert info.value.prop == "item-state"
+    assert "more holders at 2/4 than copies" in str(info.value)
+
+
+def test_stream_mcbm_layout_leaves_an_unheld_priced_copy_to_the_audit():
+    # item 0's one copy costs 1 but nobody holds it: a layout holds that,
+    # and the shared audit names it
+    state = _laid_out([1], [1], [(0, 0)], 4, assignment=[None], held_price=[0],
+                      pmin=[1], n_min=[1], n_max=[0])
+    assert state.prices == [1] and state.owner == [None]
+    with pytest.raises(InvariantViolation) as info:
+        mcbm._audit_round(state, None, None, {})
+    assert info.value.prop == "positive-price-implies-matched"
+
+
+def test_stream_mcbm_counts_a_repeated_edge_once(tmp_path):
+    # bidder 0's edge to item 0 appears twice in the file; a path stream
+    # does not detect duplicates, and the audit must count each
+    # re-opened pair once, as the same instance without the repeat does
+    head = "p bm 3 2 {}\nb l 1 2\nb r 1 2\n"
+    edges = "e 1 1 1\ne 1 2 1\ne 2 1 1\n{}e 3 2 1\ne 3 1 1\n"
+    path = tmp_path / "repeat.gr"
+    path.write_text(head.format(6) + edges.format("e 1 1 1\n"))
+    once = loads_instance(head.format(5) + edges.format(""))
+    for k, reopened in ((4, 1), (8, 3)):
+        res, tr = stream_mcbm(EdgeStream.from_path(path), Epsilon(k), audit=True)
+        once_res, once_tr = stream_mcbm(EdgeStream.from_instance(once), Epsilon(k),
+                                        audit=True)
+        mem_res, mem_tr = run_mcbm(once, Epsilon(k), kernel="stream", audit=True)
+        assert (tr.notes["reopened_pairs"] == once_tr.notes["reopened_pairs"]
+                == mem_tr.notes["reopened_pairs"] == reopened)
+        assert res.pairs == once_res.pairs == mem_res.pairs
