@@ -5,8 +5,9 @@ Bertsekas: prices rise on an integer grid, each round commits one maximal
 matching over the unmatched bidders' demands, and displaced bidders bid
 again. ``Auction`` holds that state, commits with eviction, feeds the
 evicted owners back to the next round's bidders, keeps the matched value
-and the best round-end assignment, and runs the round loop around each
-engine's step; the engines report through ``check_matching`` and
+and the best round-end assignment, runs the round loop around each
+engine's step and makes the structural check every engine's audit starts
+with; the engines report through ``check_matching`` and
 ``blackboard_trace``.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolation
 from .graph import Epsilon
 from .kernels import KernelMatching
 from .results import BlackboardTrace
@@ -90,6 +92,44 @@ class Auction:
             self.best_value = self.value
             self.best_round = round_no
             self.best = list(self.assignment)
+
+    def check_prices(self, prev_prices: list[int], top: int | None = None
+                     ) -> None:
+        """The structural audit every engine's audit starts with.
+
+        Item by item: no price fell below its round-start value in
+        ``prev_prices``, every price lies in [0, top] (no upper bound when
+        ``top`` is None), an unowned item is not priced and an owned one is
+        its owner's assignment; then every assigned bidder owns its item,
+        so that ``owner`` and ``assignment`` are inverse maps.
+        """
+        owner, assignment = self.owner, self.assignment
+        for j, p in enumerate(self.prices):
+            if p < prev_prices[j]:
+                raise InvariantViolation("price-monotonicity",
+                                         f"item {j} price fell {prev_prices[j]} -> {p}")
+            if p < 0 or (top is not None and p > top):
+                raise InvariantViolation(
+                    "price-range", f"item {j} price {p} "
+                    + ("negative" if p < 0 else f"above {top}"))
+            i = owner[j]
+            if i is None:
+                if p > 0:
+                    raise InvariantViolation("positive-price-implies-matched",
+                                             f"item {j} priced {p} but unmatched")
+            elif assignment[i] != j:
+                break
+        else:
+            # Every owner is assigned its item, so only a bidder assigned
+            # an item it does not own can break the inverse.
+            i = next((i for i, j in enumerate(assignment)
+                      if j is not None and owner[j] != i), None)
+            if i is None:
+                return
+            j = assignment[i]
+        raise InvariantViolation(
+            "assignment-owner-mismatch",
+            f"bidder {i} is assigned {assignment[i]} and item {j} owned by {owner[j]}")
 
     def run_rounds(self, bidders: list[int], budget: int,
                    step: Callable[[list[int]], tuple[list[int], KernelMatching]],

@@ -2,10 +2,11 @@
 
 Every engine round boils down to one maximal matching on the bipartite
 subgraph of unmatched bidders and their demanded items. The 'rand' mcm
-round and the 'det' mcbm round hand a kernel a Subgraph whose candidate
-lists are already in scan priority order (ascending price, then id);
-``mwm._phase`` hands ``bucket_sweep`` one sorted list of candidate tuples,
-and the 'det' mcm round does its greedy inline. Kernels never read prices.
+round and the 'det' mcbm round hand a kernel that subgraph as a candidate
+dict: each demanding bidder maps to its demanded items, already in scan
+priority order (ascending price, then id); ``mwm._phase`` hands
+``bucket_sweep`` one sorted list of candidate tuples, and the 'det' mcm
+round does its greedy inline. Kernels never read prices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import groupby
 from operator import itemgetter
 
 __all__ = [
-    "Subgraph",
     "KernelMatching",
     "greedy_maximal",
     "bucket_ordered_maximal",
@@ -25,21 +25,6 @@ __all__ = [
     "nondup_maximal",
     "randomized_proposal_mm",
 ]
-
-
-@dataclass
-class Subgraph:
-    """Demand subgraph for one round.
-
-    candidates[i] lists the items bidder i demands, in scan order. buckets,
-    when present, holds one row per bidder: buckets[i][t] is the weight
-    bucket index (1 is the heaviest bucket) of candidates[i][t].
-    bucket_ordered_maximal requires it.
-    """
-
-    bidders: list[int]
-    candidates: dict[int, Sequence[int]]
-    buckets: dict[int, Sequence[int]] | None = None
 
 
 @dataclass
@@ -55,13 +40,13 @@ def _as_rng(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def greedy_maximal(sub: Subgraph) -> KernelMatching:
-    """One greedy pass, bidders ascending and candidates in list order;
-    maximal because items never become free again."""
+def greedy_maximal(candidates: dict[int, Sequence[int]]) -> KernelMatching:
+    """One greedy pass, bidders ascending and ``candidates[i]`` in list
+    order; maximal because items never become free again."""
     taken: set[int] = set()
     out = KernelMatching()
-    for i in sorted(sub.bidders):
-        for j in sub.candidates.get(i, []):
+    for i in sorted(candidates):
+        for j in candidates[i]:
             if j not in taken:
                 taken.add(j)
                 out.pairs.append((i, j))
@@ -69,19 +54,20 @@ def greedy_maximal(sub: Subgraph) -> KernelMatching:
     return out
 
 
-def randomized_proposal_mm(sub: Subgraph, seed=0) -> KernelMatching:
+def randomized_proposal_mm(candidates: dict[int, Sequence[int]], seed=0
+                           ) -> KernelMatching:
     """Folklore proposal rounds: each unmatched bidder proposes to a uniform
     random still-unmatched candidate, each item accepts its lowest-id
     proposer; repeat until no proposals are possible. Counts rounds."""
     rng = _as_rng(seed)
     out = KernelMatching()
     matched_items: set[int] = set()
-    active = sorted(i for i in sub.bidders if sub.candidates.get(i))
+    active = sorted(i for i, items in candidates.items() if items)
     while True:
         proposals: dict[int, int] = {}
         still_active = []
         for i in active:
-            avail = [j for j in sub.candidates[i] if j not in matched_items]
+            avail = [j for j in candidates[i] if j not in matched_items]
             if not avail:
                 continue
             still_active.append(i)
@@ -101,14 +87,14 @@ def randomized_proposal_mm(sub: Subgraph, seed=0) -> KernelMatching:
     return out
 
 
-def bucket_ordered_maximal(sub: Subgraph, kernel: str = "det", seed=0) -> KernelMatching:
-    """``bucket_sweep`` over a Subgraph: ``sub.buckets[i][t]`` is the
-    bucket of ``sub.candidates[i][t]``, and t keeps the bidder's scan
-    order within a bucket."""
-    if sub.buckets is None:
-        raise ValueError("bucket_ordered_maximal needs bucket indices")
-    ranked = [(b, i, t, j, 0) for i in sub.bidders
-              for t, (j, b) in enumerate(zip(sub.candidates[i], sub.buckets[i]))]
+def bucket_ordered_maximal(candidates: dict[int, Sequence[int]],
+                           buckets: dict[int, Sequence[int]], kernel: str = "det",
+                           seed=0) -> KernelMatching:
+    """``bucket_sweep`` over a candidate dict: ``buckets[i][t]`` is the
+    weight bucket (1 the heaviest) of ``candidates[i][t]``, and t keeps the
+    bidder's scan order within a bucket."""
+    ranked = [(b, i, t, j, 0) for i, items in candidates.items()
+              for t, (j, b) in enumerate(zip(items, buckets[i]))]
     ranked.sort()
     out = bucket_sweep(ranked, _as_rng(seed) if kernel == "rand" else None)
     out.pairs = [(i, j) for i, j, _ in out.pairs]
@@ -148,8 +134,7 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
                 weight[i, j] = w
         if not candidates:
             continue
-        got = randomized_proposal_mm(Subgraph(bidders=list(candidates),
-                                              candidates=candidates), rng)
+        got = randomized_proposal_mm(candidates, rng)
         out.proposal_rounds += got.proposal_rounds
         out.proposals += got.proposals
         for i, j in got.pairs:
@@ -160,7 +145,8 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
     return out
 
 
-def nondup_maximal(sub: Subgraph, *, bidder_orig: dict[int, int],
+def nondup_maximal(candidates: dict[int, Sequence[int]], *,
+                   bidder_orig: dict[int, int],
                    item_orig: dict[int, int], owner: list[int | None],
                    held: set[tuple[int, int]]) -> KernelMatching:
     """Maximal matching on a copy graph that never pairs two copies of the
@@ -170,19 +156,20 @@ def nondup_maximal(sub: Subgraph, *, bidder_orig: dict[int, int],
     None (no eviction needed), then everything left. ``held`` lists original
     pairs already matched in the engine state; together with the pairs
     formed here it blocks duplicates. Bidder copies scan ascending,
-    candidates in list order.
+    ``candidates[ic]`` in list order.
     """
     out = KernelMatching()
     claimed_items: set[int] = set()
     matched_copies: set[int] = set()
     used_pairs: set[tuple[int, int]] = set(held)
+    bidders = sorted(candidates)
 
     def sweep(allow_matched: bool) -> None:
-        for ic in sorted(sub.bidders):
+        for ic in bidders:
             if ic in matched_copies:
                 continue
             oi = bidder_orig[ic]
-            for jc in sub.candidates.get(ic, []):
+            for jc in candidates[ic]:
                 if jc in claimed_items:
                     continue
                 if not allow_matched and owner[jc] is not None:

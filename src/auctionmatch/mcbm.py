@@ -19,7 +19,7 @@ from .auction import Auction, check_matching
 from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
-from .kernels import KernelMatching, Subgraph, nondup_maximal
+from .kernels import KernelMatching, nondup_maximal
 from .results import BMatchingResult, RunTrace
 
 
@@ -232,9 +232,8 @@ def _det_round(
         d = find_demand_set(state, bc)
         if d:
             demands[bc] = d
-    sub = Subgraph(bidders=sorted(demands), candidates=demands)
     got = nondup_maximal(
-        sub,
+        demands,
         bidder_orig=cg.bidder_orig,
         item_orig=cg.item_orig,
         owner=state.owner,
@@ -365,8 +364,8 @@ def _round_audit(state: McbmState, unmatched: list[int],
 
 def _audit_round(
     state: McbmState,
-    prev_prices: list[int] | None,
-    prev_cutoffs: list[int] | None,
+    prev_prices: list[int],
+    prev_cutoffs: list[int],
     views: dict[int, frozenset[int]],
 ) -> int:
     """Check structural and happiness invariants after a round commit.
@@ -383,21 +382,14 @@ def _audit_round(
     """
     cg = state.cg
     k = state.k
+    state.check_prices(prev_prices, k)
 
-    if prev_prices is not None:
-        for jc, old in enumerate(prev_prices):
-            if state.prices[jc] < old:
-                raise InvariantViolation(
-                    "price-monotonicity",
-                    f"item copy {jc} price dropped {old} -> {state.prices[jc]}",
-                )
-    if prev_cutoffs is not None:
-        for bc, old in enumerate(prev_cutoffs):
-            if state.cutoffs[bc] < old:
-                raise InvariantViolation(
-                    "cutoff-monotonicity",
-                    f"bidder copy {bc} cutoff dropped {old} -> {state.cutoffs[bc]}",
-                )
+    for bc, old in enumerate(prev_cutoffs):
+        if state.cutoffs[bc] < old:
+            raise InvariantViolation(
+                "cutoff-monotonicity",
+                f"bidder copy {bc} cutoff dropped {old} -> {state.cutoffs[bc]}",
+            )
 
     if state.pmin != state.price_minima():
         raise InvariantViolation(
@@ -408,10 +400,6 @@ def _audit_round(
     for bc, jc in enumerate(state.assignment):
         if jc is None:
             continue
-        if state.owner[jc] != bc:
-            raise InvariantViolation(
-                "assignment-owner-mismatch", f"copy {bc} vs item copy {jc}"
-            )
         pair = (cg.bidder_orig[bc], cg.item_orig[jc])
         if pair in pair_seen:
             raise InvariantViolation(
@@ -432,20 +420,10 @@ def _audit_round(
                 f"item {j} copy prices span {min(ps)}..{max(ps)} (units of 1/{k})",
             )
 
-    for jc, p in enumerate(state.prices):
-        if not 0 <= p <= k:
-            raise InvariantViolation(
-                "price-range", f"item copy {jc} price {p}/{k} outside [0, 1]"
-            )
-        if p > 0 and state.owner[jc] is None:
-            raise InvariantViolation(
-                "positive-price-implies-matched",
-                f"item copy {jc} priced {p}/{k} but unmatched",
-            )
-
     # From here on ``pmin`` is each item's cheapest copy price and no price
     # exceeds k, so an item's copies all cost k exactly when ``pmin`` does,
     # and a copy can beat ``utility`` only if the cheapest one does.
+    pmin, held = state.pmin, state.held
     reopened = 0
     for bc in range(cg.n_bidder_copies):
         jc = state.assignment[bc]
@@ -453,7 +431,7 @@ def _audit_round(
             # An empty demand set must coincide with every copy of every
             # eligible item being priced at the full valuation k.
             empty = not find_demand_set(state, bc)
-            priced_out = all(state.pmin[j] == k for j in _eligible_items(state, bc))
+            priced_out = all(pmin[j] == k for j in _eligible_items(state, bc))
             if empty != priced_out:
                 raise InvariantViolation(
                     "empty-demand-characterization",
@@ -462,11 +440,16 @@ def _audit_round(
                 )
             continue
         utility = k - state.prices[jc]
-        _check_copy_happiness(state, bc, utility, views[bc])
-        reopened += sum(
-            1 for j in _eligible_items(state, bc) - views[bc]
-            if utility < k - state.pmin[j] - 1
-        )
+        view = views[bc]
+        _check_copy_happiness(state, bc, utility, view)
+        # The price test first: few items beat ``utility``. A set, so that
+        # an edge a path stream repeats is one pair.
+        oi, cutoff = cg.bidder_orig[bc], state.cutoffs[bc]
+        reopened += len({
+            j for j in state.adj[oi]
+            if utility < k - pmin[j] - 1 and j not in view
+            and pmin[j] >= cutoff and (oi, j) not in held
+        })
     return reopened
 
 

@@ -18,7 +18,7 @@ from .auction import Auction, blackboard_trace, check_matching
 from .auction import round_budget as mcm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
-from .kernels import KernelMatching, Subgraph, randomized_proposal_mm
+from .kernels import KernelMatching, randomized_proposal_mm
 from .kernels import greedy_maximal  # noqa: F401 -- bench/tracer.py wraps mcm.greedy_maximal
 from .results import MatchingResult, RunTrace
 
@@ -71,20 +71,9 @@ def demand_set_mcm(state: McmState, bidder: int) -> list[int]:
     return items
 
 
-def _audit_round(state: McmState) -> None:
+def _audit_round(state: McmState, prev_prices: list[int]) -> None:
     k = state.k
-    for j, p in enumerate(state.prices):
-        if p < 0 or p > k:
-            raise InvariantViolation("price-range", f"item {j} price {p}/{k} outside [0, 1]")
-        if p > 0 and state.owner[j] is None:
-            raise InvariantViolation("positive-price-implies-matched",
-                                     f"item {j} priced {p}/{k} but unmatched")
-    # Sum of matched utilities is |M| - sum of prices (exact, in 1/k units).
-    matched = [i for i, a in enumerate(state.assignment) if a is not None]
-    util_sum = sum(k - state.prices[state.assignment[i]] for i in matched)
-    if util_sum > len(matched) * k - sum(state.prices):
-        raise InvariantViolation("utility-sum",
-                                 "sum of utilities exceeds |M| - sum of prices")
+    state.check_prices(prev_prices, k)
     # eps-happiness: matched bidders, and unmatched ones whose demand set is
     # empty, satisfy u_i >= 1 - p_j - eps for every neighbor j.
     for i in range(state.inst.n_l):
@@ -115,19 +104,17 @@ def _round(state: McmState, bidders: list[int], kernel: str,
     the first of them that no earlier bidder took, as ``greedy_maximal``
     would with bidders ascending.
     """
-    demanders: list[int] = []
     if kernel == "rand":
         candidates: dict[int, list[int]] = {}
         for i in bidders:
             demand = demand_set_mcm(state, i)
             if demand:
-                demanders.append(i)
                 candidates[i] = demand
-        got = randomized_proposal_mm(
-            Subgraph(bidders=demanders, candidates=candidates), rng)
+        got = randomized_proposal_mm(candidates, rng)
         got.pairs = [(i, j, 1) for i, j in got.pairs]
-        return demanders, got
+        return list(candidates), got
     prices, k, adj = state.prices, state.k, state.adj
+    demanders: list[int] = []
     taken: set[int] = set()
     pairs: list[tuple[int, int, int]] = []
     for i in bidders:
@@ -165,12 +152,15 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     budget = mcm_round_budget(eps)
     rng = random.Random(seed)
 
-    # The worklist starts with the bidders that have a neighbour; the audit
-    # keeps nothing from round start.
+    def audited(bidders):  # round start: keep the prices for monotonicity
+        prev_prices = list(state.prices)
+        return lambda: _audit_round(state, prev_prices)
+
+    # The worklist starts with the bidders that have a neighbour.
     totals = state.run_rounds(
         [i for i in range(inst.n_l) if state.adj[i]], budget,
         lambda bidders: _round(state, bidders, kernel, rng),
-        (lambda _: lambda: _audit_round(state)) if audit else None)
+        audited if audit else None)
 
     best_pairs = state.best_pairs()
     valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,

@@ -121,23 +121,10 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
     scaled graph to its original weight. Reads no ``state.sg``, so that
     ``stream_mwm`` audits its own lists through it too."""
     k, prices = state.k, state.prices
-    for j, p in enumerate(prices):
-        if p < 0:
-            raise InvariantViolation("price-range", f"item {j} price {p} negative")
-        if p < prev_prices[j]:
-            raise InvariantViolation("price-monotonicity",
-                                     f"item {j} price fell {prev_prices[j]} -> {p}")
-        owner = state.owner[j]
-        if owner is None:
-            if p > 0:
-                raise InvariantViolation("positive-price-implies-matched",
-                                         f"item {j} priced {p} but unmatched")
-        elif state.assignment[owner] != j:
-            raise InvariantViolation(
-                "assignment-owner-mismatch",
-                f"item {j} owner {owner} is assigned {state.assignment[owner]}")
-        # The owner bid below its valuation k*w and stepped the price by w.
-        elif p >= (k + 1) * weight[(owner, j)]:
+    state.check_prices(prev_prices)
+    # The owner bid below its valuation k*w and stepped the price by w.
+    for j, (p, owner) in enumerate(zip(prices, state.owner)):
+        if owner is not None and p >= (k + 1) * weight[(owner, j)]:
             raise InvariantViolation(
                 "owned-price-bound",
                 f"item {j} price {p} not below (k + 1) * w = "

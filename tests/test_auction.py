@@ -4,6 +4,7 @@ driver, result check."""
 import pytest
 
 from auctionmatch.auction import Auction, blackboard_trace, check_matching
+from auctionmatch.errors import InvariantViolation
 from auctionmatch.kernels import KernelMatching
 
 EDGES = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1))
@@ -75,6 +76,65 @@ def test_snapshot_of_an_unmatched_run_is_empty():
     auc = _auction()
     auc.snapshot(1)
     assert (auc.best_pairs(), auc.best_value, auc.best_round) == ((), 0, 0)
+
+
+def _priced():
+    # bidder 0 holds item 0 at 2, bidder 1 item 1 at 1; item 2 is free
+    return Auction(prices=[2, 1, 0], assignment=[0, 1, None],
+                   owner=[0, 1, None])
+
+
+def test_check_prices_passes_a_consistent_state():
+    auc = _priced()
+    auc.check_prices([1, 1, 0], top=2)
+    auc.check_prices([0, 0, 0])
+    auc.prices[0] = 9  # no upper bound without ``top``
+    auc.check_prices([2, 1, 0])
+
+
+def _fallen(auc, prev_prices):
+    auc.prices[1] = 0
+
+
+def _above_top(auc, prev_prices):
+    auc.prices[0] = 3
+
+
+def _negative(auc, prev_prices):
+    auc.prices[2] = prev_prices[2] = -1  # fell nothing
+
+
+def _unowned_priced(auc, prev_prices):
+    auc.prices[2] = 1
+
+
+def _owner_elsewhere(auc, prev_prices):
+    auc.owner[1] = 2  # bidder 2 is assigned nothing
+
+
+def _assigned_unowned(auc, prev_prices):
+    auc.assignment[2] = 1  # item 1 stays owned by bidder 1
+
+
+@pytest.mark.parametrize("fault, top, prop, detail", [
+    (_fallen, 2, "price-monotonicity", "item 1 price fell 1 -> 0"),
+    (_above_top, 2, "price-range", "item 0 price 3 above 2"),
+    (_negative, None, "price-range", "item 2 price -1 negative"),
+    (_unowned_priced, None, "positive-price-implies-matched",
+     "item 2 priced 1 but unmatched"),
+    (_owner_elsewhere, 2, "assignment-owner-mismatch",
+     "bidder 2 is assigned None and item 1 owned by 2"),
+    (_assigned_unowned, None, "assignment-owner-mismatch",
+     "bidder 2 is assigned 1 and item 1 owned by 1"),
+], ids=["fallen", "above-top", "negative", "unowned-priced", "owner-elsewhere",
+        "assigned-unowned"])
+def test_check_prices_names_each_fault(fault, top, prop, detail):
+    auc = _priced()
+    prev_prices = [1, 1, 0]
+    fault(auc, prev_prices)
+    with pytest.raises(InvariantViolation) as info:
+        auc.check_prices(prev_prices, top)
+    assert (info.value.prop, info.value.detail) == (prop, detail)
 
 
 def test_blackboard_trace_bit_widths():

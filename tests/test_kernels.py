@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionmatch.kernels import (
-    Subgraph,
     bucket_ordered_maximal,
     greedy_maximal,
     nondup_maximal,
@@ -15,40 +14,39 @@ from auctionmatch.kernels import (
 )
 
 
-def _random_subgraph(rng: random.Random, n_bidders: int, n_items: int) -> Subgraph:
+def _random_candidates(rng: random.Random, n_bidders: int, n_items: int
+                       ) -> dict[int, list[int]]:
     candidates = {}
-    bidders = []
     for i in range(n_bidders):
         cands = [j for j in range(n_items) if rng.random() < 0.4]
         if cands:
-            bidders.append(i)
             candidates[i] = cands
-    return Subgraph(bidders=bidders, candidates=candidates)
+    return candidates
 
 
-def _assert_matching(sub: Subgraph, pairs) -> None:
+def _assert_matching(candidates, pairs) -> None:
     lefts = [i for i, _ in pairs]
     rights = [j for _, j in pairs]
     assert len(set(lefts)) == len(lefts)
     assert len(set(rights)) == len(rights)
     for i, j in pairs:
-        assert j in sub.candidates[i]
+        assert j in candidates[i]
 
 
-def _assert_maximal(sub: Subgraph, pairs) -> None:
+def _assert_maximal(candidates, pairs) -> None:
     lefts = {i for i, _ in pairs}
     rights = {j for _, j in pairs}
-    for i in sub.bidders:
+    for i, cands in candidates.items():
         if i in lefts:
             continue
-        assert all(j in rights for j in sub.candidates.get(i, [])), (
+        assert all(j in rights for j in cands), (
             f"bidder {i} still has a free candidate")
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_greedy_is_a_maximal_matching(seed):
     rng = random.Random(seed)
-    sub = _random_subgraph(rng, 12, 10)
+    sub = _random_candidates(rng, 12, 10)
     got = greedy_maximal(sub)
     _assert_matching(sub, got.pairs)
     _assert_maximal(sub, got.pairs)
@@ -57,7 +55,7 @@ def test_greedy_is_a_maximal_matching(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_proposal_kernel_is_a_maximal_matching(seed):
     rng = random.Random(seed)
-    sub = _random_subgraph(rng, 12, 10)
+    sub = _random_candidates(rng, 12, 10)
     got = randomized_proposal_mm(sub, seed=seed)
     _assert_matching(sub, got.pairs)
     _assert_maximal(sub, got.pairs)
@@ -67,7 +65,7 @@ def test_proposal_kernel_is_a_maximal_matching(seed):
 
 def test_proposal_kernel_is_seed_deterministic():
     rng = random.Random(3)
-    sub = _random_subgraph(rng, 10, 8)
+    sub = _random_candidates(rng, 10, 8)
     a = randomized_proposal_mm(sub, seed=42)
     b = randomized_proposal_mm(sub, seed=42)
     assert a.pairs == b.pairs
@@ -75,8 +73,7 @@ def test_proposal_kernel_is_seed_deterministic():
 
 
 def test_proposal_kernel_single_edge_takes_one_round():
-    sub = Subgraph(bidders=[0], candidates={0: [0]})
-    got = randomized_proposal_mm(sub, seed=0)
+    got = randomized_proposal_mm({0: [0]}, seed=0)
     assert got.pairs == [(0, 0)]
     assert got.proposal_rounds == 1
     assert got.proposals == 1
@@ -84,38 +81,24 @@ def test_proposal_kernel_single_edge_takes_one_round():
 
 def test_bucket_order_prefers_heavy_buckets():
     # both bidders want item 0; bidder 1's edge sits in the heavier bucket
-    sub = Subgraph(
-        bidders=[0, 1],
-        candidates={0: [0], 1: [0]},
-        buckets={0: [2], 1: [1]},
-    )
-    got = bucket_ordered_maximal(sub)
+    got = bucket_ordered_maximal({0: [0], 1: [0]}, {0: [2], 1: [1]})
     assert got.pairs == [(1, 0)]
-
-
-def test_bucket_order_requires_buckets():
-    sub = Subgraph(bidders=[0], candidates={0: [0]})
-    with pytest.raises(ValueError):
-        bucket_ordered_maximal(sub)
 
 
 @pytest.mark.parametrize("kernel,seed", [("det", 0), ("rand", 1), ("rand", 7)])
 def test_bucket_order_is_maximal_across_buckets(kernel, seed):
     rng = random.Random(9)
-    sub = _random_subgraph(rng, 12, 10)
-    sub.buckets = {
-        i: [1 + (i + j) % 3 for j in sub.candidates[i]] for i in sub.bidders
-    }
-    got = bucket_ordered_maximal(sub, kernel=kernel, seed=seed)
+    sub = _random_candidates(rng, 12, 10)
+    buckets = {i: [1 + (i + j) % 3 for j in cands] for i, cands in sub.items()}
+    got = bucket_ordered_maximal(sub, buckets, kernel=kernel, seed=seed)
     _assert_matching(sub, got.pairs)
     _assert_maximal(sub, got.pairs)
 
 
 def test_nondup_blocks_duplicate_original_pairs():
     # copies 0,1 of bidder 0 both demand copies 0,1 of item 0
-    sub = Subgraph(bidders=[0, 1], candidates={0: [0, 1], 1: [0, 1]})
     got = nondup_maximal(
-        sub,
+        {0: [0, 1], 1: [0, 1]},
         bidder_orig={0: 0, 1: 0},
         item_orig={0: 0, 1: 0},
         owner=[None, None],
@@ -125,9 +108,8 @@ def test_nondup_blocks_duplicate_original_pairs():
 
 
 def test_nondup_respects_already_held_pairs():
-    sub = Subgraph(bidders=[0], candidates={0: [0]})
     got = nondup_maximal(
-        sub,
+        {0: [0]},
         bidder_orig={0: 0},
         item_orig={0: 0},
         owner=[None],
@@ -139,9 +121,8 @@ def test_nondup_respects_already_held_pairs():
 def test_nondup_prefers_unmatched_item_copies():
     # copy 0 of the item is matched, copy 1 free; candidate order lists the
     # matched copy first but the first sweep only touches free copies
-    sub = Subgraph(bidders=[0], candidates={0: [0, 1]})
     got = nondup_maximal(
-        sub,
+        {0: [0, 1]},
         bidder_orig={0: 0},
         item_orig={0: 0, 1: 1},
         owner=[0, None],
@@ -160,12 +141,11 @@ def test_nondup_output_never_duplicates_originals(seed, caps):
     for c in range(n_orig * caps):
         bidder_orig[c] = c // caps
         item_orig[c] = c // caps
-    sub = Subgraph(bidders=[], candidates={})
+    sub = {}
     for bc in bidder_orig:
         cands = [jc for jc in item_orig if rng.random() < 0.5]
         if cands:
-            sub.bidders.append(bc)
-            sub.candidates[bc] = cands
+            sub[bc] = cands
     held = set()
     if rng.random() < 0.5:
         held.add((rng.randrange(n_orig), rng.randrange(n_orig)))

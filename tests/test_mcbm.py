@@ -165,7 +165,7 @@ def test_happiness_audit_raises_on_underpaid_demand_view():
     state = _underpaid_state()
     views = {0: frozenset({0, 1}), 2: frozenset()}
     with pytest.raises(InvariantViolation) as info:
-        _audit_round(state, None, None, views)
+        _audit_round(state, state.prices, state.cutoffs, views)
     assert info.value.prop == "copy-happiness"
 
 
@@ -173,28 +173,28 @@ def test_happiness_audit_counts_item_sibling_held_at_demand_time():
     state = _underpaid_state()
     # item 0 was held by a sibling copy when copy 0 demanded
     views = {0: frozenset({1}), 2: frozenset()}
-    assert _audit_round(state, None, None, views) == 1
+    assert _audit_round(state, state.prices, state.cutoffs, views) == 1
 
 
 def test_audit_raises_on_stale_item_minimum():
     state = _underpaid_state()
     views = {0: frozenset({1}), 2: frozenset()}
-    assert _audit_round(state, None, None, views) == 1
+    assert _audit_round(state, state.prices, state.cutoffs, views) == 1
     state.pmin[1] = 0  # item 1's copies cost 2 and 1
     with pytest.raises(InvariantViolation) as info:
-        _audit_round(state, None, None, views)
+        _audit_round(state, state.prices, state.cutoffs, views)
     assert info.value.prop == "item-min-drift"
 
 
 def test_audit_raises_when_demand_is_empty_below_full_price(monkeypatch):
     state = _underpaid_state()
     views = {0: frozenset({1}), 2: frozenset()}
-    assert _audit_round(state, None, None, views) == 1
+    assert _audit_round(state, state.prices, state.cutoffs, views) == 1
     # unmatched copy 1 of bidder 0 may still buy item 0 at price 0, so a
     # demand rule that gives up on it must trip the audit
     monkeypatch.setattr(mcbm, "find_demand_set", lambda state, bcopy: [])
     with pytest.raises(InvariantViolation) as info:
-        _audit_round(state, None, None, views)
+        _audit_round(state, state.prices, state.cutoffs, views)
     assert info.value.prop == "empty-demand-characterization"
 
 

@@ -1,9 +1,15 @@
 """Cardinality auction engine."""
 
+import itertools
+
 import pytest
 
+from auctionmatch import mcm
+from auctionmatch.auction import Auction
+from auctionmatch.criteria import mcm_family
+from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
-from auctionmatch.mcm import demand_set_mcm, mcm_round_budget, run_mcm
+from auctionmatch.mcm import McmState, demand_set_mcm, mcm_round_budget, run_mcm
 from auctionmatch.oracles import exact_mcm
 
 
@@ -106,3 +112,73 @@ def test_blackboard_trace_shape():
     assert bb.rounds == bb.proposal_rounds + bb.coordination_rounds
     _, tr_det = run_mcm(inst, Epsilon(2), kernel="det")
     assert tr_det.blackboard is None
+
+
+def _unstructured_audit(state, prev_prices):
+    """mcm._audit_round as it was before it started with
+    ``Auction.check_prices``: price range, priced implies matched, the
+    utility sum and eps-happiness, with no round-start prices and no
+    owner check."""
+    k = state.k
+    for j, p in enumerate(state.prices):
+        if p < 0 or p > k:
+            raise InvariantViolation("price-range", f"item {j} price {p}/{k}")
+        if p > 0 and state.owner[j] is None:
+            raise InvariantViolation("positive-price-implies-matched", f"item {j}")
+    matched = [i for i, a in enumerate(state.assignment) if a is not None]
+    if (sum(k - state.prices[state.assignment[i]] for i in matched)
+            > len(matched) * k - sum(state.prices)):
+        raise InvariantViolation("utility-sum", "")
+    for i in range(state.inst.n_l):
+        a = state.assignment[i]
+        if a is not None:
+            u = k - state.prices[a]
+        elif not demand_set_mcm(state, i):
+            u = 0
+        else:
+            continue
+        for j in state.adj[i]:
+            if u < k - state.prices[j] - 1:
+                raise InvariantViolation("eps-happiness", f"bidder {i} item {j}")
+
+
+def _leave_evicted_assigned(state, evicted, item):
+    if evicted is not None:
+        state.assignment[evicted] = item
+
+
+def _lower_another_price(state, evicted, item):
+    priced = [j for j, p in enumerate(state.prices) if j != item and p > 0]
+    if priced:
+        state.prices[priced[0]] -= 1
+
+
+@pytest.mark.parametrize("fault, every, prop", [
+    (_leave_evicted_assigned, 3, "assignment-owner-mismatch"),
+    (_lower_another_price, 7, "price-monotonicity"),
+], ids=["evicted-left-assigned", "lowered-price"])
+@pytest.mark.parametrize("index", [1, 3, 7])
+def test_audit_catches_a_commit_fault_the_unstructured_audit_missed(
+        fault, every, prop, index, monkeypatch):
+    # Every ``every``-th commit also does ``fault``. The audit without
+    # round-start prices or an owner check lets these runs through.
+    inst = mcm_family()[index]
+
+    def run(audit_round):
+        count = itertools.count(1)
+
+        def commit(self, i, j, step):
+            evicted = Auction.commit(self, i, j, step)
+            if next(count) % every == 0:
+                fault(self, evicted, j)
+            return evicted
+
+        with monkeypatch.context() as m:
+            m.setattr(McmState, "commit", commit)
+            m.setattr(mcm, "_audit_round", audit_round)
+            run_mcm(inst, Epsilon(4), audit=True)
+
+    run(_unstructured_audit)
+    with pytest.raises(InvariantViolation) as info:
+        run(mcm._audit_round)
+    assert info.value.prop == prop

@@ -7,7 +7,7 @@ bidder whose demand set came back empty (prices never fall, so it can never
 demand again), the deterministic cardinality round finds each bidder's
 demand and greedy pick in one scan of its adjacency, and the weighted phase
 sorts every demanded item into one (bucket, bidder, price, item, weight)
-list instead of building demand sets and a Subgraph; results, round counts
+list instead of building demand sets and a candidate dict; results, round counts
 and blackboard traces must not change, also when edge lines are not in
 item order. The three engines run their rounds through
 ``Auction.run_rounds``; the capacitated reference is a round loop of its
@@ -24,7 +24,6 @@ from auctionmatch.auction import blackboard_trace, check_matching, phase_budget,
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
 from auctionmatch.kernels import (
     KernelMatching,
-    Subgraph,
     bucket_ordered_maximal,
     greedy_maximal,
     randomized_proposal_mm,
@@ -34,23 +33,22 @@ from auctionmatch.results import BMatchingResult, MatchingResult, RunTrace
 from auctionmatch.weight_reduction import run_reduced_mwm
 
 
-def _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel="det", seed=0):
+def _tuple_keyed_bucket_ordered_maximal(candidates, buckets, kernel="det", seed=0):
     """bucket_ordered_maximal over ``buckets`` keyed by (bidder, item),
     one rescan of every candidate per bucket."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     matched_bidders, matched_items = set(), set()
     out = KernelMatching()
     for b in sorted(set(buckets.values())):
-        layer = Subgraph(bidders=[], candidates={})
-        for i in sub.bidders:
+        layer = {}
+        for i, items in candidates.items():
             if i in matched_bidders:
                 continue
-            cands = [j for j in sub.candidates.get(i, [])
+            cands = [j for j in items
                      if j not in matched_items and buckets.get((i, j)) == b]
             if cands:
-                layer.bidders.append(i)
-                layer.candidates[i] = cands
-        if not layer.bidders:
+                layer[i] = cands
+        if not layer:
             continue
         if kernel == "rand":
             got = randomized_proposal_mm(layer, rng)
@@ -76,12 +74,12 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
         if not bidders:
             break
         executed = round_no
-        sub = Subgraph(bidders=[], candidates={})
+        prev_prices = list(state.prices)
+        sub = {}
         for i in bidders:
             demand = mcm.demand_set_mcm(state, i)
             if demand:
-                sub.bidders.append(i)
-                sub.candidates[i] = demand
+                sub[i] = demand
         if kernel == "rand":
             got = randomized_proposal_mm(sub, rng)
             proposal_rounds += got.proposal_rounds
@@ -92,7 +90,7 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
         bidders = state.next_bidders(bidders, evicted)
         announcements += len(got.pairs)
         if audit:
-            mcm._audit_round(state)
+            mcm._audit_round(state, prev_prices)
         state.snapshot(round_no)
         if not got.pairs:
             break
@@ -110,23 +108,22 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
 
 def _reference_phase(state, bidders, kernel, rng, bucket_of, demand=None):
     """mwm._phase as the path it replaced: a demand set per bidder, a
-    Subgraph of them, and the tuple-keyed bucket kernel. ``demand`` defaults
+    candidate dict of them, and the tuple-keyed bucket kernel. ``demand`` defaults
     to ``mwm.demand_set_mwm``; ``bucket_of`` is not used."""
     demand = demand or mwm.demand_set_mwm
-    sub = Subgraph(bidders=[], candidates={})
+    sub = {}
     buckets, weight = {}, {}
     for i in bidders:
         spec = demand(state, i)
         if spec.items:
-            sub.bidders.append(i)
-            sub.candidates[i] = list(spec.items)
+            sub[i] = list(spec.items)
             for j, w in zip(spec.items, spec.weights):
                 buckets[(i, j)] = edge_bucket(Fraction(w, state.sg.w_max),
                                               Epsilon(state.k))
                 weight[(i, j)] = w
     got = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, rng)
     got.pairs = [(i, j, weight[(i, j)]) for i, j in got.pairs]
-    return sub.bidders, got
+    return list(sub), got
 
 
 def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
@@ -298,16 +295,14 @@ def test_bucket_rows_match_the_tuple_keyed_kernel(seed):
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(1, 14)
-        sub = Subgraph(bidders=[], candidates={}, buckets={})
-        buckets = {}
+        sub, rows, buckets = {}, {}, {}
         for i in rng.sample(range(2 * n), n):  # bidders in no fixed order
             cands = rng.sample(range(n), rng.randint(1, n))
-            sub.bidders.append(i)
-            sub.candidates[i] = cands
-            sub.buckets[i] = [rng.randint(1, 4) for _ in cands]
-            buckets.update(zip(((i, j) for j in cands), sub.buckets[i]))
+            sub[i] = cands
+            rows[i] = [rng.randint(1, 4) for _ in cands]
+            buckets.update(zip(((i, j) for j in cands), rows[i]))
         for kernel, kernel_seed in [("det", 0)] + [("rand", s) for s in range(4)]:
-            got = bucket_ordered_maximal(sub, kernel=kernel, seed=kernel_seed)
+            got = bucket_ordered_maximal(sub, rows, kernel=kernel, seed=kernel_seed)
             want = _tuple_keyed_bucket_ordered_maximal(sub, buckets, kernel, kernel_seed)
             assert (got.pairs, got.proposal_rounds, got.proposals) == (
                 want.pairs, want.proposal_rounds, want.proposals)
@@ -414,7 +409,7 @@ def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
         return inner_demand(state, i)
 
     def logged_kernel(sub, *args, **kwargs):
-        log.append(("kernel", list(sub.bidders)))
+        log.append(("kernel", list(sub)))
         return inner_kernel(sub, *args, **kwargs)
 
     monkeypatch.setattr(mcm, "demand_set_mcm", logged_demand)

@@ -387,7 +387,8 @@ def test_stream_mcbm_happiness_allows_one_step_above_the_view():
         state = _laid_out([1], [1, 1], [(0, 0), (0, 1)], 4, assignment=[1],
                           held_price=[paid], pmin=[0, paid], n_min=[1, 1],
                           n_max=[0, 0])
-        return mcbm._audit_round(state, None, None, {0: frozenset({0, 1})})
+        return mcbm._audit_round(state, state.prices, state.cutoffs,
+                                 {0: frozenset({0, 1})})
 
     assert audit(1) == 0
     with pytest.raises(InvariantViolation) as info:
@@ -567,7 +568,7 @@ def test_stream_mcbm_audit_names_the_pair_two_copies_hold():
                       assignment=[0, None, 1, 1], held_price=[1, 0, 1, 1],
                       pmin=[1, 1], n_min=[1, 2], n_max=[0, 0])
     with pytest.raises(InvariantViolation) as info:
-        mcbm._audit_round(state, None, None, {})
+        mcbm._audit_round(state, state.prices, state.cutoffs, {})
     assert info.value.prop == "one-item-match"
     assert "original pair (2, 1) matched through two copy pairs" in str(info.value)
 
@@ -583,7 +584,7 @@ def test_stream_mcbm_reopened_pairs_skip_cutoff_and_sibling_items():
                       assignment=[3, 2, 1], held_price=[4, 1, 2], pmin=[0, 2, 1, 4],
                       n_min=[1] * 4, n_max=[0] * 4, cutoffs=[2, 0, 0])
     views = {0: frozenset({3}), 1: frozenset({2}), 2: frozenset({1})}
-    assert mcbm._audit_round(state, None, None, views) == 1
+    assert mcbm._audit_round(state, state.prices, state.cutoffs, views) == 1
 
 
 @pytest.mark.parametrize("n_min, n_max", [([1], [0]), ([0], [2]), ([3], [0])])
@@ -620,7 +621,7 @@ def test_stream_mcbm_layout_leaves_an_unheld_priced_copy_to_the_audit():
                       pmin=[1], n_min=[1], n_max=[0])
     assert state.prices == [1] and state.owner == [None]
     with pytest.raises(InvariantViolation) as info:
-        mcbm._audit_round(state, None, None, {})
+        mcbm._audit_round(state, state.prices, state.cutoffs, {})
     assert info.value.prop == "positive-price-implies-matched"
 
 
