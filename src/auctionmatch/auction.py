@@ -14,7 +14,6 @@ with; the engines report through ``check_matching`` and
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
 from .graph import Epsilon
@@ -42,7 +41,6 @@ def phase_budget(bucket_count: int, eps: Epsilon) -> int:
     return max(1, 2 * (bucket_count * bucket_count + 2) * k ** 4)
 
 
-@dataclass(kw_only=True)
 class Auction:
     """Prices, assignment and its inverse ``owner``, in integer grid units.
 
@@ -51,18 +49,19 @@ class Auction:
     ``best_round``, the earliest round that reached ``best_value``.
     """
 
-    prices: list[int]
-    assignment: list[int | None]
-    owner: list[int | None]
-    gain: list[int] | None = None  # one zero per bidder when not given
-    value: int = 0
-    best: list[int | None] = field(default_factory=list)
-    best_value: int = 0
-    best_round: int = 0
-
-    def __post_init__(self) -> None:
-        if self.gain is None:
-            self.gain = [0] * len(self.assignment)
+    def __init__(self, *, prices: list[int], assignment: list[int | None],
+                 owner: list[int | None], gain: list[int] | None = None,
+                 value: int = 0, best: list[int | None] | None = None,
+                 best_value: int = 0, best_round: int = 0) -> None:
+        self.prices = prices
+        self.assignment = assignment
+        self.owner = owner
+        # one zero per bidder when not given
+        self.gain = [0] * len(assignment) if gain is None else gain
+        self.value = value
+        self.best = [] if best is None else best
+        self.best_value = best_value
+        self.best_round = best_round
 
     def commit(self, i: int, j: int, step: int) -> int | None:
         """Give item j to bidder i, evicting its owner; the price and the

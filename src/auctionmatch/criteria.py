@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvariantViolation
@@ -28,14 +27,16 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass
 class CriterionOutcome:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    failures: list[str] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    def __init__(self, number: int, name: str, passed: bool, detail: str,
+                 failures: list[str] | None = None, stats: dict | None = None
+                 ) -> None:
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.failures = [] if failures is None else failures
+        self.stats = {} if stats is None else stats
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

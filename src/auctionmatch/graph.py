@@ -12,8 +12,8 @@ import io
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import InstanceFormatError
 
@@ -35,15 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """Accuracy parameter eps = 1/k for an integer k >= 2."""
-
+class _EpsilonFields(NamedTuple):
     k: int
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"eps must be 1/k with integer k >= 2, got k={self.k!r}")
+
+class Epsilon(_EpsilonFields):
+    """Accuracy parameter eps = 1/k for an integer k >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int) -> "Epsilon":
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"eps must be 1/k with integer k >= 2, got k={k!r}")
+        return super().__new__(cls, k)
 
     def __str__(self) -> str:
         return f"1/{self.k}"
@@ -97,8 +101,15 @@ def _first_repeat(n_l: int, edges) -> int | None:
     return None  # unreachable: a repeating row holds a repeat
 
 
-@dataclass(frozen=True)
-class BipartiteInstance:
+class _InstanceFields(NamedTuple):
+    n_l: int
+    n_r: int
+    edges: tuple[tuple[int, int, int], ...]
+    b_l: tuple[int, ...]
+    b_r: tuple[int, ...]
+
+
+class BipartiteInstance(_InstanceFields):
     """A bipartite graph with integer edge weights and vertex capacities.
 
     Bidders are 0..n_l-1 on the left, items 0..n_r-1 on the right. Edges keep
@@ -107,25 +118,22 @@ class BipartiteInstance:
     by the size of the opposite side.
     """
 
-    n_l: int
-    n_r: int
-    edges: tuple[tuple[int, int, int], ...]
-    b_l: tuple[int, ...]
-    b_r: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n_l, n_r = self.n_l, self.n_r
+    def __new__(cls, n_l: int, n_r: int, edges: tuple[tuple[int, int, int], ...],
+                b_l: tuple[int, ...], b_r: tuple[int, ...]) -> "BipartiteInstance":
+        inst = super().__new__(cls, n_l, n_r, edges, b_l, b_r)
         if n_l < 1 or n_r < 1:
             raise ValueError("both sides need at least one vertex")
-        if len(self.b_l) != n_l or len(self.b_r) != n_r:
+        if len(b_l) != n_l or len(b_r) != n_r:
             raise ValueError("capacity vectors must cover every vertex")
-        for i, b in enumerate(self.b_l):
+        for i, b in enumerate(b_l):
             if not 1 <= b <= n_r:
                 raise ValueError(f"bidder {i} capacity {b} outside [1, {n_r}]")
-        for j, b in enumerate(self.b_r):
+        for j, b in enumerate(b_r):
             if not 1 <= b <= n_l:
                 raise ValueError(f"item {j} capacity {b} outside [1, {n_l}]")
-        edges, error = self.edges, None
+        error = None
         for k, (i, j, w) in enumerate(edges):
             if type(i) is not int or type(j) is not int:
                 error = f"edge ({i}, {j}) has a non-integer endpoint"
@@ -147,12 +155,13 @@ class BipartiteInstance:
             raise ValueError(f"duplicate edge ({i}, {j})")
         if error is not None:
             raise ValueError(error)
+        return inst
 
     @classmethod
     def _checked_by_reader(cls, n_l: int, n_r: int, edges, b_l, b_r
                            ) -> "BipartiteInstance":
-        """An instance built without ``__post_init__``, for fields that
-        have already passed every one of its checks: those ``_parse_lines``
+        """An instance built without the checks of ``__new__``, for fields
+        that have already passed every one of them: those ``_parse_lines``
         has checked (every line as it is read, duplicates per bidder once
         the read ends), the levels of
         ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
@@ -160,11 +169,7 @@ class BipartiteInstance:
         of ``streaming.stream_mcbm``, from a stream's first pass. A path
         stream's edges may repeat a pair; that audit state tolerates it,
         because its adjacency feeds only set and emptiness tests."""
-        inst = object.__new__(cls)
-        for name, value in (("n_l", n_l), ("n_r", n_r), ("edges", edges),
-                            ("b_l", b_l), ("b_r", b_r)):
-            object.__setattr__(inst, name, value)
-        return inst
+        return tuple.__new__(cls, (n_l, n_r, edges, b_l, b_r))
 
     @classmethod
     def build(cls, n_l: int, n_r: int, edges, b_l=None, b_r=None) -> "BipartiteInstance":
@@ -205,8 +210,7 @@ class BipartiteInstance:
         return all(b == 1 for b in self.b_l) and all(b == 1 for b in self.b_r)
 
 
-@dataclass(frozen=True)
-class ScaledGraph:
+class ScaledGraph(NamedTuple):
     """An instance rescaled by its maximum weight, with tiny edges pruned.
 
     Surviving edges keep their original integer weights and order; the

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
@@ -27,13 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class KernelMatching:
     """Pairs plus the communication stats randomized kernels accumulate."""
 
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    proposal_rounds: int = 0
-    proposals: int = 0
+    def __init__(self, pairs: list[tuple[int, int]] | None = None,
+                 proposal_rounds: int = 0, proposals: int = 0) -> None:
+        self.pairs = [] if pairs is None else pairs
+        self.proposal_rounds = proposal_rounds
+        self.proposals = proposals
 
 
 def _as_rng(seed) -> random.Random:

@@ -13,7 +13,7 @@ on the original graph.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .auction import Auction, check_matching
 from .auction import round_budget as mcbm_round_budget
@@ -23,8 +23,7 @@ from .kernels import KernelMatching, nondup_maximal
 from .results import BMatchingResult, RunTrace
 
 
-@dataclass(frozen=True)
-class CopyGraph:
+class CopyGraph(NamedTuple):
     """Expanded unit-capacity view of a capacitated instance."""
 
     instance: BipartiteInstance
@@ -427,11 +426,14 @@ def _audit_round(
     reopened = 0
     for bc in range(cg.n_bidder_copies):
         jc = state.assignment[bc]
+        oi, cutoff = cg.bidder_orig[bc], state.cutoffs[bc]
         if jc is None:
             # An empty demand set must coincide with every copy of every
-            # eligible item being priced at the full valuation k.
+            # eligible item, as ``_eligible_items`` filters them, being
+            # priced at the full valuation k.
             empty = not find_demand_set(state, bc)
-            priced_out = all(pmin[j] == k for j in _eligible_items(state, bc))
+            priced_out = all(pmin[j] == k for j in state.adj[oi]
+                             if (oi, j) not in held and pmin[j] >= cutoff)
             if empty != priced_out:
                 raise InvariantViolation(
                     "empty-demand-characterization",
@@ -444,7 +446,6 @@ def _audit_round(
         _check_copy_happiness(state, bc, utility, view)
         # The price test first: few items beat ``utility``. A set, so that
         # an edge a path stream repeats is one pair.
-        oi, cutoff = cg.bidder_orig[bc], state.cutoffs[bc]
         reopened += len({
             j for j in state.adj[oi]
             if utility < k - pmin[j] - 1 and j not in view

@@ -12,7 +12,6 @@ eps = 1/(n_l + 1) the result is exactly optimal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .auction import Auction, blackboard_trace, check_matching
 from .auction import round_budget as mcm_round_budget
@@ -25,15 +24,17 @@ from .results import MatchingResult, RunTrace
 __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
 
 
-@dataclass(kw_only=True)
 class McmState(Auction):
     """Auction state whose prices are integers in [0, k] counting units of
     1/k; every commit steps a price by one unit and the value by one.
     ``adj[i]`` lists bidder i's items ascending."""
 
-    inst: BipartiteInstance
-    k: int
-    adj: list[list[int]]
+    def __init__(self, *, inst: BipartiteInstance, k: int, adj: list[list[int]],
+                 **auction) -> None:
+        super().__init__(**auction)
+        self.inst = inst
+        self.k = k
+        self.adj = adj
 
 
 def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:

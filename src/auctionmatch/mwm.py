@@ -17,8 +17,7 @@ suite against exact oracles rather than re-derived here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .auction import Auction, blackboard_trace, check_matching, phase_budget
 from .errors import InvariantViolation
@@ -51,8 +50,7 @@ def edge_bucket(scaled_w: Fraction, eps: Epsilon) -> int:
     return 1 + ceil_log(eps.k, den, num)
 
 
-@dataclass(frozen=True)
-class DemandSpec:
+class DemandSpec(NamedTuple):
     """One bidder's demand for a phase: the best achievable margin in base
     units (None when no item has positive margin), the demanded items and,
     parallel to them, the bidder's original weight on each."""
@@ -62,14 +60,18 @@ class DemandSpec:
     weights: tuple[int, ...]
 
 
-@dataclass(kw_only=True)
 class MwmState(Auction):
     """Auction state with prices in base units 1/(k * w_max); a win at
-    original weight w steps the price by w units and the value by w."""
+    original weight w steps the price by w units and the value by w.
+    ``sg`` is None in stream_mwm's audit state; ``adj[i]`` lists bidder
+    i's own (i, j, w) tuples of ``sg.edges``."""
 
-    sg: ScaledGraph | None  # None in stream_mwm's audit state
-    k: int
-    adj: list[list[tuple[int, int, int]]]  # per bidder: its (i, j, w) in sg.edges
+    def __init__(self, *, sg: ScaledGraph | None, k: int,
+                 adj: list[list[tuple[int, int, int]]], **auction) -> None:
+        super().__init__(**auction)
+        self.sg = sg
+        self.k = k
+        self.adj = adj
 
 
 def _new_state(sg: ScaledGraph, eps: Epsilon) -> MwmState:

@@ -8,8 +8,8 @@ test scale and refuse instances beyond ORACLE_SIZE_LIMIT vertex pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .graph import BipartiteInstance
 
@@ -18,8 +18,7 @@ __all__ = ["OracleResult", "exact_mcm", "exact_mwm", "exact_mcbm", "ORACLE_SIZE_
 ORACLE_SIZE_LIMIT = 1 << 20  # n_l * n_r
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int
     pairs: tuple[tuple[int, int], ...]
 

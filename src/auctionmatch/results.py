@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     """A matching captured at some round of an engine run.
 
     pairs are (bidder, item) indices sorted by bidder. ``value`` is the
@@ -23,8 +22,7 @@ class MatchingResult:
     valid: bool
 
 
-@dataclass(frozen=True)
-class BMatchingResult:
+class BMatchingResult(NamedTuple):
     """A capacitated matching: at most b_i edges per bidder, b_j per item."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -35,8 +33,7 @@ class BMatchingResult:
     valid: bool
 
 
-@dataclass(frozen=True)
-class BlackboardTrace:
+class BlackboardTrace(NamedTuple):
     """Communication cost of a randomized-kernel run on a shared blackboard.
 
     One proposal costs ceil(log2 n_r) bits, one price announcement costs
@@ -61,19 +58,28 @@ class BlackboardTrace:
                 + self.price_announcements * self.price_bits_each)
 
 
-@dataclass
 class RunTrace:
     """Cost accounting for one engine run.
 
     ``rounds_executed`` counts rounds/phases that actually ran, including a
     final round that made no reassignment and triggered early exit.
     ``round_budget`` is the nominal bound the engine would have honored.
-    ``passes`` and ``peak_words`` are zero for in-memory runs.
+    ``passes`` and ``peak_words`` are zero for in-memory runs. Two traces
+    are equal when every field is.
     """
 
-    rounds_executed: int
-    round_budget: int
-    passes: int = 0
-    peak_words: int = 0
-    blackboard: BlackboardTrace | None = None
-    notes: dict = field(default_factory=dict)
+    def __init__(self, rounds_executed: int, round_budget: int,
+                 passes: int = 0, peak_words: int = 0,
+                 blackboard: BlackboardTrace | None = None,
+                 notes: dict | None = None) -> None:
+        self.rounds_executed = rounds_executed
+        self.round_budget = round_budget
+        self.passes = passes
+        self.peak_words = peak_words
+        self.blackboard = blackboard
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)

@@ -11,7 +11,6 @@ weighted engine and 1 + 2 * rounds for the capacitated one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .auction import Auction, check_matching, phase_budget, round_budget
@@ -81,13 +80,14 @@ class EdgeStream:
                 yield i, j, w
 
 
-@dataclass
 class SpaceAccountant:
     """Words of live engine state; one id, price, counter or flag each."""
 
-    current: int = 0
-    peak: int = 0
-    tags: dict[str, int] = field(default_factory=dict)
+    def __init__(self, current: int = 0, peak: int = 0,
+                 tags: dict[str, int] | None = None) -> None:
+        self.current = current
+        self.peak = peak
+        self.tags = {} if tags is None else tags
 
     def alloc(self, words: int, tag: str = "misc") -> None:
         self.current += words

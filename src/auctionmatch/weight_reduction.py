@@ -12,8 +12,8 @@ one copy, so the copies' removed weights partition the total weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .auction import check_matching
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
@@ -35,8 +35,7 @@ def weight_bucket(w: int, w_min: int, k: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class LevelGraph:
+class LevelGraph(NamedTuple):
     """Edges of one copy that fall into one level of buckets."""
 
     level: int
@@ -51,8 +50,7 @@ class LevelGraph:
         return min(w for _, _, w in self.edges)
 
 
-@dataclass(frozen=True)
-class CopyPartition:
+class CopyPartition(NamedTuple):
     """One copy of the instance: kept levels plus the dropped edges."""
 
     index: int
@@ -64,8 +62,7 @@ class CopyPartition:
         return sum(w for _, _, w in self.removed)
 
 
-@dataclass(frozen=True)
-class WeightPartition:
+class WeightPartition(NamedTuple):
     copies: tuple[CopyPartition, ...]
 
     @property
@@ -101,8 +98,7 @@ def build_partition(inst: BipartiteInstance, eps: Epsilon) -> WeightPartition:
     return WeightPartition(copies=tuple(copies))
 
 
-@dataclass(frozen=True)
-class DisplacementRecord:
+class DisplacementRecord(NamedTuple):
     """A taken edge plus the lower-level matched edges it blocked."""
 
     edge: Edge
@@ -114,14 +110,21 @@ class DisplacementRecord:
         return sum(w for (_, _, w), _ in self.displaced)
 
 
-@dataclass(frozen=True)
 class CombineOutcome:
     """The (edge, level) pairs one copy's combine took, and the per-level
-    matchings they were taken from."""
+    matchings they were taken from. Two outcomes are equal when their copy
+    index and taken pairs are."""
 
-    copy_index: int
-    taken: tuple[tuple[Edge, int], ...]
-    level_matchings: dict[int, list[Edge]] = field(repr=False, compare=False)
+    def __init__(self, copy_index: int, taken: tuple[tuple[Edge, int], ...],
+                 level_matchings: dict[int, list[Edge]]) -> None:
+        self.copy_index = copy_index
+        self.taken = taken
+        self.level_matchings = level_matchings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.copy_index, self.taken) == (other.copy_index, other.taken)
 
     @property
     def weight(self) -> int:
@@ -173,15 +176,19 @@ def combine_levels(
                           level_matchings=level_matchings)
 
 
-@dataclass
 class ReductionDetail:
     """Instrumentation for the reduction, kept for audits and reports."""
 
-    partition: WeightPartition
-    outcomes: list[CombineOutcome] = field(default_factory=list)
-    level_results: dict[tuple[int, int], MatchingResult] = field(default_factory=dict)
-    level_traces: dict[tuple[int, int], RunTrace] = field(default_factory=dict)
-    best_copy: int = 0
+    def __init__(self, partition: WeightPartition,
+                 outcomes: list[CombineOutcome] | None = None,
+                 level_results: dict[tuple[int, int], MatchingResult] | None = None,
+                 level_traces: dict[tuple[int, int], RunTrace] | None = None,
+                 best_copy: int = 0) -> None:
+        self.partition = partition
+        self.outcomes = [] if outcomes is None else outcomes
+        self.level_results = {} if level_results is None else level_results
+        self.level_traces = {} if level_traces is None else level_traces
+        self.best_copy = best_copy
 
 
 def run_reduced_mwm(

@@ -1,5 +1,6 @@
 """Command-line interface contract."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -227,19 +228,39 @@ def test_suite_rejects_bad_criteria(capsys):
     capsys.readouterr()
 
 
+# Modules no run may load: dataclasses, and the inspect, ast, dis and
+# tokenize it pulls in, would cost every CLI child 12-15 ms of start-up.
+UNLOADED = ("dataclasses", "inspect")
+
+# Every algo, mode, kernel and gp schedule the CLI accepts.
+RUN_CONFIGS = (
+    ["--algo", "mcm"], ["--algo", "mcm", "--kernel", "rand"],
+    ["--algo", "mwm"], ["--algo", "mwm", "--kernel", "rand"],
+    ["--algo", "mwm", "--mode", "stream"],
+    ["--algo", "mwm", "--mode", "gp"], ["--algo", "mwm", "--mode", "gp", "--kernel", "rand"],
+    ["--algo", "mwm", "--mode", "gp", "--gp-schedule", "sequential"],
+    ["--algo", "mwm", "--mode", "gp", "--gp-schedule", "concurrent"],
+    ["--algo", "mcbm"], ["--algo", "mcbm", "--mode", "stream"],
+)
+
+
 def _modules_after_run(path, argv):
-    # a child interpreter, so that no other test's imports count
+    # a child interpreter, so that no other test's imports count; the run
+    # must load none of UNLOADED
     src = Path(auctionmatch.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         "from auctionmatch.cli import main\n"
         f"code = main(['run', {str(path)!r}, '--report', {str(path) + '.json'!r}, *{argv!r}])\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('auctionmatch.')))\n"
+        f"print(*(m for m in {UNLOADED!r} if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True, timeout=60)
-    code, *modules = out.stdout.split()
+    first, unwanted = out.stdout.split("\n")[:2]
+    code, *modules = first.split()
     assert code == "0"
+    assert unwanted == "", argv
     return {m.removeprefix("auctionmatch.") for m in modules}
 
 
@@ -264,6 +285,22 @@ def test_run_imports_only_what_its_algo_and_mode_need(k22):
     audited = _modules_after_run(k22, ["--algo", "mcbm", "--eps", "1/4",
                                        "--mode", "stream", "--audit"])
     assert audited - capacitated == {"mcbm"}
+    # --verify and --audit load the most; no configuration loads UNLOADED
+    for argv in RUN_CONFIGS:
+        _modules_after_run(k22, [*argv, "--eps", "1/4", "--verify", "--audit"])
+
+
+def test_no_package_module_imports_dataclasses():
+    package = Path(auctionmatch.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] in UNLOADED for name in names if name):
+                importers.append(path.name)
+    assert len(list(package.glob("*.py"))) > 10
+    assert importers == []
 
 
 def test_package_names_resolve_on_first_access():

@@ -144,13 +144,13 @@ def test_levels_reuse_the_checked_edges(engine, monkeypatch):
     inst = generate_random(12, 10, 0.4, w_range=(1, 10 ** 6), seed=4)
     eps = Epsilon(4)
     checked = []
-    post_init = BipartiteInstance.__post_init__
+    new = BipartiteInstance.__new__
 
-    def counting_post_init(self):
-        checked.append(self)
-        post_init(self)
+    def counting_new(cls, *args, **kwargs):
+        checked.append((args, kwargs))
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(BipartiteInstance, "__post_init__", counting_post_init)
+    monkeypatch.setattr(BipartiteInstance, "__new__", counting_new)
     res, tr = run_reduced_mwm(inst, eps, engine=engine)
     assert checked == []
     # levels built, and checked, the old way give the same run
