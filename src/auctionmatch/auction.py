@@ -6,9 +6,9 @@ matching over the unmatched bidders' demands, and displaced bidders bid
 again. ``Auction`` holds that state, commits with eviction, feeds the
 evicted owners back to the next round's bidders, keeps the matched value
 and the best round-end assignment, runs the round loop around each
-engine's step and makes the structural check every engine's audit starts
-with; the engines report through ``check_matching`` and
-``blackboard_trace``.
+engine's step and makes the two checks every engine's audit shares: the
+structural one it starts with and the demand one; the engines report
+through ``check_matching`` and ``blackboard_trace``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .graph import Epsilon
 from .kernels import KernelMatching
 from .results import BlackboardTrace
 
-__all__ = ["Auction", "blackboard_trace", "check_matching", "phase_budget",
-           "round_budget"]
+__all__ = ["Auction", "blackboard_trace", "check_demand", "check_matching",
+           "phase_budget", "round_budget"]
 
 
 def round_budget(eps: Epsilon) -> int:
@@ -132,7 +132,8 @@ class Auction:
 
     def run_rounds(self, bidders: list[int], budget: int,
                    step: Callable[[list[int]], tuple[list[int], KernelMatching]],
-                   audit: Callable[[list[int]], Callable[[], None]] | None = None
+                   audit: Callable[[list[int]], Callable[[list[int]], None]]
+                   | None = None
                    ) -> tuple[int, int, int, int]:
         """Run up to ``budget`` rounds from the worklist ``bidders``.
 
@@ -140,14 +141,15 @@ class Auction:
         again and a matching of (bidder, item, price step) pairs; the pairs
         are committed and ``next_bidders`` of the kept bidders is the next
         worklist. ``audit(bidders)`` runs at round start and returns the
-        check run after the commits, before the snapshot.
+        check run on the kept bidders after the commits, before the snapshot.
 
         A bidder the step drops is priced out for good, since prices never
-        fall, yet rounds count as if it were still asked: once one is, an
-        empty worklist still runs a last round, which matches nothing. A
-        round with no pairs and nothing kept ends the run. Returns the
-        rounds executed and the summed proposal rounds, proposals and
-        committed pairs, in ``blackboard_trace``'s order.
+        fall (an audit checks that with ``check_demand``), yet rounds count
+        as if it were still asked: once one is, an empty worklist still
+        runs a last round, which matches nothing. A round with no pairs and
+        nothing kept ends the run. Returns the rounds executed and the
+        summed proposal rounds, proposals and committed pairs, in
+        ``blackboard_trace``'s order.
         """
         executed = proposal_rounds = proposals = committed = 0
         priced_out = False
@@ -166,7 +168,7 @@ class Auction:
             evicted = [commit(i, j, s) for i, j, s in pairs]
             bidders = self.next_bidders(kept, evicted)
             if check is not None:
-                check()
+                check(kept)
             self.snapshot(round_no)
             if not pairs and not kept:
                 break
@@ -175,6 +177,20 @@ class Auction:
     def best_pairs(self) -> tuple[tuple[int, int], ...]:
         """The best assignment as (bidder, item) pairs sorted by bidder."""
         return tuple((i, j) for i, j in enumerate(self.best) if j is not None)
+
+
+def check_demand(live, demanded) -> None:
+    """The demand audit of every engine: the bidders (or bidder copies) that
+    demanded in a round are exactly those ``live`` at round-start prices,
+    with a neighbour priced below its valuation."""
+    demanded = set(demanded)
+    wrong = demanded.symmetric_difference(live)
+    if wrong:
+        i = min(wrong)
+        raise InvariantViolation(
+            "empty-demand-characterization",
+            f"bidder {i}: demand empty={i not in demanded} but priced "
+            f"out={i in demanded} at round-start prices")
 
 
 def check_matching(pairs, b_l, b_r, edges=None

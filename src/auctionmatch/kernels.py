@@ -27,9 +27,10 @@ __all__ = [
 
 
 class KernelMatching:
-    """Pairs plus the communication stats randomized kernels accumulate."""
+    """Pairs, (bidder, item) or with the price step (bidder, item, step),
+    plus the communication stats randomized kernels accumulate."""
 
-    def __init__(self, pairs: list[tuple[int, int]] | None = None,
+    def __init__(self, pairs: list[tuple[int, ...]] | None = None,
                  proposal_rounds: int = 0, proposals: int = 0) -> None:
         self.pairs = [] if pairs is None else pairs
         self.proposal_rounds = proposal_rounds
@@ -146,8 +147,8 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
 
 
 def nondup_maximal(candidates: dict[int, Sequence[int]], *,
-                   bidder_orig: dict[int, int],
-                   item_orig: dict[int, int], owner: list[int | None],
+                   bidder_orig: Sequence[int],
+                   item_orig: Sequence[int], owner: list[int | None],
                    held: set[tuple[int, int]]) -> KernelMatching:
     """Maximal matching on a copy graph that never pairs two copies of the
     same original (bidder, item) combination.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .auction import Auction, check_matching
+from .auction import Auction, check_demand, check_matching
 from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
@@ -343,21 +343,28 @@ def _stream_round(
 
 
 def _round_audit(state: McbmState, unmatched: list[int],
-                 views: dict[int, frozenset[int]], notes: dict) -> Callable[[], None]:
+                 views: dict[int, frozenset[int]], notes: dict) -> Callable[..., None]:
     """The audit of one round of either capacitated engine.
 
     Run at round start: keeps the prices and cutoffs and records, in
     ``views``, the items each copy in ``unmatched`` may bid on (its demand
-    view). Returns the round-end check, which runs ``_audit_round`` and
-    adds its re-opened pairs to ``notes["reopened_pairs"]``.
+    view); a copy is live when one of them is below full price k. Returns
+    the round-end check, which runs ``_audit_round``, adds its re-opened
+    pairs to ``notes["reopened_pairs"]`` and runs ``check_demand``. Every
+    unmatched copy stays on the worklist, so the check reads the copies
+    that demanded off the state, not off ``kept``: those now matched or
+    whose cutoff rose.
     """
     prev_prices, prev_cutoffs = list(state.prices), list(state.cutoffs)
     for bc in unmatched:
         views[bc] = _eligible_items(state, bc)
+    live = [bc for bc in unmatched if any(state.pmin[j] < state.k for j in views[bc])]
 
-    def check() -> None:
+    def check(kept=None) -> None:
         notes["reopened_pairs"] += _audit_round(
             state, prev_prices, prev_cutoffs, views)
+        check_demand(live, [bc for bc in unmatched if state.assignment[bc] is not None
+                            or state.cutoffs[bc] > prev_cutoffs[bc]])
     return check
 
 
@@ -372,8 +379,8 @@ def _audit_round(
     ``views`` maps each bidder copy to the items it was eligible for when
     it last demanded, i.e. at the start of the last round it began
     unmatched.  A matched copy must be happy against every copy of those
-    items at current prices; an unmatched copy's demand set must be empty
-    exactly when every copy of its eligible items costs k.  Returns the
+    items at current prices; an unmatched copy is left to
+    ``check_demand``, which ``_round_audit`` runs after this.  Returns the
     number of (bidder copy, item) pairs where a matched copy is underpaid
     against an item that is eligible now but was not in its view: an item
     re-opened by a sibling eviction or by its cheapest price crossing the
@@ -419,28 +426,14 @@ def _audit_round(
                 f"item {j} copy prices span {min(ps)}..{max(ps)} (units of 1/{k})",
             )
 
-    # From here on ``pmin`` is each item's cheapest copy price and no price
-    # exceeds k, so an item's copies all cost k exactly when ``pmin`` does,
-    # and a copy can beat ``utility`` only if the cheapest one does.
+    # From here on ``pmin`` is each item's cheapest copy price, so a copy
+    # can beat ``utility`` only if the cheapest one does.
     pmin, held = state.pmin, state.held
     reopened = 0
-    for bc in range(cg.n_bidder_copies):
-        jc = state.assignment[bc]
-        oi, cutoff = cg.bidder_orig[bc], state.cutoffs[bc]
+    for bc, jc in enumerate(state.assignment):
         if jc is None:
-            # An empty demand set must coincide with every copy of every
-            # eligible item, as ``_eligible_items`` filters them, being
-            # priced at the full valuation k.
-            empty = not find_demand_set(state, bc)
-            priced_out = all(pmin[j] == k for j in state.adj[oi]
-                             if (oi, j) not in held and pmin[j] >= cutoff)
-            if empty != priced_out:
-                raise InvariantViolation(
-                    "empty-demand-characterization",
-                    f"bidder copy {bc}: demand empty={empty} but every "
-                    f"eligible copy priced {k}/{k}={priced_out}",
-                )
             continue
+        oi, cutoff = cg.bidder_orig[bc], state.cutoffs[bc]
         utility = k - state.prices[jc]
         view = views[bc]
         _check_copy_happiness(state, bc, utility, view)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .auction import Auction, blackboard_trace, check_matching
+from .auction import Auction, blackboard_trace, check_demand, check_matching
 from .auction import round_budget as mcm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
@@ -29,10 +29,8 @@ class McmState(Auction):
     1/k; every commit steps a price by one unit and the value by one.
     ``adj[i]`` lists bidder i's items ascending."""
 
-    def __init__(self, *, inst: BipartiteInstance, k: int, adj: list[list[int]],
-                 **auction) -> None:
+    def __init__(self, *, k: int, adj: list[list[int]], **auction) -> None:
         super().__init__(**auction)
-        self.inst = inst
         self.k = k
         self.adj = adj
 
@@ -44,7 +42,6 @@ def _new_state(inst: BipartiteInstance, eps: Epsilon) -> McmState:
     for items in adj:
         items.sort()
     return McmState(
-        inst=inst,
         k=eps.k,
         prices=[0] * inst.n_r,
         assignment=[None] * inst.n_l,
@@ -75,16 +72,12 @@ def demand_set_mcm(state: McmState, bidder: int) -> list[int]:
 def _audit_round(state: McmState, prev_prices: list[int]) -> None:
     k = state.k
     state.check_prices(prev_prices, k)
-    # eps-happiness: matched bidders, and unmatched ones whose demand set is
-    # empty, satisfy u_i >= 1 - p_j - eps for every neighbor j.
-    for i in range(state.inst.n_l):
-        a = state.assignment[i]
-        if a is not None:
-            u = k - state.prices[a]
-        elif not demand_set_mcm(state, i):
-            u = 0
-        else:
+    # eps-happiness: matched bidders satisfy u_i >= 1 - p_j - eps for every
+    # neighbor j; a priced-out bidder, with u_i = 0, cannot break it.
+    for i, a in enumerate(state.assignment):
+        if a is None:
             continue
+        u = k - state.prices[a]
         for j in state.adj[i]:
             if u < k - state.prices[j] - 1:
                 raise InvariantViolation(
@@ -153,9 +146,14 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     budget = mcm_round_budget(eps)
     rng = random.Random(seed)
 
-    def audited(bidders):  # round start: keep the prices for monotonicity
-        prev_prices = list(state.prices)
-        return lambda: _audit_round(state, prev_prices)
+    def audited(bidders):  # round start: the prices and the live bidders
+        prev_prices, k, adj = list(state.prices), state.k, state.adj
+        live = [i for i in bidders if any(prev_prices[j] < k for j in adj[i])]
+
+        def check(kept):
+            _audit_round(state, prev_prices)
+            check_demand(live, kept)
+        return check
 
     # The worklist starts with the bidders that have a neighbour.
     totals = state.run_rounds(

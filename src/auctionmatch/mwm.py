@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .auction import Auction, blackboard_trace, check_matching, phase_budget
+from .auction import (Auction, blackboard_trace, check_demand, check_matching,
+                      phase_budget)
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph, ceil_log
 from .kernels import KernelMatching, bucket_sweep
@@ -137,15 +138,6 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
             "price-sum-bound",
             f"sum of prices {sum(prices)} exceeds (k + 1) * optimum "
             f"{(k + 1) * optimum} (base units)")
-    # An empty demand set must coincide with every neighbor being priced
-    # at or above its valuation.
-    for i in range(len(state.adj)):
-        spec = demand_set_mwm(state, i)
-        dominated = all(k * w <= prices[j] for _, j, w in state.adj[i])
-        if (not spec.items) != dominated:
-            raise InvariantViolation(
-                "empty-demand-characterization",
-                f"bidder {i}: demand empty={not spec.items} but dominated={dominated}")
     # Matched bidders are 2*eps*v_i(a_i)-happy against every item, where
     # non-neighbors count as valuation 0. Only a neighbor can break it: with
     # w the weight of (i, a), owned-price-bound above (a's owner is i) gives
@@ -166,6 +158,13 @@ def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
                 raise InvariantViolation(
                     "weighted-happiness",
                     f"bidder {i} utility {u} below margin {rhs} at item {j}")
+
+
+def _live(state: MwmState, bidders) -> list[int]:
+    """The ``bidders`` with a neighbour priced below its valuation k*w,
+    whose demand set is not empty."""
+    k, prices, adj = state.k, state.prices, state.adj
+    return [i for i in bidders if any(k * w > prices[j] for _, j, w in adj[i])]
 
 
 def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
@@ -231,19 +230,19 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     # The audit's edge -> weight table, built once per audited run.
     weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 
-    # The stream kernel scans every unmatched bidder's edges itself, so it
-    # keeps the worklist while it matches anything.
-    def stream_step(bidders):
-        pairs = _stream_order_matching(state)
-        return (bidders if pairs else []), KernelMatching(pairs=pairs)
+    def audited(bidders):  # round start: the prices and the live bidders
+        prev_prices, live = list(state.prices), _live(state, bidders)
 
-    def audited(bidders):  # round start: keep the prices for monotonicity
-        prev_prices = list(state.prices)
-        return lambda: _audit_phase(state, prev_prices, optimum, weight)
+        def check(kept):
+            _audit_phase(state, prev_prices, optimum, weight)
+            check_demand(live, kept)
+        return check
 
+    # The stream kernel scans every unmatched bidder's edges itself; a
+    # bidder off the worklist is priced out, so it demands nothing there.
     totals = state.run_rounds(
         [i for i in range(inst.n_l) if state.adj[i]], budget,
-        stream_step if kernel == "stream"
+        (lambda bidders: _stream_order_matching(state)) if kernel == "stream"
         else lambda bidders: _phase(state, bidders, kernel, rng, bucket_of),
         audited if audit else None)
 
@@ -260,12 +259,13 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     return result, trace
 
 
-def _stream_order_matching(state: MwmState) -> list[tuple[int, int, int]]:
+def _stream_order_matching(state: MwmState) -> tuple[list[int], KernelMatching]:
     """Greedy maximal matching in stream (edge list) order, as (i, j, w).
 
     Matches an edge the moment it qualifies for the bidder's demand set,
     using phase-start prices throughout; mirrors the streaming engine's
-    second pass exactly.
+    second pass exactly. Returns, as ``_phase`` does, the demanders (the
+    unmatched bidders with a positive best margin) and the matching.
     """
     k = state.k
     margin_best: dict[int, int] = {}
@@ -289,4 +289,4 @@ def _stream_order_matching(state: MwmState) -> list[tuple[int, int, int]]:
             newly_matched.add(i)
             claimed.add(j)
             pairs.append((i, j, w))
-    return pairs
+    return list(margin_best), KernelMatching(pairs=pairs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from pathlib import Path
 
-from .auction import Auction, check_matching, phase_budget, round_budget
+from .auction import Auction, check_demand, check_matching, phase_budget, round_budget
 from .errors import InvariantViolation
 from .graph import (BipartiteInstance, Epsilon, ceil_log, open_instance,
                     prune_exponent, read_edges)
@@ -112,9 +112,10 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     kernel does.  Passes total 1 + 2 * phases.
 
     With ``audit`` every phase end runs ``mwm._audit_phase`` on the
-    stream's own prices, owners and assignment. The audit's copy of the
-    surviving edges is kept outside the accountant and read from the first
-    pass: it checks the engine and is no part of it.
+    stream's own prices, owners and assignment, and every margin pass ends
+    with ``check_demand`` on its ``margin_best`` keys. The audit's copy of
+    the surviving edges is kept outside the accountant and read from the
+    first pass: it checks the engine and is no part of it.
     """
     k = eps.k
     acct = SpaceAccountant()
@@ -146,7 +147,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     acct.alloc(2 * n_r + 4 * n_l, "vertex-state")
 
     if audit:
-        from .mwm import MwmState, _audit_phase
+        from .mwm import MwmState, _audit_phase, _live
 
         # The surviving edges per bidder and by pair, as run_mwm holds them.
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n_l)]
@@ -172,6 +173,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         phases += 1
         if audit:
             prev_prices = list(prices)
+            live = _live(state, [i for i in range(n_l) if assignment[i] is None])
 
         margin_best: dict[int, int] = {}
         if phases == 1:
@@ -200,6 +202,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                         acct.alloc(1, "margins")
                     margin_best[i] = margin
 
+        if audit:
+            check_demand(live, margin_best)
         # margin_best holds only bidders unmatched at phase start; a
         # bidder leaves it once it claims an item in this pass.
         n_margins = len(margin_best)
@@ -260,8 +264,7 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     write them, that work is paid once per bidder rather than per edge.
 
     With ``audit`` every round runs ``mcbm._round_audit``, the in-memory
-    engine's audit, on a copy layout of the item counts (``_as_copies``),
-    and ``_check_demands`` on the first pass's demands;
+    engine's audit, on a copy layout of the item counts (``_as_copies``);
     ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
     The audit's state is built from the first pass and kept outside the
     accountant: it checks the engine and is no part of it.
@@ -321,11 +324,9 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 break
         rounds += 1
         if audit:
-            # The copies whose view holds an item below full price are those
-            # this round's first pass must give a demand.
-            unmatched = [bc for bc, j in enumerate(assignment) if j is None]
-            check = _round_audit(state, unmatched, views, notes)
-            bidding = {bc for bc in unmatched if any(pmin[j] < k for j in views[bc])}
+            check = _round_audit(
+                state, [bc for bc, j in enumerate(assignment) if j is None],
+                views, notes)
 
         delta: dict[int, int] = {}
         claims: list[tuple[int, int]] = []
@@ -440,7 +441,6 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         if audit:
             _as_copies(state, assignment, held_price, n_min, n_max)
             check()
-            _check_demands(bidding, delta, k)
 
         auc.snapshot(rounds)
 
@@ -508,17 +508,3 @@ def _as_copies(state, assignment, held_price, n_min, n_max) -> None:
         state.owner[jc] = bc
         state.held.add((cg.bidder_orig[bc], j))
 
-
-def _check_demands(bidding: set[int], delta: dict[int, int], k: int) -> None:
-    """The check of ``stream_mcbm``'s demand pass: the copies it gave a
-    demand (``delta``) must be those unmatched at round start whose demand
-    view holds an item below full price k (``bidding``). A copy's demand
-    set is empty exactly when every copy of every item in its view is
-    priced k."""
-    wrong = bidding.symmetric_difference(delta)
-    if wrong:
-        bc = min(wrong)
-        raise InvariantViolation(
-            "empty-demand-characterization",
-            f"bidder copy {bc}: demand empty={bc not in delta} but every "
-            f"copy in its view priced {k}/{k}={bc not in bidding}")

@@ -216,7 +216,7 @@ def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
 
     def audit(bidders):
         log.append(("audit", list(bidders)))
-        return lambda: log.append(("check", auc.value))
+        return lambda kept: log.append(("check", auc.value, list(kept)))
 
     def step(bidders):
         log.append(("step", list(bidders)))
@@ -229,9 +229,10 @@ def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
     assert auc.run_rounds([0, 1, 2], 10, step, audit)[0] == 3
     assert log == [
         ("audit", [0, 1, 2]), ("step", [0, 1, 2]), ("commit", 0), ("commit", 1),
-        ("check", 2), ("snapshot", 1),
-        ("audit", [2]), ("step", [2]), ("commit", 2), ("check", 2), ("snapshot", 2),
-        ("audit", [0]), ("step", [0]), ("check", 2), ("snapshot", 3),
+        ("check", 2, [0, 1, 2]), ("snapshot", 1),
+        ("audit", [2]), ("step", [2]), ("commit", 2), ("check", 2, [2]),
+        ("snapshot", 2),
+        ("audit", [0]), ("step", [0]), ("check", 2, []), ("snapshot", 3),
     ]
 
 

@@ -187,15 +187,14 @@ def test_audit_raises_on_stale_item_minimum():
 
 
 def test_audit_raises_when_demand_is_empty_below_full_price(monkeypatch):
-    state = _underpaid_state()
-    views = {0: frozenset({1}), 2: frozenset()}
-    assert _audit_round(state, state.prices, state.cutoffs, views) == 1
-    # unmatched copy 1 of bidder 0 may still buy item 0 at price 0, so a
-    # demand rule that gives up on it must trip the audit
+    # both copies of bidder 0 may buy either item at price 0, so a demand
+    # rule that gives up on them must trip the first round's audit
+    inst = _probe_state().cg.instance
     monkeypatch.setattr(mcbm, "find_demand_set", lambda state, bcopy: [])
     with pytest.raises(InvariantViolation) as info:
-        _audit_round(state, state.prices, state.cutoffs, views)
+        run_mcbm(inst, Epsilon(4), audit=True)
     assert info.value.prop == "empty-demand-characterization"
+    assert info.value.detail.startswith("bidder 0: demand empty=True")
 
 
 def test_commit_keeps_held_pairs_and_item_minima():

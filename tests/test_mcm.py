@@ -80,7 +80,7 @@ def test_demand_set_is_cheapest_neighbors():
     from auctionmatch.mcm import McmState
 
     state_probe = McmState(
-        inst=inst, k=4, prices=[1, 0, 4],
+        k=4, prices=[1, 0, 4],
         assignment=[None], owner=[None, None, None],
         adj=[[0, 1, 2]])
     assert demand_set_mcm(state_probe, 0) == [1]
@@ -129,7 +129,7 @@ def _unstructured_audit(state, prev_prices):
     if (sum(k - state.prices[state.assignment[i]] for i in matched)
             > len(matched) * k - sum(state.prices)):
         raise InvariantViolation("utility-sum", "")
-    for i in range(state.inst.n_l):
+    for i in range(len(state.assignment)):
         a = state.assignment[i]
         if a is not None:
             u = k - state.prices[a]

@@ -261,13 +261,6 @@ def _reference_audit(state, prev_prices, optimum):
             "price-sum-bound",
             f"sum of prices {sum(state.prices)} exceeds (k + 1) * optimum "
             f"{(k + 1) * optimum} (base units)")
-    for i in range(len(state.adj)):
-        spec = mwm.demand_set_mwm(state, i)
-        dominated = all(k * w <= state.prices[j] for _, j, w in state.adj[i])
-        if (not spec.items) != dominated:
-            raise InvariantViolation(
-                "empty-demand-characterization",
-                f"bidder {i}: demand empty={not spec.items} but dominated={dominated}")
     for i, a in enumerate(state.assignment):
         if a is None:
             continue

@@ -139,7 +139,8 @@ def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
             break
         executed = phase_no
         if kernel == "stream":
-            pairs = mwm._stream_order_matching(state)
+            _, got = mwm._stream_order_matching(state)
+            pairs = got.pairs
         else:
             _, got = _reference_phase(state, unmatched, kernel, rng, None)
             proposal_rounds += got.proposal_rounds

@@ -397,13 +397,12 @@ def test_stream_mcbm_happiness_allows_one_step_above_the_view():
 
 
 def _stream_mcbm_mutant(line, mutant_line):
-    """``stream_mcbm`` with one source line replaced, and the module scope
-    it runs in."""
+    """``stream_mcbm`` with one source line replaced."""
     source = inspect.getsource(stream_mcbm)
     assert source.count(line) == 1
     scope = dict(vars(streaming))
     exec(source.replace(line, mutant_line), scope)
-    return scope["stream_mcbm"], scope
+    return scope["stream_mcbm"]
 
 
 @pytest.mark.parametrize("line, mutant_line, prop", [
@@ -413,21 +412,23 @@ def _stream_mcbm_mutant(line, mutant_line):
     # the first pass gives up on items one step below full price
     ("if p < k:", "if p < k - 1:", "empty-demand-characterization"),
 ])
-def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop):
+def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop,
+                                                  monkeypatch):
     # Item counts, prices and held pairs stay consistent under either
     # mutant. Without the demand check the shared audit still sees a copy
     # that bought dearer than its view offered, but not demands that go
     # missing.
-    mutant, scope = _stream_mcbm_mutant(line, mutant_line)
+    mutant = _stream_mcbm_mutant(line, mutant_line)
     inst = generate_random(8, 8, 0.5, b_l_range=(1, 3), b_r_range=(1, 3), seed=0)
-    scope["_check_demands"] = lambda *args: None
-    if prop == "copy-happiness":
-        with pytest.raises(InvariantViolation) as info:
+    with monkeypatch.context() as m:
+        # the shared audit looks the demand check up in mcbm
+        m.setattr(mcbm, "check_demand", lambda *args: None)
+        if prop == "copy-happiness":
+            with pytest.raises(InvariantViolation) as info:
+                mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
+            assert info.value.prop == prop
+        else:
             mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
-        assert info.value.prop == prop
-    else:
-        mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
-    scope["_check_demands"] = streaming._check_demands
     with pytest.raises(InvariantViolation) as info:
         mutant(EdgeStream.from_instance(inst), Epsilon(4), audit=True)
     assert info.value.prop == prop
@@ -436,7 +437,7 @@ def test_stream_mcbm_audit_catches_a_wrong_demand(line, mutant_line, prop):
 def test_stream_mcbm_audit_catches_a_cutoff_reset():
     # Every third round puts each cutoff back to 0. The stream's earlier
     # audit, which kept no round-start cutoffs, let this run through.
-    mutant, _ = _stream_mcbm_mutant(
+    mutant = _stream_mcbm_mutant(
         "                cutoff[bc] += 1\n",
         "                cutoff[bc] += 1\n"
         "        if rounds % 3 == 0:\n"
@@ -453,7 +454,7 @@ def test_stream_mcbm_audit_catches_a_double_price_step():
     # k = 2 no price leaves [0, k] on this instance, and the stream's
     # earlier audit, which compared no held price with its item's prices,
     # let the run through.
-    mutant, _ = _stream_mcbm_mutant("                pmin[j] += 1\n",
+    mutant = _stream_mcbm_mutant("                pmin[j] += 1\n",
                                     "                pmin[j] += 2\n")
     inst = generate_random(24, 20, 0.3, b_l_range=(1, 4), b_r_range=(1, 3), seed=0)
     with pytest.raises(InvariantViolation) as info:
