@@ -30,48 +30,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuctionMatchError",
-    "BipartiteInstance",
-    "BlackboardTrace",
-    "BMatchingResult",
-    "EdgeStream",
-    "Epsilon",
-    "InstanceFormatError",
-    "InvariantViolation",
-    "MatchingResult",
-    "ORACLE_SIZE_LIMIT",
-    "RunTrace",
-    "ScaledGraph",
-    "SpaceAccountant",
-    "STREAM_MCBM_SPACE_FACTOR",
-    "build_partition",
-    "combine_levels",
-    "demand_set_mcm",
-    "demand_set_mwm",
-    "dumps_instance",
-    "edge_bucket",
-    "exact_mcbm",
-    "exact_mcm",
-    "exact_mwm",
-    "expand_copies",
-    "find_demand_set",
-    "generate_random",
-    "load_instance",
-    "loads_instance",
-    "mcbm_round_budget",
-    "mcm_round_budget",
-    "phase_budget",
-    "run_mcbm",
-    "run_mcm",
-    "run_mwm",
-    "run_reduced_mwm",
-    "save_instance",
-    "scale_and_prune",
-    "stream_mcbm",
-    "stream_mwm",
-    "weight_bucket",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

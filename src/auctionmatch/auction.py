@@ -50,18 +50,16 @@ class Auction:
     """
 
     def __init__(self, *, prices: list[int], assignment: list[int | None],
-                 owner: list[int | None], gain: list[int] | None = None,
-                 value: int = 0, best: list[int | None] | None = None,
-                 best_value: int = 0, best_round: int = 0) -> None:
+                 owner: list[int | None], gain: list[int] | None = None) -> None:
         self.prices = prices
         self.assignment = assignment
         self.owner = owner
         # one zero per bidder when not given
         self.gain = [0] * len(assignment) if gain is None else gain
-        self.value = value
-        self.best = [] if best is None else best
-        self.best_value = best_value
-        self.best_round = best_round
+        self.value = 0
+        self.best: list[int | None] = []
+        self.best_value = 0
+        self.best_round = 0
 
     def commit(self, i: int, j: int, step: int) -> int | None:
         """Give item j to bidder i, evicting its owner; the price and the

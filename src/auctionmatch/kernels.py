@@ -6,7 +6,10 @@ round and the 'det' mcbm round hand a kernel that subgraph as a candidate
 dict: each demanding bidder maps to its demanded items, already in scan
 priority order (ascending price, then id); ``mwm._phase`` hands
 ``bucket_sweep`` one sorted list of candidate tuples, and the 'det' mcm
-round does its greedy inline. Kernels never read prices.
+round does its greedy inline. Kernels never read prices or owners.
+``nondup_maximal`` is one greedy sweep with no sub-phase for unowned
+copies: a bidder copy's demanded copies share one price, so they are all
+unowned (price 0) or all owned, and the two groups share no item.
 """
 
 from __future__ import annotations
@@ -148,43 +151,29 @@ def bucket_sweep(ranked: list[tuple[int, int, int, int, int]],
 
 def nondup_maximal(candidates: dict[int, Sequence[int]], *,
                    bidder_orig: Sequence[int],
-                   item_orig: Sequence[int], owner: list[int | None],
+                   item_orig: Sequence[int],
                    held: set[tuple[int, int]]) -> KernelMatching:
     """Maximal matching on a copy graph that never pairs two copies of the
     same original (bidder, item) combination.
 
-    Runs two sub-phases: first only the item copies whose ``owner`` is
-    None (no eviction needed), then everything left. ``held`` lists original
-    pairs already matched in the engine state; together with the pairs
-    formed here it blocks duplicates. Bidder copies scan ascending,
-    ``candidates[ic]`` in list order.
+    One greedy sweep, bidder copies ascending and ``candidates[ic]`` in
+    list order. ``held`` lists original pairs already matched in the
+    engine state; together with the pairs formed here it blocks
+    duplicates.
     """
     out = KernelMatching()
     claimed_items: set[int] = set()
-    matched_copies: set[int] = set()
     used_pairs: set[tuple[int, int]] = set(held)
-    bidders = sorted(candidates)
-
-    def sweep(allow_matched: bool) -> None:
-        for ic in bidders:
-            if ic in matched_copies:
+    for ic in sorted(candidates):
+        oi = bidder_orig[ic]
+        for jc in candidates[ic]:
+            if jc in claimed_items:
                 continue
-            oi = bidder_orig[ic]
-            for jc in candidates[ic]:
-                if jc in claimed_items:
-                    continue
-                if not allow_matched and owner[jc] is not None:
-                    continue
-                oj = item_orig[jc]
-                if (oi, oj) in used_pairs:
-                    continue
-                claimed_items.add(jc)
-                matched_copies.add(ic)
-                used_pairs.add((oi, oj))
-                out.pairs.append((ic, jc))
-                break
-
-    sweep(allow_matched=False)
-    sweep(allow_matched=True)
-    out.pairs.sort()
+            oj = item_orig[jc]
+            if (oi, oj) in used_pairs:
+                continue
+            claimed_items.add(jc)
+            used_pairs.add((oi, oj))
+            out.pairs.append((ic, jc))
+            break
     return out

@@ -235,7 +235,6 @@ def _det_round(
         demands,
         bidder_orig=cg.bidder_orig,
         item_orig=cg.item_orig,
-        owner=state.owner,
         held=state.held,
     )
     return sorted(demands), got.pairs
@@ -246,15 +245,17 @@ def _stream_round(
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """One round replayed in edge order, mirroring the streaming engine.
 
-    Sub-pass one hands price-0 item copies to cutoff-0 bidder copies.
-    Sub-pass two lets each remaining bidder copy claim a copy at its
-    cheapest qualifying price, evicting the holder with the lowest copy
-    id when no unclaimed copy is free at that price.  All qualification
-    checks read round-start prices and holdings.
+    Sub-pass one hands price-0 item copies to bidder copies whose cheapest
+    qualifying price is 0. Sub-pass two lets each remaining bidder copy
+    claim a copy at its cheapest qualifying price above 0 by evicting the
+    holder with the lowest copy id. Every sub-pass-two claim evicts: an
+    owned copy is priced at least 1, so none at that price is free, and
+    a price-0 edge that sub-pass one left unmatched had no free copy left.
+    The step reads round-start prices and holdings, since ``run_rounds``
+    commits only after it returns.
     """
-    cg, inst = state.cg, state.cg.instance
-    pmin0 = list(state.pmin)
-    held0 = set(state.held)
+    cg, k = state.cg, state.k
+    pmin, prices, owner = state.pmin, state.prices, state.owner
 
     delta: dict[int, int] = {}
     for bc in unmatched:
@@ -262,37 +263,31 @@ def _stream_round(
         cutoff = state.cutoffs[bc]
         best = None
         for j in state.adj[oi]:
-            if (oi, j) in held0 or pmin0[j] < cutoff or pmin0[j] >= state.k:
+            if (oi, j) in state.held or pmin[j] < cutoff or pmin[j] >= k:
                 continue
-            if best is None or pmin0[j] < best:
-                best = pmin0[j]
+            if best is None or pmin[j] < best:
+                best = pmin[j]
         if best is not None:
             delta[bc] = best
 
-    unmatched_set = set(unmatched)
     claimed_bidders: set[int] = set()
     claimed_copies: set[int] = set()
-    evicted: set[int] = set()
-    used_pairs = set(held0)
+    used_pairs = set(state.held)
     pairs: list[tuple[int, int]] = []
 
     def free_bidder_copy(i: int, price: int) -> int | None:
+        # ``delta`` holds only unmatched copies, each at or above its cutoff
         for bc in cg.bidder_copies(i):
-            if (
-                bc in unmatched_set
-                and bc not in claimed_bidders
-                and state.cutoffs[bc] <= price
-                and delta.get(bc) == price
-            ):
+            if bc not in claimed_bidders and delta.get(bc) == price:
                 return bc
         return None
 
-    for i, j, _ in inst.edges:
-        if pmin0[j] != 0 or (i, j) in used_pairs:
+    for i, j, _ in cg.instance.edges:
+        if pmin[j] != 0 or (i, j) in used_pairs:
             continue
         jc_pick = None
         for jc in cg.item_copies(j):
-            if state.prices[jc] == 0 and state.owner[jc] is None and jc not in claimed_copies:
+            if prices[jc] == 0 and jc not in claimed_copies:
                 jc_pick = jc
                 break
         if jc_pick is None:
@@ -305,35 +300,20 @@ def _stream_round(
         claimed_copies.add(jc_pick)
         used_pairs.add((i, j))
 
-    for i, j, _ in inst.edges:
-        if (i, j) in used_pairs or pmin0[j] >= state.k:
+    for i, j, _ in cg.instance.edges:
+        if not 0 < pmin[j] < k or (i, j) in used_pairs:
             continue
-        bc = free_bidder_copy(i, pmin0[j])
+        bc = free_bidder_copy(i, pmin[j])
         if bc is None:
             continue
+        # A holder owns one copy, and once evicted that copy is claimed.
         jc_pick = None
         for jc in cg.item_copies(j):
-            if (
-                state.prices[jc] == pmin0[j]
-                and state.owner[jc] is None
-                and jc not in claimed_copies
-            ):
+            if prices[jc] == pmin[j] and jc not in claimed_copies and (
+                    jc_pick is None or owner[jc] < owner[jc_pick]):
                 jc_pick = jc
-                break
         if jc_pick is None:
-            victim_bc = None
-            for jc in cg.item_copies(j):
-                if state.prices[jc] != pmin0[j] or jc in claimed_copies:
-                    continue
-                holder = state.owner[jc]
-                if holder is None or holder in evicted:
-                    continue
-                if victim_bc is None or holder < victim_bc:
-                    victim_bc = holder
-            if victim_bc is None:
-                continue
-            evicted.add(victim_bc)
-            jc_pick = state.assignment[victim_bc]
+            continue
         pairs.append((bc, jc_pick))
         claimed_bidders.add(bc)
         claimed_copies.add(jc_pick)

@@ -5,10 +5,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import auctionmatch
+from auctionmatch import mcbm, suite
 from auctionmatch.cli import main
 from auctionmatch.graph import BipartiteInstance, loads_instance, save_instance
 
@@ -135,6 +137,31 @@ def test_report_flag_writes_file(capsys, single, tmp_path):
     assert report["result_value"] == 1
 
 
+RESULT_FIELDS = ("rounds", "passes", "peak_words", "blackboard", "result_value",
+                 "oracle_value", "ratio", "verify")
+
+
+def test_failed_audit_reports_no_result(capsys, star, monkeypatch):
+    # a demand rule that gives up on a bidder copy able to buy at price 0
+    monkeypatch.setattr(mcbm, "find_demand_set", lambda state, bcopy: [])
+    code, report = _run_json(capsys, [
+        "run", star, "--algo", "mcbm", "--eps", "1/4", "--audit", "--verify"])
+    assert code == 1
+    assert report["audit"]["violated"] == "empty-demand-characterization"
+    assert {f: report[f] for f in RESULT_FIELDS} == dict.fromkeys(RESULT_FIELDS)
+
+
+def test_failed_bound_exits_one(capsys, k22, monkeypatch):
+    # an optimum of 5 puts the matching of 2 below (1 - 2/4) of it
+    monkeypatch.setattr(suite, "exact_mcm", lambda inst: SimpleNamespace(value=5))
+    code, report = _run_json(capsys, [
+        "run", k22, "--algo", "mcm", "--eps", "1/4", "--verify"])
+    assert code == 1
+    assert (report["result_value"], report["oracle_value"]) == (2, 5)
+    assert report["verify"] == {
+        "passed": False, "property": "cardinality-approximation-(1-2eps)"}
+
+
 def test_gen_is_seed_deterministic(capsys):
     argv = ["gen", "--nl", "6", "--nr", "7", "--density", "0.5",
             "--wmin", "2", "--wmax", "9", "--bl", "1:3", "--br", "1:2",
@@ -164,6 +191,8 @@ def test_gen_rejects_bad_capacity_range(capsys):
     ["--algo", "mwm", "--eps", "1/2", "--gp-schedule", "sequential"],
     ["--algo", "mwm", "--eps", "3/7"],
     ["--algo", "mwm", "--eps", "0.25"],
+    ["--algo", "mwm", "--eps", "1/2", "--mode", "gp", "--gp-schedule", "sequential",
+     "--kernel", "rand"],
 ])
 def test_usage_errors_exit_two(capsys, single, argv_extra):
     assert main(["run", single] + argv_extra) == 2

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionmatch import mcbm
+from auctionmatch.criteria import mcbm_family
+from auctionmatch.graph import Epsilon
 from auctionmatch.kernels import (
     bucket_ordered_maximal,
     greedy_maximal,
@@ -101,7 +104,6 @@ def test_nondup_blocks_duplicate_original_pairs():
         {0: [0, 1], 1: [0, 1]},
         bidder_orig={0: 0, 1: 0},
         item_orig={0: 0, 1: 0},
-        owner=[None, None],
         held=set(),
     )
     assert len(got.pairs) == 1
@@ -112,23 +114,61 @@ def test_nondup_respects_already_held_pairs():
         {0: [0]},
         bidder_orig={0: 0},
         item_orig={0: 0},
-        owner=[None],
         held={(0, 0)},
     )
     assert got.pairs == []
 
 
-def test_nondup_prefers_unmatched_item_copies():
-    # copy 0 of the item is matched, copy 1 free; candidate order lists the
-    # matched copy first but the first sweep only touches free copies
-    got = nondup_maximal(
-        {0: [0, 1]},
-        bidder_orig={0: 0},
-        item_orig={0: 0, 1: 1},
-        owner=[0, None],
-        held=set(),
-    )
-    assert got.pairs == [(0, 1)]
+def _two_sweep_nondup(candidates, bidder_orig, item_orig, owner, held):
+    """The copy kernel as it was with an ``owner`` parameter: a first sweep
+    over unowned item copies only, then a second over all of them."""
+    claimed, matched, used, pairs = set(), set(), set(held), []
+    for free_only in (True, False):
+        for ic in sorted(candidates):
+            if ic in matched:
+                continue
+            for jc in candidates[ic]:
+                pair = (bidder_orig[ic], item_orig[jc])
+                if jc in claimed or (free_only and owner[jc] is not None) or pair in used:
+                    continue
+                claimed.add(jc)
+                matched.add(ic)
+                used.add(pair)
+                pairs.append((ic, jc))
+                break
+    return sorted(pairs)
+
+
+def test_nondup_one_sweep_equals_the_two_sweep_kernel_in_runs(monkeypatch):
+    # The one sweep needs no first pass over unowned copies because every
+    # demand set the engine hands it has one price: all its copies are
+    # unowned at price 0 and all owned above it.
+    states, calls = [], []
+
+    class Recorded(mcbm.McbmState):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            states.append(self)
+
+    def wrapped(candidates, **kw):
+        state = states[-1]
+        got = nondup_maximal(candidates, **kw)
+        free = set()
+        for copies in candidates.values():
+            (price,) = {state.prices[jc] for jc in copies}
+            assert all((state.owner[jc] is None) == (price == 0) for jc in copies)
+            free.add(price == 0)
+        assert got.pairs == _two_sweep_nondup(candidates, owner=state.owner, **kw)
+        calls.append(free)
+        return got
+
+    monkeypatch.setattr(mcbm, "McbmState", Recorded)
+    monkeypatch.setattr(mcbm, "nondup_maximal", wrapped)
+    for inst in mcbm_family()[:30]:
+        for k in (4, 8):
+            mcbm.run_mcbm(inst, Epsilon(k))
+    # rounds where free and owned demand sets meet are the ones that count
+    assert sum(free == {True, False} for free in calls) > 20
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,8 +190,7 @@ def test_nondup_output_never_duplicates_originals(seed, caps):
     if rng.random() < 0.5:
         held.add((rng.randrange(n_orig), rng.randrange(n_orig)))
     got = nondup_maximal(
-        sub, bidder_orig=bidder_orig, item_orig=item_orig,
-        owner=[None] * len(item_orig), held=held)
+        sub, bidder_orig=bidder_orig, item_orig=item_orig, held=held)
     seen = set(held)
     for bc, jc in got.pairs:
         pair = (bidder_orig[bc], item_orig[jc])

@@ -3,6 +3,7 @@
 import pytest
 
 from auctionmatch import mcbm
+from auctionmatch.criteria import mcbm_family
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcbm import (
@@ -211,3 +212,64 @@ def test_commit_keeps_held_pairs_and_item_minima():
     assert (state.pmin, state.held) == ([1, 0], {(0, 0), (0, 1), (1, 0)})
     # owned item copies never become free again
     assert state.owner == [2, 0, 1, None]
+
+
+def _sub_pass_one(state, unmatched):
+    """Sub-pass one of the stream-order round on its own: in edge order,
+    an unclaimed price-0 copy goes to the first still unpaired copy of the
+    edge's bidder whose cheapest eligible item is priced 0."""
+    cg = state.cg
+    zero = [bc for bc in unmatched
+            if any(state.pmin[j] == 0 for j in mcbm._eligible_items(state, bc))]
+    claimed, used, pairs = set(), set(state.held), []
+    for i, j, _ in cg.instance.edges:
+        if state.pmin[j] or (i, j) in used:
+            continue
+        jc = next((jc for jc in cg.item_copies(j)
+                   if state.prices[jc] == 0 and jc not in claimed), None)
+        bc = next((bc for bc in cg.bidder_copies(i) if bc in zero), None)
+        if jc is not None and bc is not None:
+            claimed.add(jc)
+            zero.remove(bc)
+            used.add((i, j))
+            pairs.append((bc, jc))
+    return pairs
+
+
+def test_stream_round_sub_pass_two_claims_only_owned_copies(monkeypatch):
+    # Sub-pass two finds no free copy: above price 0 every copy is owned,
+    # and a price-0 edge sub-pass one left unmatched had none left. So
+    # each of its claims evicts the copy's round-start owner.
+    real, evictions = mcbm._stream_round, []
+
+    def wrapped(state, unmatched):
+        demanded, pairs = real(state, unmatched)
+        first = _sub_pass_one(state, unmatched)
+        assert pairs[:len(first)] == first
+        assert all(state.owner[jc] is not None for _, jc in pairs[len(first):])
+        evictions.append(len(pairs) - len(first))
+        return demanded, pairs
+
+    monkeypatch.setattr(mcbm, "_stream_round", wrapped)
+    for inst in mcbm_family()[:30]:
+        for k in (4, 8):
+            run_mcbm(inst, Epsilon(k), kernel="stream")
+    assert sum(evictions) > 100
+
+
+def test_audit_raises_on_held_set_drift():
+    state = _underpaid_state()
+    views = {0: frozenset({1}), 2: frozenset()}
+    state.held = {(0, 1)}  # bidder 1's copy holds item 1 too
+    with pytest.raises(InvariantViolation) as info:
+        _audit_round(state, state.prices, state.cutoffs, views)
+    assert info.value.prop == "held-set-drift"
+
+
+def test_audit_raises_on_copy_price_spread():
+    state = _underpaid_state()
+    views = {0: frozenset({1}), 2: frozenset()}
+    _set_prices(state, [0, 0, 3, 1])  # item 1's copies two units apart
+    with pytest.raises(InvariantViolation) as info:
+        _audit_round(state, state.prices, state.cutoffs, views)
+    assert info.value.prop == "copy-price-spread"

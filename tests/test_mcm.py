@@ -114,6 +114,16 @@ def test_blackboard_trace_shape():
     assert tr_det.blackboard is None
 
 
+def test_audit_raises_on_an_unhappy_matched_bidder():
+    # bidder 0 paid 3/4 for item 0 while its neighbour item 1 costs 1/4
+    state = McmState(k=4, prices=[3, 1], assignment=[0, 1], owner=[0, 1],
+                     adj=[[0, 1], [1]])
+    with pytest.raises(InvariantViolation) as info:
+        mcm._audit_round(state, state.prices)
+    assert info.value.prop == "eps-happiness"
+    assert info.value.detail.startswith("bidder 0 has utility 1/4 but item 1")
+
+
 def _unstructured_audit(state, prev_prices):
     """mcm._audit_round as it was before it started with
     ``Auction.check_prices``: price range, priced implies matched, the

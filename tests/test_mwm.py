@@ -172,6 +172,14 @@ def test_price_sum_audit_allows_the_last_step():
     assert res.value == opt
 
 
+def test_price_sum_audit_raises_above_the_optimum_bound():
+    # an optimum of 0 puts the first won item's price above (k + 1) * 0
+    inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
+    with pytest.raises(InvariantViolation) as info:
+        _run(inst, Epsilon(2), audit=True, optimum=0)
+    assert info.value.prop == "price-sum-bound"
+
+
 def test_price_audit_catches_a_double_step(monkeypatch):
     # two bidders of weight 1 on one item at eps 1/3: steps of w end at
     # price 3 < (k + 1) * w, steps of 2w reach 4
