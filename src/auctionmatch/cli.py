@@ -15,7 +15,7 @@ from .graph import Epsilon, dumps_instance, generate_random, load_instance
 from .suite import run_single
 
 MODES = ("memory", "stream", "gp")
-KERNELS = ("det", "rand")
+KERNELS = ("det", "rand", "stream")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--eps", required=True,
                        help="approximation parameter, written 1/k")
     run_p.add_argument("--mode", default="memory", choices=MODES)
-    run_p.add_argument("--kernel", default="det", choices=KERNELS)
+    run_p.add_argument("--kernel", default="det", choices=KERNELS,
+                       help="round kernel; stream, for mwm and mcbm in memory "
+                            "mode, is the kernel the streamed engines reproduce")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--verify", action="store_true",
                        help="run the exact oracle and assert the engine's bound")
@@ -77,6 +79,10 @@ def _cmd_run(args) -> int:
         return 2
     if args.algo == "mcm" and args.mode != "memory":
         print("error: mcm runs in memory only", file=sys.stderr)
+        return 2
+    if args.kernel == "stream" and (args.algo == "mcm" or args.mode != "memory"):
+        print("error: --kernel stream runs mwm and mcbm in memory mode only",
+              file=sys.stderr)
         return 2
     if args.algo == "mcbm" and args.mode == "gp":
         print("error: the weight reduction applies to mwm only", file=sys.stderr)

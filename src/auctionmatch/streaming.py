@@ -11,6 +11,8 @@ weighted engine and 1 + 2 * rounds for the capacitated one.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .auction import Auction, check_demand, check_matching, phase_budget, round_budget
@@ -33,6 +35,13 @@ class EdgeStream:
     iterator: every traversal must see the same records in the same
     order.  Header fields (n_l, n_r, m, capacities) become available
     once the first traversal has run.
+
+    ``traverse()`` yields the edges one by one; ``runs()`` yields them as
+    maximal runs of one bidder's consecutive edges, so that an engine can
+    test a bidder once per run.  Either call is one pass.  When a bidder's
+    edges are contiguous, as ``save_instance`` and ``generate_random``
+    write them, each bidder has one run; in any other order a bidder's
+    edges come in several runs and the engines' results are the same.
     """
 
     def __init__(self, *, path=None, instance: BipartiteInstance | None = None):
@@ -41,6 +50,12 @@ class EdgeStream:
         self._path = Path(path) if path is not None else None
         self._instance = instance
         self.passes = 0
+        # The bidder and the edges of each run of an instance's edges, in two
+        # lists, built on the first runs() call. Like the edges it indexes,
+        # it belongs to the source, not to an engine's metered state. A
+        # groupby per pass would still step through every edge of a
+        # skipped run, and make a group object per run.
+        self._runs: tuple[list[int], list[tuple]] | None = None
         if instance is not None:
             self.n_l: int | None = instance.n_l
             self.n_r: int | None = instance.n_r
@@ -67,6 +82,25 @@ class EdgeStream:
         if self._instance is not None:
             return iter(self._instance.edges)
         return self._traverse_file()
+
+    def runs(self):
+        """Start one pass; yields (i, run) for each maximal run of bidder
+        i's consecutive edges, in stream order, each run an iterable of
+        (i, j, w).  An instance's runs hold its own edge tuples; a file's
+        are read as the pass goes, with ``traverse``'s checks.
+        """
+        self.passes += 1
+        if self._instance is None:
+            return groupby(self._traverse_file(), itemgetter(0))
+        if self._runs is None:
+            # zip builds each (i, run) pair as it is read, so the index
+            # keeps no pair per run
+            bidders, runs = [], []
+            for i, run in groupby(self._instance.edges, itemgetter(0)):
+                bidders.append(i)
+                runs.append(tuple(run))
+            self._runs = bidders, runs
+        return zip(*self._runs)
 
     def _traverse_file(self):
         """One pass over the file through ``graph.read_edges``.
@@ -110,6 +144,14 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     weight range, hence the phase budget) and one pass matching edges
     greedily in stream order, exactly as the in-memory engine's stream
     kernel does.  Passes total 1 + 2 * phases.
+
+    Every match pass, and every margin pass after the first phase's, walks
+    the stream's ``runs()``: a margin pass skips the whole run of a
+    matched bidder, and a match pass the run of a bidder with no best
+    margin, leaving a run as soon as its bidder claims.  The result is
+    the same in any edge order; when a bidder's edges are contiguous, as
+    ``save_instance`` and ``generate_random`` write them, a bidder that
+    cannot act costs one test per pass rather than one per edge.
 
     With ``audit`` every phase end runs ``mwm._audit_phase`` on the
     stream's own prices, owners and assignment, and every margin pass ends
@@ -193,14 +235,19 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     margin_best[i] = margin
             budget = phase_budget(ceil_log(k, w_max, w_min_surv), eps)
         else:
-            for i, j, w in stream.traverse():
-                if assignment[i] is not None or w < w_cut:
+            for i, run in stream.runs():
+                if assignment[i] is not None:
                     continue
-                margin = k * w - prices[j]
-                if margin > margin_best.get(i, 0):
+                best = margin_best.get(i, 0)
+                for _, j, w in run:
+                    if w >= w_cut:
+                        margin = k * w - prices[j]
+                        if margin > best:
+                            best = margin
+                if best > margin_best.get(i, 0):
                     if i not in margin_best:
                         acct.alloc(1, "margins")
-                    margin_best[i] = margin
+                    margin_best[i] = best
 
         if audit:
             check_demand(live, margin_best)
@@ -209,15 +256,20 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         n_margins = len(margin_best)
         pairs: list[tuple[int, int, int]] = []
         claimed: set[int] = set()
-        for i, j, w in stream.traverse():
-            if i not in margin_best or j in claimed or w < w_cut:
+        for i, run in stream.runs():
+            best = margin_best.get(i)
+            if best is None:
                 continue
-            v = k * w
-            if prices[j] < v and v - prices[j] >= margin_best[i] - w:
-                del margin_best[i]
-                claimed.add(j)
-                pairs.append((i, j, w))
-                acct.alloc(5, "phase-claims")
+            for _, j, w in run:
+                if j in claimed or w < w_cut:
+                    continue
+                v = k * w
+                if prices[j] < v and v - prices[j] >= best - w:
+                    del margin_best[i]
+                    claimed.add(j)
+                    pairs.append((i, j, w))
+                    acct.alloc(5, "phase-claims")
+                    break
 
         for i, j, w in pairs:
             auc.commit(i, j, w)
@@ -256,12 +308,12 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     item, that many holders, lowest copy id first, in one sweep over the
     bidder copies.  Passes total 1 + 2 * rounds.
 
-    No assignment changes during a round's two passes, so each pass reads
-    a bidder's copies only when the bidder id differs from the previous
-    edge's, and skips a bidder with no free copy before any per-item
-    work.  The result is the same in any edge order; when a bidder's
-    edges are contiguous, as ``save_instance`` and ``generate_random``
-    write them, that work is paid once per bidder rather than per edge.
+    No assignment changes during a round's two passes, so both walk the
+    stream's ``runs()``: each reads a bidder's copies once per run of its
+    edges and skips the whole run of a bidder with no free copy.  The
+    result is the same in any edge order; when a bidder's edges are
+    contiguous, as ``save_instance`` and ``generate_random`` write them,
+    that work is paid once per bidder rather than per edge.
 
     With ``audit`` every round runs ``mcbm._round_audit``, the in-memory
     engine's audit, on a copy layout of the item counts (``_as_copies``);
@@ -339,71 +391,67 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         # copies hold is fixed for the round and is read once per run of its
         # edges. A bidder whose copies are all matched can neither demand
         # nor claim.
-        last = -1
-        for i, j, _ in stream.traverse():
-            if i != last:
-                last = i
-                if rounds == 1:
-                    has_edge[i] = True
-                lo, hi = start[i], start[i + 1]
-                held = assignment[lo:hi]
-                free = None in held
-            if not free or j in held:
+        for i, run in stream.runs():
+            if rounds == 1:
+                has_edge[i] = True
+            lo, hi = start[i], start[i + 1]
+            held = assignment[lo:hi]
+            if None not in held:
                 continue
-            p = pmin[j]
-            if p < k:
-                for bc in range(lo, hi):
-                    if assignment[bc] is None and cutoff[bc] <= p:
-                        d = delta.get(bc)
-                        if d is None:
-                            delta[bc] = p
-                        elif p < d:
-                            delta[bc] = p
-            if p == 0 and (i, j) not in claimed_pairs:
-                if n_min[j] - claimed_at_pmin[j] <= 0:
+            for _, j, _ in run:
+                if j in held:
                     continue
-                pick = None
-                for bc in range(lo, hi):
-                    if (assignment[bc] is None and bc not in claimed_bidders
-                            and cutoff[bc] == 0):
-                        pick = bc
-                        break
-                if pick is None:
-                    continue
-                claims.append((pick, j))
-                claimed_bidders.add(pick)
-                claimed_pairs.add((i, j))
-                claimed_at_pmin[j] += 1
+                p = pmin[j]
+                if p < k:
+                    for bc in range(lo, hi):
+                        if assignment[bc] is None and cutoff[bc] <= p:
+                            d = delta.get(bc)
+                            if d is None:
+                                delta[bc] = p
+                            elif p < d:
+                                delta[bc] = p
+                if p == 0 and (i, j) not in claimed_pairs:
+                    if n_min[j] - claimed_at_pmin[j] <= 0:
+                        continue
+                    pick = None
+                    for bc in range(lo, hi):
+                        if (assignment[bc] is None and bc not in claimed_bidders
+                                and cutoff[bc] == 0):
+                            pick = bc
+                            break
+                    if pick is None:
+                        continue
+                    claims.append((pick, j))
+                    claimed_bidders.add(pick)
+                    claimed_pairs.add((i, j))
+                    claimed_at_pmin[j] += 1
 
         # Every copy of j at pmin[j] > 0 is held at exactly that price, so
         # n_min[j] - claimed_at_pmin[j] holders are still there to evict.
         evicting = False
-        last = -1
-        for i, j, _ in stream.traverse():
-            if i != last:
-                last = i
-                lo, hi = start[i], start[i + 1]
-                held = assignment[lo:hi]
-                free = None in held
-            if not free:
+        for i, run in stream.runs():
+            lo, hi = start[i], start[i + 1]
+            held = assignment[lo:hi]
+            if None not in held:
                 continue
-            p = pmin[j]
-            if p >= k or n_min[j] - claimed_at_pmin[j] <= 0:
-                continue
-            if (i, j) in claimed_pairs or j in held:
-                continue
-            # delta[bc] == p already implies bc is unmatched and cutoff <= p
-            for bc in range(lo, hi):
-                if delta.get(bc) == p and bc not in claimed_bidders:
-                    break
-            else:
-                continue
-            claims.append((bc, j))
-            claimed_at_pmin[j] += 1
-            if p > 0:
-                evicting = True
-            claimed_bidders.add(bc)
-            claimed_pairs.add((i, j))
+            for _, j, _ in run:
+                p = pmin[j]
+                if p >= k or n_min[j] - claimed_at_pmin[j] <= 0:
+                    continue
+                if (i, j) in claimed_pairs or j in held:
+                    continue
+                # delta[bc] == p already implies bc is unmatched and cutoff <= p
+                for bc in range(lo, hi):
+                    if delta.get(bc) == p and bc not in claimed_bidders:
+                        break
+                else:
+                    continue
+                claims.append((bc, j))
+                claimed_at_pmin[j] += 1
+                if p > 0:
+                    evicting = True
+                claimed_bidders.add(bc)
+                claimed_pairs.add((i, j))
 
         # No word is freed before the round ends, so metering its demands
         # and claims once, after both passes, leaves the peak unchanged.

@@ -1,6 +1,7 @@
 """Command-line interface contract."""
 
 import ast
+import itertools
 import json
 import subprocess
 import sys
@@ -12,7 +13,10 @@ import pytest
 import auctionmatch
 from auctionmatch import mcbm, suite
 from auctionmatch.cli import main
-from auctionmatch.graph import BipartiteInstance, loads_instance, save_instance
+from auctionmatch.graph import (BipartiteInstance, Epsilon, load_instance,
+                                loads_instance, save_instance, scale_and_prune)
+from auctionmatch.mcbm import run_mcbm
+from auctionmatch.mwm import run_mwm
 
 
 @pytest.fixture
@@ -199,6 +203,68 @@ def test_usage_errors_exit_two(capsys, single, argv_extra):
     assert "error:" in capsys.readouterr().err
 
 
+# Every (algo, mode, kernel, gp schedule) the CLI runs; any other
+# combination is a usage error.
+ACCEPTED = (
+    [("mcm", "memory", kernel, None) for kernel in ("det", "rand")]
+    + [("mwm", "memory", kernel, None) for kernel in ("det", "rand", "stream")]
+    + [("mwm", "stream", "det", None)]
+    + [("mwm", "gp", kernel, None) for kernel in ("det", "rand")]
+    + [("mwm", "gp", "det", schedule) for schedule in ("sequential", "concurrent")]
+    + [("mcbm", "memory", kernel, None) for kernel in ("det", "stream")]
+    + [("mcbm", "stream", "det", None)]
+)
+
+
+def _config_argv(algo, mode, kernel, schedule):
+    argv = ["--algo", algo, "--mode", mode, "--kernel", kernel]
+    return argv + ["--gp-schedule", schedule] if schedule else argv
+
+
+@pytest.mark.parametrize("config", list(itertools.product(
+    ("mcm", "mwm", "mcbm"), ("memory", "stream", "gp"), ("det", "rand", "stream"),
+    (None, "sequential", "concurrent"))))
+def test_every_configuration_runs_or_exits_two(capsys, k22, config):
+    code = main(["run", k22, "--eps", "1/4", "--verify", *_config_argv(*config)])
+    out, err = capsys.readouterr()
+    if config in ACCEPTED:
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["algo"], report["mode"], report["kernel"]) == config[:3]
+        assert report["result_value"] == 2
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["mwm", "mcbm"])
+def test_run_kernel_stream_is_the_in_memory_stream_order_kernel(capsys, tmp_path,
+                                                                algo):
+    # criterion 7 from the command line: the in-memory stream-order kernel
+    # finds the streamed engine's value, and is the kernel run_mwm and
+    # run_mcbm run under kernel="stream"
+    path = tmp_path / "gen.gr"
+    assert main(["gen", "--nl", "27", "--nr", "24", "--density", "0.2",
+                 "--wmax", "100", "--bl", "1:4", "--br", "1:4", "--seed", "2",
+                 "-o", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["run", str(path), "--algo", algo, "--eps", "1/4", "--audit"]
+    code, memory = _run_json(capsys, argv + ["--kernel", "stream"])
+    assert (code, memory["audit"], memory["passes"]) == (0, "ok", None)
+    code, streamed = _run_json(capsys, argv + ["--mode", "stream"])
+    assert code == 0
+    assert memory["result_value"] == streamed["result_value"]
+    assert memory["rounds"] == streamed["rounds"]
+    inst = load_instance(path)
+    eps = Epsilon.parse("1/4")
+    if algo == "mwm":
+        res, _ = run_mwm(scale_and_prune(inst, eps), eps, kernel="stream")
+        assert memory["result_value"] == res.value
+    else:
+        res, _ = run_mcbm(inst, eps, kernel="stream")
+        assert memory["result_value"] == res.cardinality
+
+
 @pytest.mark.parametrize("mode", ["memory", "stream", "gp"])
 def test_run_mwm_rejects_zero_edge_file(capsys, tmp_path, mode):
     # the weighted engines scale by w_max, which needs an edge
@@ -261,17 +327,6 @@ def test_suite_rejects_bad_criteria(capsys):
 # tokenize it pulls in, would cost every CLI child 12-15 ms of start-up.
 UNLOADED = ("dataclasses", "inspect")
 
-# Every algo, mode, kernel and gp schedule the CLI accepts.
-RUN_CONFIGS = (
-    ["--algo", "mcm"], ["--algo", "mcm", "--kernel", "rand"],
-    ["--algo", "mwm"], ["--algo", "mwm", "--kernel", "rand"],
-    ["--algo", "mwm", "--mode", "stream"],
-    ["--algo", "mwm", "--mode", "gp"], ["--algo", "mwm", "--mode", "gp", "--kernel", "rand"],
-    ["--algo", "mwm", "--mode", "gp", "--gp-schedule", "sequential"],
-    ["--algo", "mwm", "--mode", "gp", "--gp-schedule", "concurrent"],
-    ["--algo", "mcbm"], ["--algo", "mcbm", "--mode", "stream"],
-)
-
 
 def _modules_after_run(path, argv):
     # a child interpreter, so that no other test's imports count; the run
@@ -315,8 +370,9 @@ def test_run_imports_only_what_its_algo_and_mode_need(k22):
                                        "--mode", "stream", "--audit"])
     assert audited - capacitated == {"mcbm"}
     # --verify and --audit load the most; no configuration loads UNLOADED
-    for argv in RUN_CONFIGS:
-        _modules_after_run(k22, [*argv, "--eps", "1/4", "--verify", "--audit"])
+    for config in ACCEPTED:
+        _modules_after_run(k22, [*_config_argv(*config), "--eps", "1/4", "--verify",
+                                 "--audit"])
 
 
 def test_no_package_module_imports_dataclasses():

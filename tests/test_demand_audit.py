@@ -96,11 +96,12 @@ def _stream_mutant(engine, line, mutant_line, **names):
 
 
 def test_stream_mwm_audit_catches_a_margin_pass_that_skips_a_live_bidder():
-    # From the second phase on, bidders 2, 5, 8, ... get no best margin, so
-    # they never bid again however cheap their neighbours are.
+    # From the second phase on, the margin pass skips the whole run of
+    # bidders 2, 5, 8, ..., so they get no best margin and never bid again
+    # however cheap their neighbours are.
     mutant = _stream_mutant(
-        streaming.stream_mwm, "if assignment[i] is not None or w < w_cut:",
-        "if assignment[i] is not None or w < w_cut or i % 3 == 2:")
+        streaming.stream_mwm, "if assignment[i] is not None:",
+        "if assignment[i] is not None or i % 3 == 2:")
     changed, caught = set(), set()
     for seed, inst in enumerate(mwm_family()[:16]):
         plain = streaming.stream_mwm(EdgeStream.from_instance(inst), Epsilon(4))

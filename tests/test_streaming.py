@@ -59,6 +59,46 @@ def test_stream_file_roundtrip(tmp_path):
     assert stream.b_r == inst.b_r
 
 
+def _materialized(stream):
+    return [(i, list(run)) for i, run in stream.runs()]
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+def test_stream_runs_are_maximal_bidder_runs_in_stream_order(tmp_path, interleave):
+    inst = generate_random(12, 10, 0.4, w_range=(1, 9), seed=4)
+    if interleave:
+        inst = _interleaved(inst, 4)
+    path = tmp_path / "inst.gr"
+    save_instance(inst, path)
+    by_source = []
+    for stream in (EdgeStream.from_instance(inst), EdgeStream.from_path(path)):
+        runs = _materialized(stream)
+        assert stream.passes == 1
+        assert all(run and {e[0] for e in run} == {i} for i, run in runs)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        assert [e for _, run in runs for e in run] == list(stream.traverse())
+        assert _materialized(stream) == runs
+        assert stream.passes == 3
+        by_source.append(runs)
+    assert by_source[0] == by_source[1]
+    bidders = [i for i, _ in by_source[0]]
+    # contiguous edges give one run per bidder; the interleaved order
+    # splits at least the bidder it moved to both ends
+    assert (len(set(bidders)) == len(bidders)) is not interleave
+    if interleave:
+        assert bidders[0] == bidders[-1]
+
+
+def test_instance_stream_runs_index_the_instance_edges_once():
+    inst = generate_random(8, 8, 0.5, w_range=(1, 9), seed=1)
+    stream = EdgeStream.from_instance(inst)
+    first, second = list(stream.runs()), list(stream.runs())
+    assert all(a[1] is b[1] for a, b in zip(first, second))
+    edges = [e for _, run in first for e in run]
+    assert len(edges) == inst.m
+    assert all(e is f for e, f in zip(edges, inst.edges))
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("e 1 1 1\n", "edge before"),
     ("b l 1 2\n", "capacity before"),
@@ -81,6 +121,8 @@ def test_stream_file_errors(tmp_path, text, fragment):
     stream = EdgeStream.from_path(path)
     with pytest.raises(InstanceFormatError, match=fragment):
         list(stream.traverse())
+    with pytest.raises(InstanceFormatError, match=fragment):
+        _materialized(stream)
 
 
 # Small numbers only: a mutated problem line allocates its sizes.
@@ -521,6 +563,36 @@ def test_stream_mcbm_from_path_equals_from_instance(tmp_path, interleave):
         from_file = stream_mcbm(EdgeStream.from_path(path), Epsilon(k), audit=True)
         in_memory = stream_mcbm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
         assert from_file == in_memory
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_streamed_engines_mirror_memory_kernels_in_shuffled_order(tmp_path, seed):
+    # A bidder recurs across runs here: a margin pass must keep its best
+    # margin across them, and a match pass that leaves a run once the
+    # bidder claims must still try its later runs when it has not.
+    weighted = _interleaved(generate_random(
+        6 + seed * 3, 5 + seed * 2, 0.4, w_range=(1, 50), seed=seed), seed)
+    cap = 1 + seed % 4
+    capacitated = _interleaved(generate_random(
+        6 + seed * 3, 5 + seed * 2, 0.4, b_l_range=(1, cap), b_r_range=(1, cap),
+        seed=seed), seed)
+    w_path, c_path = tmp_path / "w.gr", tmp_path / "c.gr"
+    save_instance(weighted, w_path)
+    save_instance(capacitated, c_path)
+    for k in (2, 4, 8):
+        eps = Epsilon(k)
+        mem_w, mem_w_tr = run_mwm(scale_and_prune(weighted, eps), eps, kernel="stream")
+        mem_c, mem_c_tr = run_mcbm(capacitated, eps, kernel="stream")
+        for audit in (False, True):
+            res, tr = stream_mwm(EdgeStream.from_instance(weighted), eps, audit=audit)
+            assert (res.pairs, res.value) == (mem_w.pairs, mem_w.value)
+            assert tr.rounds_executed == mem_w_tr.rounds_executed
+            assert stream_mwm(EdgeStream.from_path(w_path), eps, audit=audit) == (res, tr)
+            res, tr = stream_mcbm(EdgeStream.from_instance(capacitated), eps,
+                                  audit=audit)
+            assert res.pairs == mem_c.pairs
+            assert tr.rounds_executed == mem_c_tr.rounds_executed
+            assert stream_mcbm(EdgeStream.from_path(c_path), eps, audit=audit) == (res, tr)
 
 
 @pytest.mark.parametrize("seed", range(4))
