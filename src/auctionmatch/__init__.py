@@ -18,7 +18,7 @@ _EXPORTS = {
               "save_instance", "scale_and_prune"),
     "mcbm": ("expand_copies", "find_demand_set", "mcbm_round_budget", "run_mcbm"),
     "mcm": ("demand_set_mcm", "mcm_round_budget", "run_mcm"),
-    "mwm": ("demand_set_mwm", "edge_bucket", "run_mwm"),
+    "mwm": ("demand_set_mwm", "run_mwm"),
     "oracles": ("ORACLE_SIZE_LIMIT", "exact_mcbm", "exact_mcm", "exact_mwm"),
     "results": ("BlackboardTrace", "BMatchingResult", "MatchingResult", "RunTrace"),
     "streaming": ("STREAM_MCBM_SPACE_FACTOR", "EdgeStream", "SpaceAccountant",

@@ -12,7 +12,7 @@ import sys
 
 from .errors import AuctionMatchError
 from .graph import Epsilon, dumps_instance, generate_random, load_instance
-from .suite import run_single
+from .suite import check_run, run_single
 
 MODES = ("memory", "stream", "gp")
 KERNELS = ("det", "rand", "stream")
@@ -74,33 +74,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_run(args) -> int:
     try:
         eps = Epsilon.parse(args.eps)
+        check_run(args.algo, args.mode, args.kernel, args.gp_schedule)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.algo == "mcm" and args.mode != "memory":
-        print("error: mcm runs in memory only", file=sys.stderr)
-        return 2
-    if args.kernel == "stream" and (args.algo == "mcm" or args.mode != "memory"):
-        print("error: --kernel stream runs mwm and mcbm in memory mode only",
-              file=sys.stderr)
-        return 2
-    if args.algo == "mcbm" and args.mode == "gp":
-        print("error: the weight reduction applies to mwm only", file=sys.stderr)
-        return 2
-    if args.algo == "mcbm" and args.kernel == "rand":
-        print("error: the capacitated engine has no randomized kernel",
-              file=sys.stderr)
-        return 2
-    if args.mode == "stream" and args.kernel == "rand":
-        print("error: streaming runs use the stream-order kernel; "
-              "--kernel rand is unavailable", file=sys.stderr)
-        return 2
-    if args.gp_schedule and args.mode != "gp":
-        print("error: --gp-schedule requires --mode gp", file=sys.stderr)
-        return 2
-    if args.gp_schedule and args.kernel == "rand":
-        print("error: streamed reduction levels use the stream-order kernel; "
-              "--kernel rand is unavailable", file=sys.stderr)
         return 2
     try:
         inst = load_instance(args.instance)

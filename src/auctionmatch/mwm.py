@@ -17,7 +17,7 @@ suite against exact oracles rather than re-derived here.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .auction import (Auction, blackboard_trace, check_demand, check_matching,
                       phase_budget)
@@ -27,28 +27,13 @@ from .kernels import KernelMatching, bucket_sweep
 from .kernels import bucket_ordered_maximal  # noqa: F401 -- bench/tracer.py wraps mwm.bucket_ordered_maximal
 from .results import MatchingResult, RunTrace
 
-if TYPE_CHECKING:  # importing fractions also loads decimal
-    from fractions import Fraction
-
 __all__ = [
     "DemandSpec",
     "MwmState",
     "demand_set_mwm",
-    "edge_bucket",
     "phase_budget",
     "run_mwm",
 ]
-
-
-def edge_bucket(scaled_w: Fraction, eps: Epsilon) -> int:
-    """The unique b >= 1 with eps**(b-1) <= scaled_w < eps**(b-2).
-
-    scaled_w must lie in (0, 1]; bucket 1 holds the heaviest edges.
-    """
-    num, den = scaled_w.numerator, scaled_w.denominator
-    if num <= 0 or num > den:
-        raise ValueError(f"scaled weight {scaled_w} outside (0, 1]")
-    return 1 + ceil_log(eps.k, den, num)
 
 
 class DemandSpec(NamedTuple):
@@ -177,7 +162,8 @@ def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
     for its best margin and then for the items ``demand_set_mwm`` would
     list; every demanded item goes into one list as (bucket, bidder,
     price, item, weight), sorted once for ``bucket_sweep``. ``bucket_of``
-    caches each weight's ``edge_bucket`` across phases.
+    caches each weight's bucket across phases: the b >= 1 with
+    eps**(b-1) <= w / w_max < eps**(b-2), which is 1 + ceil_log(k, w_max, w).
     """
     k, prices, adj, w_max = state.k, state.prices, state.adj, state.sg.w_max
     demanders: list[int] = []
@@ -226,7 +212,7 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     budget = phase_budget(sg.bucket_count, eps)
     rng = random.Random(seed)
 
-    bucket_of: dict[int, int] = {}  # weight -> edge_bucket, filled on demand
+    bucket_of: dict[int, int] = {}  # weight -> bucket, filled on demand
     # The audit's edge -> weight table, built once per audited run.
     weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 

@@ -1,8 +1,9 @@
 """Single-run reports: one engine configuration on one instance.
 
-``run_single`` backs the CLI ``run`` subcommand and criterion 10. It
-imports an engine, and the exact oracle under ``verify``, on first use,
-so that a run loads only the modules its algo and mode need.
+``run_single`` backs the CLI ``run`` subcommand and criterion 10; both
+accept the configurations ``RUNS`` lists and no other. It imports an
+engine, and the exact oracle under ``verify``, on first use, so that a
+run loads only the modules its algo and mode need.
 """
 
 from __future__ import annotations
@@ -38,6 +39,38 @@ def __getattr__(name: str):
     return value
 
 
+# Every supported run: (algo, mode) -> the name of its engine on this module,
+# and the kernels that engine takes. --gp-schedule streams the levels of a
+# gp run, with the det kernel only.
+RUNS = {
+    ("mcm", "memory"): ("run_mcm", ("det", "rand")),
+    ("mwm", "memory"): ("run_mwm", ("det", "rand", "stream")),
+    ("mwm", "stream"): ("stream_mwm", ("det",)),
+    ("mwm", "gp"): ("run_reduced_mwm", ("det", "rand")),
+    ("mcbm", "memory"): ("run_mcbm", ("det", "stream")),
+    ("mcbm", "stream"): ("stream_mcbm", ("det",)),
+}
+
+
+def check_run(algo: str, mode: str, kernel: str,
+              gp_schedule: str | None = None) -> str:
+    """The name of the engine ``RUNS`` lists for this configuration;
+    ``ValueError`` with a one-line reason when it lists none."""
+    if (algo, mode) not in RUNS:
+        modes = " or ".join(m for a, m in RUNS if a == algo) or "no"
+        raise ValueError(f"{algo} runs in {modes} mode, not {mode}")
+    name, kernels = RUNS[algo, mode]
+    where = f"{mode} mode"
+    if gp_schedule is not None:
+        if mode != "gp":
+            raise ValueError(f"--gp-schedule runs in gp mode only, not {mode}")
+        where, kernels = "gp mode with --gp-schedule", ("det",)
+    if kernel not in kernels:
+        raise ValueError(f"{algo} in {where} takes the {' or '.join(kernels)} "
+                         f"kernel, not {kernel}")
+    return name
+
+
 BOUND_NAMES = {
     "mcm": "cardinality-approximation-(1-2eps)",
     "mcbm": "capacitated-approximation-(1-2eps)",
@@ -65,19 +98,15 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     """Run one engine configuration and assemble the JSON-ready report.
 
     Returns (report, exit_code); exit code 1 signals a violated bound or
-    a failed audit, per the CLI contract.
+    a failed audit, per the CLI contract. A configuration outside ``RUNS``
+    raises ``ValueError`` before any engine is imported.
     """
+    name = check_run(algo, mode, kernel, gp_schedule)
     # Engines and oracles are looked up on the module, where the first
     # lookup imports them and where a caller may have replaced them, and
     # before the clock starts, so that wall_time_s times only their runs.
     this = sys.modules[__name__]
-    if algo == "mcm":
-        solve = this.run_mcm
-    elif algo == "mwm":
-        solve = (this.run_mwm if mode == "memory" else
-                 this.stream_mwm if mode == "stream" else this.run_reduced_mwm)
-    else:
-        solve = this.run_mcbm if mode == "memory" else this.stream_mcbm
+    solve = getattr(this, name)
     oracle = getattr(this, f"exact_{algo}") if verify else None
     # A failed audit leaves every result field None.
     report = {
@@ -104,30 +133,20 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     exit_code = 0
 
     try:
-        if algo == "mcm":
-            res, tr = solve(inst, eps, kernel=kernel, seed=seed, audit=audit)
-            value = res.value
-        elif algo == "mwm":
-            if mode == "memory":
-                sg = scale_and_prune(inst, eps)
-                res, tr = solve(sg, eps, kernel=kernel, seed=seed, audit=audit)
-            elif mode == "stream":
-                res, tr = solve(this.EdgeStream.from_instance(inst), eps, audit=audit)
-            else:
-                engine = "memory" if gp_schedule is None else f"stream-{gp_schedule}"
-                res, tr = solve(
-                    inst, eps, engine=engine, kernel=kernel, seed=seed, audit=audit)
-            value = res.value
+        if mode == "memory":
+            graph = scale_and_prune(inst, eps) if algo == "mwm" else inst
+            res, tr = solve(graph, eps, kernel=kernel, seed=seed, audit=audit)
+        elif mode == "stream":
+            res, tr = solve(this.EdgeStream.from_instance(inst), eps, audit=audit)
         else:
-            if mode == "memory":
-                res, tr = solve(inst, eps, kernel=kernel, seed=seed, audit=audit)
-            else:
-                res, tr = solve(this.EdgeStream.from_instance(inst), eps, audit=audit)
-            value = res.cardinality
+            engine = "memory" if gp_schedule is None else f"stream-{gp_schedule}"
+            res, tr = solve(inst, eps, engine=engine, kernel=kernel, seed=seed,
+                            audit=audit)
     except InvariantViolation as exc:
         report["audit"] = {"violated": exc.prop, "detail": str(exc)}
         report["wall_time_s"] = round(time.perf_counter() - t0, 6)
         return report, 1
+    value = res.cardinality if algo == "mcbm" else res.value
 
     if audit:
         report["audit"] = "ok"
@@ -140,8 +159,7 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
         if not ok:
             exit_code = 1
 
-    streamed = mode == "stream" or (mode == "gp" and gp_schedule is not None)
-    if streamed:
+    if mode == "stream" or gp_schedule is not None:
         report["passes"] = tr.passes
         report["peak_words"] = tr.peak_words
     if tr.blackboard is not None:

@@ -187,6 +187,27 @@ def test_gen_rejects_bad_capacity_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--density", "0"], "density must be in (0, 1]"),
+    (["--wmin", "5", "--wmax", "3"], "weight range must satisfy 1 <= lo <= hi"),
+])
+def test_gen_rejects_bad_parameters(capsys, argv, message):
+    assert main(["gen", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("mode", ["memory", "stream"])
+def test_capacity_vertex_out_of_range_exits_two(capsys, tmp_path, mode):
+    path = tmp_path / "caps.gr"
+    path.write_text("p bm 2 2 1\ne 1 1 1\nb r 3 1\n")
+    assert main(["run", str(path), "--algo", "mcbm", "--eps", "1/2",
+                 "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "error: line 3: capacity vertex out of range in 'b r 3 1'\n")
+
+
 @pytest.mark.parametrize("argv_extra", [
     ["--algo", "mcm", "--eps", "1/2", "--mode", "stream"],
     ["--algo", "mcbm", "--eps", "1/2", "--kernel", "rand"],
@@ -225,16 +246,58 @@ def _config_argv(algo, mode, kernel, schedule):
     ("mcm", "mwm", "mcbm"), ("memory", "stream", "gp"), ("det", "rand", "stream"),
     (None, "sequential", "concurrent"))))
 def test_every_configuration_runs_or_exits_two(capsys, k22, config):
+    # the CLI and run_single accept the same runs, and refuse the others
+    # with the same one-line reason
     code = main(["run", k22, "--eps", "1/4", "--verify", *_config_argv(*config)])
     out, err = capsys.readouterr()
+    algo, mode, kernel, schedule = config
+    args = (load_instance(k22), algo, Epsilon(4), mode, kernel, 0, True, False,
+            schedule)
     if config in ACCEPTED:
         assert code == 0, err
         report = json.loads(out)
         assert (report["algo"], report["mode"], report["kernel"]) == config[:3]
         assert report["result_value"] == 2
+        direct, direct_code = suite.run_single(*args)
+        assert direct_code == 0
+        for got in (report, direct):
+            got.pop("wall_time_s")
+        assert direct == report
     else:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(ValueError) as refused:
+            suite.run_single(*args)
+        assert err == f"error: {refused.value}\n"
+
+
+def test_refused_runs_import_no_engine():
+    # a child interpreter, so that no other test's imports count
+    src = Path(auctionmatch.__file__).resolve().parent.parent
+    code = (
+        "import itertools, sys\n"
+        "from auctionmatch.graph import BipartiteInstance, Epsilon\n"
+        "from auctionmatch.suite import run_single\n"
+        "inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])\n"
+        "refused = 0\n"
+        "for config in itertools.product(('mcm', 'mwm', 'mcbm'),\n"
+        "        ('memory', 'stream', 'gp'), ('det', 'rand', 'stream'),\n"
+        "        (None, 'sequential', 'concurrent')):\n"
+        "    if config not in %r:\n"
+        "        algo, mode, kernel, schedule = config\n"
+        "        try:\n"
+        "            run_single(inst, algo, Epsilon(4), mode, kernel, 0, True, True,\n"
+        "                       schedule)\n"
+        "        except ValueError:\n"
+        "            refused += 1\n"
+        "print(refused, *sorted(m for m in sys.modules if m.startswith('auctionmatch.')))\n"
+    ) % (ACCEPTED,)
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    refused, *modules = out.stdout.split()
+    assert refused == "68"
+    assert set(modules) == {"auctionmatch.errors", "auctionmatch.graph",
+                            "auctionmatch.suite"}
 
 
 @pytest.mark.parametrize("algo", ["mwm", "mcbm"])

@@ -22,7 +22,7 @@ from auctionmatch.criteria import mcbm_family, mcm_family, mwm_family
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, scale_and_prune
 from auctionmatch.streaming import EdgeStream
-from auctionmatch.suite import run_single
+from auctionmatch.suite import RUNS, run_single
 
 
 def _outcome(run, *args, **kwargs):
@@ -140,14 +140,11 @@ def test_capacitated_audits_catch_a_step_that_under_reports_losing_copies(
                          audit=True) == "empty-demand-characterization")
 
 
+# Every run the package accepts.
 _CONFIGS = (
-    [("mcm", "memory", kernel, None) for kernel in ("det", "rand")]
-    + [("mwm", "memory", kernel, None) for kernel in ("det", "rand", "stream")]
-    + [("mwm", "stream", "det", None)]
-    + [("mwm", "gp", kernel, None) for kernel in ("det", "rand", "stream")]
+    [(algo, mode, kernel, None)
+     for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
     + [("mwm", "gp", "det", schedule) for schedule in ("sequential", "concurrent")]
-    + [("mcbm", "memory", kernel, None) for kernel in ("det", "stream")]
-    + [("mcbm", "stream", "det", None)]
 )
 
 

@@ -52,6 +52,20 @@ def test_ceil_log_exact_cases():
     assert ceil_log(8, 1000, 10) == 3  # 8**2 = 64 < 100 <= 512
 
 
+@pytest.mark.parametrize("args", [(2, 0), (2, -3), (2, 1, 0), (2, 4, -1)])
+def test_ceil_log_rejects_non_positive_ratio(args):
+    with pytest.raises(ValueError, match="^ceil_log needs a positive ratio$"):
+        ceil_log(*args)
+
+
+def test_edgeless_instance_has_no_weight_extremes():
+    inst = BipartiteInstance.build(2, 3, [])
+    with pytest.raises(ValueError, match="^instance has no edges$"):
+        inst.w_max
+    with pytest.raises(ValueError, match="^instance has no edges$"):
+        inst.w_min
+
+
 def test_instance_rejects_bad_shapes():
     with pytest.raises(ValueError):
         BipartiteInstance.build(0, 1, [])
@@ -255,6 +269,14 @@ def test_format_errors_carry_line_numbers():
         loads_instance("p bm 1 1 2\ne 1 1 1\n")
 
 
+@pytest.mark.parametrize("record", ["b l 3 1", "b l 0 1", "b r 4 1", "b r -1 1"])
+def test_capacity_vertex_out_of_range_is_a_format_error(record):
+    # 2 bidders and 3 items; the record sits on line 3
+    with pytest.raises(InstanceFormatError,
+                       match=f"^line 3: capacity vertex out of range in '{record}'$"):
+        loads_instance(f"p bm 2 3 1\ne 1 1 1\n{record}\n")
+
+
 @pytest.mark.parametrize("header", [
     f"p bm {MAX_SIDE + 1} 1 0", f"p bm 1 {MAX_SIDE + 1} 0",
     f"p bm {10 ** 18} 1 0", f"p bm {10 ** 18} {10 ** 18} 0",
@@ -264,6 +286,19 @@ def test_problem_line_side_above_limit_is_a_format_error(header):
     # allocate capacities for
     with pytest.raises(InstanceFormatError, match="line 2: problem line side above"):
         loads_instance(f"c big\n{header}\n")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"density": 0.0}, "density must be in"),
+    ({"density": 1.5}, "density must be in"),
+    ({"w_range": (0, 3)}, "weight range must satisfy"),
+    ({"w_range": (5, 3)}, "weight range must satisfy"),
+    ({"b_l_range": (0, 2)}, "capacity range must satisfy"),
+    ({"b_r_range": (3, 2)}, "capacity range must satisfy"),
+])
+def test_generator_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_random(**{"n_l": 4, "n_r": 4, "density": 0.5, **kwargs})
 
 
 def test_generator_is_deterministic_and_in_range():

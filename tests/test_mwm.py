@@ -17,12 +17,13 @@ from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import (
     BipartiteInstance,
     Epsilon,
+    ceil_log,
     generate_random,
     scale_and_prune,
 )
-from auctionmatch.mwm import MwmState, edge_bucket, phase_budget, run_mwm
+from auctionmatch.mwm import MwmState, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
-from test_round_reference import _reference_phase
+from test_round_reference import _reference_phase, edge_bucket
 
 
 def _run(inst, eps, **kw):
@@ -56,10 +57,11 @@ def test_edge_bucket_rule():
     (1, 2), (7, 2), (100, 3), (100, 8), (729, 3), (1000, 4), (4096, 16)])
 def test_integer_bucket_index_matches_edge_bucket(w_max, k):
     # edge_bucket's defining inequality eps**(b-1) <= w / w_max < eps**(b-2),
-    # in integers; the upper bound holds for b = 1 since w <= w_max < k * w_max
+    # in integers; the upper bound holds for b = 1 since w <= w_max < k * w_max.
+    # The engine buckets a weight as 1 + ceil_log(k, w_max, w).
     for w in range(1, w_max + 1):
         b = edge_bucket(Fraction(w, w_max), Epsilon(k))
-        assert b >= 1
+        assert b == 1 + ceil_log(k, w_max, w) >= 1
         assert w * k ** (b - 1) >= w_max
         assert b == 1 or w * k ** (b - 2) < w_max
 

@@ -2,7 +2,8 @@
 kernel, against reference copies of their earlier forms.
 
 The references ask every unmatched bidder with a neighbour for a demand set
-in every round, and key weight buckets by (bidder, item). The engines drop a
+in every round, and key weight buckets by (bidder, item), each bucket from
+its Fraction definition (``edge_bucket``). The engines drop a
 bidder whose demand set came back empty (prices never fall, so it can never
 demand again), the deterministic cardinality round finds each bidder's
 demand and greedy pick in one scan of its adjacency, and the weighted phase
@@ -28,9 +29,20 @@ from auctionmatch.kernels import (
     greedy_maximal,
     randomized_proposal_mm,
 )
-from auctionmatch.mwm import edge_bucket
 from auctionmatch.results import BMatchingResult, MatchingResult, RunTrace
 from auctionmatch.weight_reduction import run_reduced_mwm
+
+
+def edge_bucket(scaled_w, eps):
+    """The weight bucket by its definition, in Fractions: the unique b >= 1
+    with eps**(b-1) <= scaled_w < eps**(b-2), for scaled_w in (0, 1].
+    Bucket 1 holds the heaviest edges."""
+    if not 0 < scaled_w <= 1:
+        raise ValueError(f"scaled weight {scaled_w} outside (0, 1]")
+    b = 1
+    while Fraction(1, eps.k) ** (b - 1) > scaled_w:
+        b += 1
+    return b
 
 
 def _tuple_keyed_bucket_ordered_maximal(candidates, buckets, kernel="det", seed=0):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from auctionmatch import mcbm, streaming
+from auctionmatch import mcbm, mwm, streaming
 from auctionmatch.auction import Auction
 from auctionmatch.criteria import mwm_family
 from auctionmatch.errors import InstanceFormatError, InvariantViolation
@@ -229,6 +229,23 @@ def test_stream_mwm_mirrors_memory_stream_kernel(seed):
     assert str_res.pairs == mem_res.pairs
     assert str_tr.rounds_executed == mem_tr.rounds_executed
     assert str_tr.passes == 1 + 2 * str_tr.rounds_executed
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10])
+def test_stream_mwm_stops_at_a_spent_phase_budget(monkeypatch, budget):
+    # each instance runs 21-24 phases under its real budget, so a smaller
+    # one stops the run; the in-memory stream kernel stops at the same phase
+    for module in (streaming, mwm):
+        monkeypatch.setattr(module, "phase_budget", lambda buckets, eps: budget)
+    eps = Epsilon(4)
+    for inst in (mwm_family()[i] for i in (4, 5, 8)):
+        mem_res, mem_tr = run_mwm(scale_and_prune(inst, eps), eps, kernel="stream")
+        for audit in (False, True):
+            res, tr = stream_mwm(EdgeStream.from_instance(inst), eps, audit=audit)
+            assert tr.rounds_executed == tr.round_budget == budget
+            assert tr.passes == 1 + 2 * budget
+            assert (res.value, res.pairs) == (mem_res.value, mem_res.pairs)
+            assert tr.rounds_executed == mem_tr.rounds_executed
 
 
 def test_stream_mwm_audit_accepts_prices_above_k_w_max():
