@@ -12,7 +12,7 @@ import sys
 
 from .errors import AuctionMatchError
 from .graph import Epsilon, dumps_instance, generate_random, load_instance
-from .suite import check_run, run_single
+from .suite import GP_SCHEDULES, check_run, run_single
 
 MODES = ("memory", "stream", "gp")
 KERNELS = ("det", "rand", "stream")
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--audit", action="store_true",
                        help="assert per-round invariants during the run")
     run_p.add_argument("--report", help="write the JSON report here instead of stdout")
-    run_p.add_argument("--gp-schedule", choices=("sequential", "concurrent"),
+    run_p.add_argument("--gp-schedule", choices=GP_SCHEDULES,
                        help="stream the reduction's levels under this schedule "
                             "(gp mode only)")
 

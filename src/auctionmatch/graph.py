@@ -27,7 +27,6 @@ __all__ = [
     "ceil_log",
     "load_instance",
     "loads_instance",
-    "open_instance",
     "read_edges",
     "save_instance",
     "dumps_instance",
@@ -166,9 +165,7 @@ class BipartiteInstance(_InstanceFields):
         the read ends), the levels of
         ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
         checked instance's edges, with unit capacities, and the audit state
-        of ``streaming.stream_mcbm``, from a stream's first pass. A path
-        stream's edges may repeat a pair; that audit state tolerates it,
-        because its adjacency feeds only set and emptiness tests."""
+        of ``streaming.stream_mcbm``, from a stream's first pass."""
         return tuple.__new__(cls, (n_l, n_r, edges, b_l, b_r))
 
     @classmethod
@@ -284,15 +281,6 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon) -> ScaledGraph:
 # capacity per vertex at the problem line, so a larger side is a format
 # error rather than an allocation the machine cannot make.
 MAX_SIDE = 2 ** 22
-
-
-def open_instance(path):
-    """Open an instance file as ASCII text for ``read_edges``.
-
-    Any other byte becomes a lone surrogate, which ``read_edges`` rejects
-    with its line number.
-    """
-    return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
 def read_edges(lines, header):
@@ -427,7 +415,9 @@ def loads_instance(text: str) -> BipartiteInstance:
 
 
 def load_instance(path) -> BipartiteInstance:
-    with open_instance(path) as fh:
+    # ASCII: any other byte becomes a lone surrogate, which ``read_edges``
+    # rejects with its line number.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return _parse_lines(fh)
 
 

@@ -417,8 +417,7 @@ def _audit_round(
         utility = k - state.prices[jc]
         view = views[bc]
         _check_copy_happiness(state, bc, utility, view)
-        # The price test first: few items beat ``utility``. A set, so that
-        # an edge a path stream repeats is one pair.
+        # The price test first: few items beat ``utility``.
         reopened += len({
             j for j in state.adj[oi]
             if utility < k - pmin[j] - 1 and j not in view

@@ -1,9 +1,9 @@
 """Semi-streaming execution of the auction engines.
 
-An EdgeStream replays an instance from a file or an in-memory object;
-each full traversal counts as one pass.  The engines below keep only
-per-vertex (or per-vertex-copy) state, metered in words by a
-SpaceAccountant, and reproduce the in-memory engines' stream kernels
+An EdgeStream replays a loaded instance's edges; each full traversal
+counts as one pass.  The engines below keep only per-vertex (or
+per-vertex-copy) state, metered in words by a SpaceAccountant, and
+reproduce the in-memory engines' stream kernels
 exactly: same matchings, with pass counts 1 + 2 * phases for the
 weighted engine and 1 + 2 * rounds for the capacitated one.
 """
@@ -13,12 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 from .auction import Auction, check_demand, check_matching, phase_budget, round_budget
 from .errors import InvariantViolation
-from .graph import (BipartiteInstance, Epsilon, ceil_log, open_instance,
-                    prune_exponent, read_edges)
+from .graph import BipartiteInstance, Epsilon, ceil_log, prune_exponent
 from .results import BMatchingResult, MatchingResult, RunTrace
 
 # Measured ceiling for peak words over (sum of bidder capacities + n_r);
@@ -29,12 +27,10 @@ STREAM_MCBM_SPACE_FACTOR = 12
 
 
 class EdgeStream:
-    """Re-iterable edge source with pass counting.
+    """Re-iterable edge source with pass counting over a loaded instance.
 
-    Built from a path or a parsed instance, never from a one-shot
-    iterator: every traversal must see the same records in the same
-    order.  Header fields (n_l, n_r, m, capacities) become available
-    once the first traversal has run.
+    Every traversal sees the instance's edges in the same order.  Its
+    header fields (n_l, n_r, m, capacities) are the instance's.
 
     ``traverse()`` yields the edges one by one; ``runs()`` yields them as
     maximal runs of one bidder's consecutive edges, so that an engine can
@@ -44,10 +40,7 @@ class EdgeStream:
     edges come in several runs and the engines' results are the same.
     """
 
-    def __init__(self, *, path=None, instance: BipartiteInstance | None = None):
-        if (path is None) == (instance is None):
-            raise ValueError("exactly one of path or instance is required")
-        self._path = Path(path) if path is not None else None
+    def __init__(self, instance: BipartiteInstance):
         self._instance = instance
         self.passes = 0
         # The bidder and the edges of each run of an instance's edges, in two
@@ -56,42 +49,26 @@ class EdgeStream:
         # groupby per pass would still step through every edge of a
         # skipped run, and make a group object per run.
         self._runs: tuple[list[int], list[tuple]] | None = None
-        if instance is not None:
-            self.n_l: int | None = instance.n_l
-            self.n_r: int | None = instance.n_r
-            self.m: int | None = instance.m
-            self.b_l: tuple[int, ...] | None = instance.b_l
-            self.b_r: tuple[int, ...] | None = instance.b_r
-        else:
-            self.n_l = self.n_r = self.m = None
-            self.b_l = self.b_r = None
-
-    @classmethod
-    def from_path(cls, path) -> "EdgeStream":
-        return cls(path=path)
+        self.n_l, self.n_r, self.m = instance.n_l, instance.n_r, instance.m
+        self.b_l, self.b_r = instance.b_l, instance.b_r
 
     @classmethod
     def from_instance(cls, inst: BipartiteInstance) -> "EdgeStream":
         if not isinstance(inst, BipartiteInstance):
             raise TypeError("from_instance requires a BipartiteInstance")
-        return cls(instance=inst)
+        return cls(inst)
 
     def traverse(self):
         """Start one pass; yields (i, j, w) with 0-based endpoints."""
         self.passes += 1
-        if self._instance is not None:
-            return iter(self._instance.edges)
-        return self._traverse_file()
+        return iter(self._instance.edges)
 
     def runs(self):
         """Start one pass; yields (i, run) for each maximal run of bidder
-        i's consecutive edges, in stream order, each run an iterable of
-        (i, j, w).  An instance's runs hold its own edge tuples; a file's
-        are read as the pass goes, with ``traverse``'s checks.
+        i's consecutive edges, in stream order, each run a tuple of the
+        instance's own (i, j, w) edge tuples.
         """
         self.passes += 1
-        if self._instance is None:
-            return groupby(self._traverse_file(), itemgetter(0))
         if self._runs is None:
             # zip builds each (i, run) pair as it is read, so the index
             # keeps no pair per run
@@ -101,17 +78,6 @@ class EdgeStream:
                 runs.append(tuple(run))
             self._runs = bidders, runs
         return zip(*self._runs)
-
-    def _traverse_file(self):
-        """One pass over the file through ``graph.read_edges``.
-
-        Every check ``load_instance`` makes is made here except duplicate
-        edge detection, which needs Theta(m) words, more than a streaming
-        engine may keep.
-        """
-        with open_instance(self._path) as fh:
-            for _, i, j, w in read_edges(fh, self):
-                yield i, j, w
 
 
 class SpaceAccountant:
@@ -165,7 +131,6 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     m = 0
     w_max = 0
     w_min = None
-    n_l = n_r = 0
     acct.alloc(8, "scalars")
     edges = stream.traverse()
     if audit:  # the audit's copy of the edges, taken in this pass

@@ -41,7 +41,8 @@ def __getattr__(name: str):
 
 # Every supported run: (algo, mode) -> the name of its engine on this module,
 # and the kernels that engine takes. --gp-schedule streams the levels of a
-# gp run, with the det kernel only.
+# gp run under one of GP_SCHEDULES, with the det kernel only.
+GP_SCHEDULES = ("sequential", "concurrent")
 RUNS = {
     ("mcm", "memory"): ("run_mcm", ("det", "rand")),
     ("mwm", "memory"): ("run_mwm", ("det", "rand", "stream")),
@@ -64,6 +65,9 @@ def check_run(algo: str, mode: str, kernel: str,
     if gp_schedule is not None:
         if mode != "gp":
             raise ValueError(f"--gp-schedule runs in gp mode only, not {mode}")
+        if gp_schedule not in GP_SCHEDULES:
+            raise ValueError(f"--gp-schedule is {' or '.join(GP_SCHEDULES)}, "
+                             f"not {gp_schedule}")
         where, kernels = "gp mode with --gp-schedule", ("det",)
     if kernel not in kernels:
         raise ValueError(f"{algo} in {where} takes the {' or '.join(kernels)} "

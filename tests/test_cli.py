@@ -282,7 +282,7 @@ def test_refused_runs_import_no_engine():
         "refused = 0\n"
         "for config in itertools.product(('mcm', 'mwm', 'mcbm'),\n"
         "        ('memory', 'stream', 'gp'), ('det', 'rand', 'stream'),\n"
-        "        (None, 'sequential', 'concurrent')):\n"
+        "        (None, 'sequential', 'concurrent', 'parallel')):\n"
         "    if config not in %r:\n"
         "        algo, mode, kernel, schedule = config\n"
         "        try:\n"
@@ -295,9 +295,17 @@ def test_refused_runs_import_no_engine():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True, timeout=60)
     refused, *modules = out.stdout.split()
-    assert refused == "68"
+    assert refused == "95"
     assert set(modules) == {"auctionmatch.errors", "auctionmatch.graph",
                             "auctionmatch.suite"}
+
+
+def test_check_run_refuses_an_unknown_gp_schedule():
+    # the CLI's --gp-schedule choices are the table's, so only the Python
+    # API can ask for another schedule
+    with pytest.raises(ValueError,
+                       match="^--gp-schedule is sequential or concurrent, not parallel$"):
+        suite.check_run("mwm", "gp", "det", "parallel")
 
 
 @pytest.mark.parametrize("algo", ["mwm", "mcbm"])

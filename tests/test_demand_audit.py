@@ -22,7 +22,7 @@ from auctionmatch.criteria import mcbm_family, mcm_family, mwm_family
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, scale_and_prune
 from auctionmatch.streaming import EdgeStream
-from auctionmatch.suite import RUNS, run_single
+from auctionmatch.suite import GP_SCHEDULES, RUNS, run_single
 
 
 def _outcome(run, *args, **kwargs):
@@ -144,7 +144,7 @@ def test_capacitated_audits_catch_a_step_that_under_reports_losing_copies(
 _CONFIGS = (
     [(algo, mode, kernel, None)
      for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
-    + [("mwm", "gp", "det", schedule) for schedule in ("sequential", "concurrent")]
+    + [("mwm", "gp", "det", schedule) for schedule in GP_SCHEDULES]
 )
 
 

@@ -24,7 +24,40 @@ from auctionmatch.graph import (
     save_instance,
     scale_and_prune,
 )
-from test_streaming import _instance_texts
+
+
+# Small numbers only: a mutated problem line allocates its sizes.
+_TOKENS = ("p", "bm", "e", "b", "l", "r", "c", "x", "-1", "0", "1", "2", "3",
+           "12", "a", "1.5", "\u00e9", "\t", "")
+
+
+@st.composite
+def _instance_texts(draw):
+    n_l, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n_l), st.integers(1, n_r)),
+                          unique=True, max_size=5))
+    lines = [f"p bm {n_l} {n_r} {len(pairs)}"]
+    lines += [f"b {side} 1 {draw(st.integers(1, 2))}"
+              for side in draw(st.lists(st.sampled_from("lr"), max_size=2))]
+    lines += [f"e {i} {j} {draw(st.integers(1, 9))}" for i, j in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("token", "insert", "delete", "repeat")))
+        if op == "insert" or not lines:
+            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(_TOKENS),
+                                                    max_size=5))))
+            continue
+        at = min(at, len(lines) - 1)
+        if op == "delete":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            fields = lines[at].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[at] = " ".join(fields)
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join(lines) + newline
 
 
 def test_epsilon_accepts_unit_fractions():
@@ -223,6 +256,23 @@ def test_loader_agrees_with_packed_key_reference(text):
         lambda: _packed_key_parse(io.StringIO(text, newline=None)))
 
 
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_instance_texts())
+def test_load_instance_agrees_with_loads_instance(tmp_path_factory, text):
+    # the file holds the text's UTF-8 bytes and its LF, CRLF or CR endings
+    path = tmp_path_factory.getbasetemp() / "mutated.gr"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(parse):
+        try:
+            return parse()
+        except InstanceFormatError as exc:
+            return exc.line_no, str(exc)
+
+    assert outcome(lambda: load_instance(path)) == outcome(lambda: loads_instance(text))
+
+
 def test_load_peaks_little_above_what_it_keeps(tmp_path):
     inst = generate_random(1152, 1024, 8 / 1024, seed=5)
     path = tmp_path / "g.gr"
@@ -267,6 +317,37 @@ def test_format_errors_carry_line_numbers():
         loads_instance("p bm 1 1 1\ne 1 1\n")
     with pytest.raises(InstanceFormatError, match="declares"):
         loads_instance("p bm 1 1 2\ne 1 1 1\n")
+
+
+# (text, line of the error or None for one found at the end, fragment)
+_FILE_ERRORS = [
+    ("e 1 1 1\n", 1, "edge before"),
+    ("b l 1 2\n", 1, "capacity before"),
+    ("p bm 1 1\n", 1, "malformed problem"),
+    ("p bm 1 1 1\nq 0\n", 2, "unknown record"),
+    ("p bm 1 1 1\ne 1 1\n", 2, "malformed edge"),
+    ("p bm 2 2 2\ne 1 1 1\n", None, "declares"),
+    ("p bm 1 1 1\ne 2 1 1\n", 2, "line 2: edge endpoint out of range"),
+    ("p bm 1 1 1\nb l 1 0\ne 1 1 1\n", 2, "line 2: capacity 0 outside"),
+    ("p bm 1 2 1\nb x 1 2\ne 1 1 1\n", 2, "line 2: malformed capacity"),
+    ("p bm 1 1 1\ne 1 a 5\n", 2, "line 2: malformed edge"),
+    ("p bm 1 1 1\ne 1 1 0\n", 2, "line 2: edge weight"),
+    ("p bm 1 1 1\np bm 1 1 1\ne 1 1 1\n", 2, "line 2: duplicate problem"),
+    (f"c big\np bm {10 ** 18} 1 0\n", 2, "line 2: problem line side above"),
+    (f"p bm 1 {10 ** 18} 0\n", 1, "line 1: problem line side above"),
+    ("c caf\u00e9\np bm 1 1 1\ne 1 1 1\n", 1, "line 1: non-ASCII"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,fragment", _FILE_ERRORS,
+                         ids=[fragment for _, _, fragment in _FILE_ERRORS])
+def test_load_instance_file_errors(tmp_path, text, line_no, fragment):
+    # load_instance reads the file as ASCII, so a UTF-8 byte is an error
+    path = tmp_path / "bad.gr"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(InstanceFormatError, match=fragment) as info:
+        load_instance(path)
+    assert info.value.line_no == line_no
 
 
 @pytest.mark.parametrize("record", ["b l 3 1", "b l 0 1", "b r 4 1", "b r -1 1"])

@@ -6,15 +6,12 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from auctionmatch import mcbm, mwm, streaming
 from auctionmatch.auction import Auction
 from auctionmatch.criteria import mwm_family
-from auctionmatch.errors import InstanceFormatError, InvariantViolation
-from auctionmatch.graph import (BipartiteInstance, Epsilon, generate_random,
-                                loads_instance, save_instance)
+from auctionmatch.errors import InvariantViolation
+from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
@@ -30,7 +27,7 @@ from auctionmatch.weight_reduction import run_reduced_mwm
 
 
 def test_stream_requires_exactly_one_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         EdgeStream()
     with pytest.raises(TypeError):
         EdgeStream.from_instance([(0, 0, 1)])
@@ -40,23 +37,12 @@ def test_stream_counts_passes_and_replays_identically():
     inst = generate_random(6, 6, 0.5, w_range=(1, 9), seed=0)
     stream = EdgeStream.from_instance(inst)
     assert stream.passes == 0
+    assert (stream.n_l, stream.n_r, stream.m, stream.b_l, stream.b_r) == (
+        inst.n_l, inst.n_r, inst.m, inst.b_l, inst.b_r)
     first = list(stream.traverse())
     second = list(stream.traverse())
     assert stream.passes == 2
     assert first == second == list(inst.edges)
-
-
-def test_stream_file_roundtrip(tmp_path):
-    inst = generate_random(
-        5, 5, 0.6, w_range=(1, 4), b_l_range=(1, 2), seed=1)
-    path = tmp_path / "inst.gr"
-    save_instance(inst, path)
-    stream = EdgeStream.from_path(path)
-    edges = list(stream.traverse())
-    assert edges == list(inst.edges)
-    assert stream.n_l == inst.n_l
-    assert stream.b_l == inst.b_l
-    assert stream.b_r == inst.b_r
 
 
 def _materialized(stream):
@@ -64,24 +50,19 @@ def _materialized(stream):
 
 
 @pytest.mark.parametrize("interleave", [False, True])
-def test_stream_runs_are_maximal_bidder_runs_in_stream_order(tmp_path, interleave):
+def test_stream_runs_are_maximal_bidder_runs_in_stream_order(interleave):
     inst = generate_random(12, 10, 0.4, w_range=(1, 9), seed=4)
     if interleave:
         inst = _interleaved(inst, 4)
-    path = tmp_path / "inst.gr"
-    save_instance(inst, path)
-    by_source = []
-    for stream in (EdgeStream.from_instance(inst), EdgeStream.from_path(path)):
-        runs = _materialized(stream)
-        assert stream.passes == 1
-        assert all(run and {e[0] for e in run} == {i} for i, run in runs)
-        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
-        assert [e for _, run in runs for e in run] == list(stream.traverse())
-        assert _materialized(stream) == runs
-        assert stream.passes == 3
-        by_source.append(runs)
-    assert by_source[0] == by_source[1]
-    bidders = [i for i, _ in by_source[0]]
+    stream = EdgeStream.from_instance(inst)
+    runs = _materialized(stream)
+    assert stream.passes == 1
+    assert all(run and {e[0] for e in run} == {i} for i, run in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    assert [e for _, run in runs for e in run] == list(stream.traverse())
+    assert _materialized(stream) == runs
+    assert stream.passes == 3
+    bidders = [i for i, _ in runs]
     # contiguous edges give one run per bidder; the interleaved order
     # splits at least the bidder it moved to both ends
     assert (len(set(bidders)) == len(bidders)) is not interleave
@@ -97,98 +78,6 @@ def test_instance_stream_runs_index_the_instance_edges_once():
     edges = [e for _, run in first for e in run]
     assert len(edges) == inst.m
     assert all(e is f for e, f in zip(edges, inst.edges))
-
-
-@pytest.mark.parametrize("text,fragment", [
-    ("e 1 1 1\n", "edge before"),
-    ("b l 1 2\n", "capacity before"),
-    ("p bm 1 1\n", "malformed problem"),
-    ("p bm 1 1 1\nq 0\n", "unknown record"),
-    ("p bm 1 1 1\ne 1 1\n", "malformed edge"),
-    ("p bm 2 2 2\ne 1 1 1\n", "declares"),
-    ("p bm 1 1 1\ne 2 1 1\n", "line 2: edge endpoint out of range"),
-    ("p bm 1 1 1\nb l 1 0\ne 1 1 1\n", "line 2: capacity 0 outside"),
-    ("p bm 1 2 1\nb x 1 2\ne 1 1 1\n", "line 2: malformed capacity"),
-    ("p bm 1 1 1\ne 1 a 5\n", "line 2: malformed edge"),
-    ("p bm 1 1 1\ne 1 1 0\n", "line 2: edge weight"),
-    ("p bm 1 1 1\np bm 1 1 1\ne 1 1 1\n", "line 2: duplicate problem"),
-    (f"c big\np bm {10 ** 18} 1 0\n", "line 2: problem line side above"),
-    (f"p bm 1 {10 ** 18} 0\n", "line 1: problem line side above"),
-])
-def test_stream_file_errors(tmp_path, text, fragment):
-    path = tmp_path / "bad.gr"
-    path.write_text(text)
-    stream = EdgeStream.from_path(path)
-    with pytest.raises(InstanceFormatError, match=fragment):
-        list(stream.traverse())
-    with pytest.raises(InstanceFormatError, match=fragment):
-        _materialized(stream)
-
-
-# Small numbers only: a mutated problem line allocates its sizes.
-_TOKENS = ("p", "bm", "e", "b", "l", "r", "c", "x", "-1", "0", "1", "2", "3",
-           "12", "a", "1.5", "\u00e9", "\t", "")
-
-
-@st.composite
-def _instance_texts(draw):
-    n_l, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n_l), st.integers(1, n_r)),
-                          unique=True, max_size=5))
-    lines = [f"p bm {n_l} {n_r} {len(pairs)}"]
-    lines += [f"b {side} 1 {draw(st.integers(1, 2))}"
-              for side in draw(st.lists(st.sampled_from("lr"), max_size=2))]
-    lines += [f"e {i} {j} {draw(st.integers(1, 9))}" for i, j in pairs]
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(lines)))
-        op = draw(st.sampled_from(("token", "insert", "delete", "repeat")))
-        if op == "insert" or not lines:
-            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(_TOKENS),
-                                                    max_size=5))))
-            continue
-        at = min(at, len(lines) - 1)
-        if op == "delete":
-            del lines[at]
-        elif op == "repeat":
-            lines.insert(at, lines[at])
-        else:
-            fields = lines[at].split(" ")
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TOKENS))
-            lines[at] = " ".join(fields)
-    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
-    return newline.join(lines) + newline
-
-
-def _read(parse):
-    try:
-        return parse()
-    except InstanceFormatError as exc:
-        return ("error", exc.line_no, str(exc))
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(text=_instance_texts())
-def test_stream_reader_agrees_with_loader(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "mutated.gr"
-    path.write_bytes(text.encode("utf-8"))
-    stream = EdgeStream.from_path(path)
-
-    def loaded():
-        inst = loads_instance(text)
-        return inst.edges, inst.b_l, inst.b_r
-
-    def streamed():
-        edges = tuple(stream.traverse())
-        return edges, stream.b_l, stream.b_r
-
-    want, got = _read(loaded), _read(streamed)
-    if want[0] == "error" and "duplicate edge" in want[2]:
-        # Finding a duplicate needs Theta(m) words, so the stream leaves it
-        # unchecked; it may fail only at a later line or at the end.
-        assert got[0] != "error" or got[1] is None or got[1] > want[1]
-    else:
-        assert got == want
 
 
 def test_space_accountant_tracks_peak_by_tag():
@@ -337,15 +226,12 @@ def test_stream_mwm_audit_names_a_corrupted_owner():
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
-def test_stream_mwm_audit_changes_no_result_or_trace(tmp_path, k):
+def test_stream_mwm_audit_changes_no_result_or_trace(k):
     # the audit's state is unmetered and reads no stream pass of its own
     eps = Epsilon(k)
-    path = tmp_path / "w.gr"
     for inst in mwm_family()[::25]:
-        save_instance(inst, path)
-        for make in (lambda: EdgeStream.from_instance(inst),
-                     lambda: EdgeStream.from_path(path)):
-            assert stream_mwm(make(), eps, audit=True) == stream_mwm(make(), eps)
+        assert (stream_mwm(EdgeStream.from_instance(inst), eps, audit=True)
+                == stream_mwm(EdgeStream.from_instance(inst), eps))
         for engine in ("stream-sequential", "stream-concurrent"):
             assert (run_reduced_mwm(inst, eps, engine=engine, audit=True)
                     == run_reduced_mwm(inst, eps, engine=engine))
@@ -568,22 +454,8 @@ def test_stream_mcbm_audit_changes_no_result_in_any_edge_order(seed):
             assert audited_tr.peak_words == plain_tr.peak_words
 
 
-@pytest.mark.parametrize("interleave", [False, True])
-def test_stream_mcbm_from_path_equals_from_instance(tmp_path, interleave):
-    inst = generate_random(
-        40, 32, 0.15, b_l_range=(1, 4), b_r_range=(1, 4), seed=3)
-    if interleave:
-        inst = _interleaved(inst, 3)
-    path = tmp_path / "inst.gr"
-    save_instance(inst, path)
-    for k in (2, 4, 8):
-        from_file = stream_mcbm(EdgeStream.from_path(path), Epsilon(k), audit=True)
-        in_memory = stream_mcbm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
-        assert from_file == in_memory
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_streamed_engines_mirror_memory_kernels_in_shuffled_order(tmp_path, seed):
+def test_streamed_engines_mirror_memory_kernels_in_shuffled_order(seed):
     # A bidder recurs across runs here: a margin pass must keep its best
     # margin across them, and a match pass that leaves a run once the
     # bidder claims must still try its later runs when it has not.
@@ -593,9 +465,6 @@ def test_streamed_engines_mirror_memory_kernels_in_shuffled_order(tmp_path, seed
     capacitated = _interleaved(generate_random(
         6 + seed * 3, 5 + seed * 2, 0.4, b_l_range=(1, cap), b_r_range=(1, cap),
         seed=seed), seed)
-    w_path, c_path = tmp_path / "w.gr", tmp_path / "c.gr"
-    save_instance(weighted, w_path)
-    save_instance(capacitated, c_path)
     for k in (2, 4, 8):
         eps = Epsilon(k)
         mem_w, mem_w_tr = run_mwm(scale_and_prune(weighted, eps), eps, kernel="stream")
@@ -604,12 +473,10 @@ def test_streamed_engines_mirror_memory_kernels_in_shuffled_order(tmp_path, seed
             res, tr = stream_mwm(EdgeStream.from_instance(weighted), eps, audit=audit)
             assert (res.pairs, res.value) == (mem_w.pairs, mem_w.value)
             assert tr.rounds_executed == mem_w_tr.rounds_executed
-            assert stream_mwm(EdgeStream.from_path(w_path), eps, audit=audit) == (res, tr)
             res, tr = stream_mcbm(EdgeStream.from_instance(capacitated), eps,
                                   audit=audit)
             assert res.pairs == mem_c.pairs
             assert tr.rounds_executed == mem_c_tr.rounds_executed
-            assert stream_mcbm(EdgeStream.from_path(c_path), eps, audit=audit) == (res, tr)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -713,22 +580,3 @@ def test_stream_mcbm_layout_leaves_an_unheld_priced_copy_to_the_audit():
     with pytest.raises(InvariantViolation) as info:
         mcbm._audit_round(state, state.prices, state.cutoffs, {})
     assert info.value.prop == "positive-price-implies-matched"
-
-
-def test_stream_mcbm_counts_a_repeated_edge_once(tmp_path):
-    # bidder 0's edge to item 0 appears twice in the file; a path stream
-    # does not detect duplicates, and the audit must count each
-    # re-opened pair once, as the same instance without the repeat does
-    head = "p bm 3 2 {}\nb l 1 2\nb r 1 2\n"
-    edges = "e 1 1 1\ne 1 2 1\ne 2 1 1\n{}e 3 2 1\ne 3 1 1\n"
-    path = tmp_path / "repeat.gr"
-    path.write_text(head.format(6) + edges.format("e 1 1 1\n"))
-    once = loads_instance(head.format(5) + edges.format(""))
-    for k, reopened in ((4, 1), (8, 3)):
-        res, tr = stream_mcbm(EdgeStream.from_path(path), Epsilon(k), audit=True)
-        once_res, once_tr = stream_mcbm(EdgeStream.from_instance(once), Epsilon(k),
-                                        audit=True)
-        mem_res, mem_tr = run_mcbm(once, Epsilon(k), kernel="stream", audit=True)
-        assert (tr.notes["reopened_pairs"] == once_tr.notes["reopened_pairs"]
-                == mem_tr.notes["reopened_pairs"] == reopened)
-        assert res.pairs == once_res.pairs == mem_res.pairs
