@@ -1,7 +1,7 @@
 """Command-line interface: run engines, generate instances, run the suite.
 
 Exit codes: 0 all asserted bounds hold, 1 bound or audit violation,
-2 usage or input error.
+2 usage or input error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,6 +71,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return low, high
 
 
+def _write(text: str, path: str | None) -> int:
+    """Write ``text`` to the file at ``path``, or to stdout when there is
+    none. Returns 0, or 2 after one error line when the file cannot be
+    written."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_run(args) -> int:
     try:
         eps = Epsilon.parse(args.eps)
@@ -93,12 +109,7 @@ def _cmd_run(args) -> int:
         seed=args.seed, verify=args.verify, audit=args.audit,
         gp_schedule=args.gp_schedule)
     blob = json.dumps(report, sort_keys=True, indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
-    return exit_code
+    return _write(blob + "\n", args.report) or exit_code
 
 
 def _cmd_gen(args) -> int:
@@ -112,13 +123,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = dumps_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(dumps_instance(inst), args.out)
 
 
 def _cmd_suite(args) -> int:
@@ -140,12 +145,8 @@ def _cmd_suite(args) -> int:
         for failure in oc.failures:
             print(f"  - {failure}", file=sys.stderr)
     blob = json.dumps(aggregate_report(outcomes), sort_keys=True, indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
-    return 0 if all(oc.passed for oc in outcomes) else 1
+    return _write(blob + "\n", args.report) or (
+        0 if all(oc.passed for oc in outcomes) else 1)
 
 
 def main(argv=None) -> int:

@@ -162,10 +162,9 @@ class BipartiteInstance(_InstanceFields):
         """An instance built without the checks of ``__new__``, for fields
         that have already passed every one of them: those ``_parse_lines``
         has checked (every line as it is read, duplicates per bidder once
-        the read ends), the levels of
+        the read ends), and the levels of
         ``weight_reduction.run_reduced_mwm``, whose edges are a subset of a
-        checked instance's edges, with unit capacities, and the audit state
-        of ``streaming.stream_mcbm``, from a stream's first pass."""
+        checked instance's edges, with unit capacities."""
         return tuple.__new__(cls, (n_l, n_r, edges, b_l, b_r))
 
     @classmethod

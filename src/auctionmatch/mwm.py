@@ -17,6 +17,7 @@ suite against exact oracles rather than re-derived here.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .auction import (Auction, blackboard_trace, check_demand, check_matching,
@@ -49,10 +50,9 @@ class DemandSpec(NamedTuple):
 class MwmState(Auction):
     """Auction state with prices in base units 1/(k * w_max); a win at
     original weight w steps the price by w units and the value by w.
-    ``sg`` is None in stream_mwm's audit state; ``adj[i]`` lists bidder
-    i's own (i, j, w) tuples of ``sg.edges``."""
+    ``adj[i]`` lists bidder i's own (i, j, w) tuples of ``sg.edges``."""
 
-    def __init__(self, *, sg: ScaledGraph | None, k: int,
+    def __init__(self, *, sg: ScaledGraph, k: int,
                  adj: list[list[tuple[int, int, int]]], **auction) -> None:
         super().__init__(**auction)
         self.sg = sg
@@ -106,8 +106,7 @@ def demand_set_mwm(state: MwmState, bidder: int) -> DemandSpec:
 def _audit_phase(state: MwmState, prev_prices: list[int], optimum: int | None,
                  weight: dict[tuple[int, int], int]) -> None:
     """Check one phase's end state; ``weight`` maps each edge (i, j) of the
-    scaled graph to its original weight. Reads no ``state.sg``, so that
-    ``stream_mwm`` audits its own lists through it too."""
+    scaled graph to its original weight."""
     k, prices = state.k, state.prices
     state.check_prices(prev_prices)
     # The owner bid below its valuation k*w and stepped the price by w.
@@ -150,6 +149,22 @@ def _live(state: MwmState, bidders) -> list[int]:
     whose demand set is not empty."""
     k, prices, adj = state.k, state.prices, state.adj
     return [i for i in bidders if any(k * w > prices[j] for _, j, w in adj[i])]
+
+
+def _phase_audit(state: MwmState, bidders: list[int], optimum: int | None,
+                 weight: dict[tuple[int, int], int]) -> Callable[[list[int]], None]:
+    """The audit of one phase of either weighted engine.
+
+    Run at phase start: keeps the prices and the ``bidders`` that are
+    ``_live``. Returns the check run at phase end, after the commits, on
+    the bidders that demanded: ``_audit_phase``, then ``check_demand``.
+    """
+    prev_prices, live = list(state.prices), _live(state, bidders)
+
+    def check(demanders):
+        _audit_phase(state, prev_prices, optimum, weight)
+        check_demand(live, demanders)
+    return check
 
 
 def _phase(state: MwmState, bidders: list[int], kernel: str, rng: random.Random,
@@ -216,21 +231,14 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     # The audit's edge -> weight table, built once per audited run.
     weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 
-    def audited(bidders):  # round start: the prices and the live bidders
-        prev_prices, live = list(state.prices), _live(state, bidders)
-
-        def check(kept):
-            _audit_phase(state, prev_prices, optimum, weight)
-            check_demand(live, kept)
-        return check
-
     # The stream kernel scans every unmatched bidder's edges itself; a
     # bidder off the worklist is priced out, so it demands nothing there.
     totals = state.run_rounds(
         [i for i in range(inst.n_l) if state.adj[i]], budget,
         (lambda bidders: _stream_order_matching(state)) if kernel == "stream"
         else lambda bidders: _phase(state, bidders, kernel, rng, bucket_of),
-        audited if audit else None)
+        (lambda bidders: _phase_audit(state, bidders, optimum, weight))
+        if audit else None)
 
     best_pairs = state.best_pairs()
     valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,

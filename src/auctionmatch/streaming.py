@@ -14,9 +14,9 @@ from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
 
-from .auction import Auction, check_demand, check_matching, phase_budget, round_budget
+from .auction import Auction, check_matching, phase_budget, round_budget
 from .errors import InvariantViolation
-from .graph import BipartiteInstance, Epsilon, ceil_log, prune_exponent
+from .graph import BipartiteInstance, Epsilon, ceil_log, prune_exponent, scale_and_prune
 from .results import BMatchingResult, MatchingResult, RunTrace
 
 # Measured ceiling for peak words over (sum of bidder capacities + n_r);
@@ -119,11 +119,12 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     ``save_instance`` and ``generate_random`` write them, a bidder that
     cannot act costs one test per pass rather than one per edge.
 
-    With ``audit`` every phase end runs ``mwm._audit_phase`` on the
-    stream's own prices, owners and assignment, and every margin pass ends
-    with ``check_demand`` on its ``margin_best`` keys. The audit's copy of
-    the surviving edges is kept outside the accountant and read from the
-    first pass: it checks the engine and is no part of it.
+    With ``audit`` the engine keeps its prices, owners and assignment in
+    ``run_mwm``'s own state, built from the instance the stream wraps, and
+    every phase runs ``mwm._phase_audit``, the in-memory engine's audit,
+    with the bidders that had a best margin before the match pass as its
+    demanders. That state's edges and the audit's edge -> weight table are
+    kept outside the accountant: they check the engine and are no part of it.
     """
     k = eps.k
     acct = SpaceAccountant()
@@ -132,10 +133,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     w_max = 0
     w_min = None
     acct.alloc(8, "scalars")
-    edges = stream.traverse()
-    if audit:  # the audit's copy of the edges, taken in this pass
-        edges = list(edges)
-    for i, j, w in edges:
+    for i, j, w in stream.traverse():
         m += 1
         w_max = max(w_max, w)
         w_min = w if w_min is None else min(w_min, w)
@@ -147,25 +145,18 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     w_cut = -(-w_max // power)
 
     # prices and owner per item; assignment, gain, has_edge and the best
-    # assignment per bidder
-    auc = Auction(prices=[0] * n_r, assignment=[None] * n_l, owner=[None] * n_r)
+    # assignment per bidder. An audited run keeps them in run_mwm's state,
+    # which commits as an Auction does, over the same surviving edges.
+    if audit:
+        from .mwm import _new_state, _phase_audit
+
+        auc = _new_state(scale_and_prune(stream._instance, eps), eps)
+        weight = {(i, j): w for i, j, w in auc.sg.edges}
+    else:
+        auc = Auction(prices=[0] * n_r, assignment=[None] * n_l, owner=[None] * n_r)
     prices, assignment = auc.prices, auc.assignment
     has_edge = [False] * n_l
     acct.alloc(2 * n_r + 4 * n_l, "vertex-state")
-
-    if audit:
-        from .mwm import MwmState, _audit_phase, _live
-
-        # The surviving edges per bidder and by pair, as run_mwm holds them.
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n_l)]
-        weight: dict[tuple[int, int], int] = {}
-        for e in edges:
-            i, j, w = e
-            if w >= w_cut:
-                adj[i].append(e)
-                weight[i, j] = w
-        state = MwmState(sg=None, k=k, prices=prices, assignment=assignment,
-                         owner=auc.owner, gain=auc.gain, adj=adj)
 
     budget = None
     phases = 0
@@ -179,8 +170,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                 break
         phases += 1
         if audit:
-            prev_prices = list(prices)
-            live = _live(state, [i for i in range(n_l) if assignment[i] is None])
+            check = _phase_audit(
+                auc, [i for i in range(n_l) if assignment[i] is None], None, weight)
 
         margin_best: dict[int, int] = {}
         if phases == 1:
@@ -214,8 +205,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                         acct.alloc(1, "margins")
                     margin_best[i] = best
 
-        if audit:
-            check_demand(live, margin_best)
+        if audit:  # the demanders, before the match pass empties margin_best
+            demanders = list(margin_best)
         # margin_best holds only bidders unmatched at phase start; a
         # bidder leaves it once it claims an item in this pass.
         n_margins = len(margin_best)
@@ -240,7 +231,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             auc.commit(i, j, w)
 
         if audit:
-            _audit_phase(state, prev_prices, None, weight)
+            check(demanders)
         auc.snapshot(phases)
 
         acct.free(n_margins, "margins")
@@ -283,17 +274,14 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     With ``audit`` every round runs ``mcbm._round_audit``, the in-memory
     engine's audit, on a copy layout of the item counts (``_as_copies``);
     ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
-    The audit's state is built from the first pass and kept outside the
-    accountant: it checks the engine and is no part of it.
+    The audit's state is built from the instance the stream wraps and kept
+    outside the accountant: it checks the engine and is no part of it.
     """
     k = eps.k
     acct = SpaceAccountant()
 
-    if audit:  # the audit's copy of the edges, taken in this pass
-        edges = list(stream.traverse())
-    else:
-        for _ in stream.traverse():
-            pass
+    for _ in stream.traverse():
+        pass
     n_l, n_r = stream.n_l, stream.n_r
     b_l, b_r = list(stream.b_l), list(stream.b_r)
     acct.alloc(n_l + n_r + 6, "capacities")
@@ -324,8 +312,7 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         from .mcbm import McbmState, _round_audit, expand_copies
 
         # the audit reads the stream's own cutoffs and minimum prices
-        state = McbmState(expand_copies(BipartiteInstance._checked_by_reader(
-            n_l, n_r, edges, stream.b_l, stream.b_r)), k)
+        state = McbmState(expand_copies(stream._instance), k)
         state.cutoffs, state.pmin = cutoff, pmin
         views: dict[int, frozenset[int]] = {}
         notes = {"reopened_pairs": 0}

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import auctionmatch
-from auctionmatch import mcbm, suite
+from auctionmatch import criteria, mcbm, suite
 from auctionmatch.cli import main
 from auctionmatch.graph import (BipartiteInstance, Epsilon, load_instance,
                                 loads_instance, save_instance, scale_and_prune)
@@ -139,6 +139,24 @@ def test_report_flag_writes_file(capsys, single, tmp_path):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert report["result_value"] == 1
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "suite"])
+def test_unwritable_output_path_exits_two(capsys, single, tmp_path, command,
+                                          monkeypatch):
+    # exit 1 means a violated bound; a path that cannot be written is an
+    # input error, reported on one line
+    bad = str(tmp_path / "missing" / "out.json")
+    argv = {"run": ["run", single, "--algo", "mcm", "--eps", "1/4", "--report", bad],
+            "gen": ["gen", "-o", bad],
+            "suite": ["suite", "--criteria", "2", "--report", bad]}[command]
+    if command == "suite":
+        monkeypatch.setattr(criteria, "run_criteria", lambda numbers: [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 RESULT_FIELDS = ("rounds", "passes", "peak_words", "blackboard", "result_value",

@@ -23,6 +23,7 @@ from auctionmatch.graph import (
 )
 from auctionmatch.mwm import MwmState, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
+from auctionmatch.streaming import EdgeStream, stream_mwm
 from test_round_reference import _reference_phase, edge_bucket
 
 
@@ -328,7 +329,8 @@ def _lowering_commit(self, i, j, step):
 def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
     # The happiness check looks at a bidder's deg + 1 cheapest items only;
     # every phase's outcome, down to the first violation's message, must be
-    # the one the scan over all items gives.
+    # the one the scan over all items gives. Audited stream_mwm runs keep
+    # run_mwm's state, so the reference scan reads their sg.edges too.
     if mutant == "double-step":
         monkeypatch.setattr(MwmState, "commit", _double_step)
     elif mutant == "dearest-demand":
@@ -354,12 +356,23 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
         inst = generate_random(4 + seed % 13, 3 + seed * 7 % 13, (0.3, 0.6, 1.0)[seed % 3],
                                w_range=(1, (3, 50, 10 ** 6)[seed % 3]), seed=seed)
         opt = exact_mwm(inst).value
-        for k, kernel in ((2, "det"), (3, "rand"), (8, "det"), (8, "stream")):
+        for k, kernel in ((2, "det"), (3, "rand"), (8, "det"), (8, "stream"),
+                          (8, "streamed")):
             try:
-                _run(inst, Epsilon(k), kernel=kernel, seed=seed, audit=True, optimum=opt)
+                if kernel == "streamed":
+                    stream_mwm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
+                else:
+                    _run(inst, Epsilon(k), kernel=kernel, seed=seed, audit=True,
+                         optimum=opt)
             except InvariantViolation:
                 pass
     caught_by = {prop for _, prop in seen} - {None}
+    # the commit mutants reach stream_mwm through MwmState.commit too
+    streamed = {prop for kern, prop in seen if kern == "streamed"} - {None}
+    assert streamed == {
+        "double-step": {"owned-price-bound", "weighted-happiness"},
+        "lowered-price": {"price-monotonicity"},
+    }.get(mutant, set())
     if mutant is None:
         assert not caught_by
     elif mutant == "lowered-price":

@@ -225,6 +225,34 @@ def test_stream_mwm_audit_names_a_corrupted_owner():
             == "assignment-owner-mismatch")
 
 
+def _first_violation(run, *args, **kwargs):
+    try:
+        run(*args, **kwargs)
+    except InvariantViolation as exc:
+        return exc.prop, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("commit", [_double_step, _lowering_commit,
+                                    _misowning_commit])
+def test_stream_mwm_audit_raises_what_the_memory_stream_kernel_raises(
+        commit, monkeypatch):
+    # Both engines commit through MwmState and audit each phase through
+    # mwm._phase_audit, so a broken commit trips the same first check.
+    monkeypatch.setattr(Auction, "commit", commit)
+    outcomes = []
+    for inst in mwm_family()[::10]:
+        for k in (2, 4, 8):
+            eps = Epsilon(k)
+            streamed = _first_violation(stream_mwm, EdgeStream.from_instance(inst),
+                                        eps, audit=True)
+            assert streamed == _first_violation(
+                run_mwm, scale_and_prune(inst, eps), eps, kernel="stream",
+                audit=True), (inst, k)
+            outcomes.append(streamed)
+    assert set(outcomes) - {None}
+
+
 @pytest.mark.parametrize("k", [2, 3, 8])
 def test_stream_mwm_audit_changes_no_result_or_trace(k):
     # the audit's state is unmetered and reads no stream pass of its own
