@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import AuctionMatchError
@@ -36,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "mode, is the kernel the streamed engines reproduce")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--verify", action="store_true",
-                       help="run the exact oracle and assert the engine's bound")
+                       help="run the exact oracle; assert a valid matching of "
+                            "the instance and the engine's bound")
     run_p.add_argument("--audit", action="store_true",
                        help="assert per-round invariants during the run")
     run_p.add_argument("--report", help="write the JSON report here instead of stdout")
@@ -87,21 +89,26 @@ def _write(text: str, path: str | None) -> int:
     return 0
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise ``OSError`` when ``_write`` cannot write the file at ``path``.
+    An existing file is left as it is, and no new one is left behind."""
+    if path:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_run(args) -> int:
     try:
         eps = Epsilon.parse(args.eps)
         check_run(args.algo, args.mode, args.kernel, args.gp_schedule)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        _check_writable(args.report)
         inst = load_instance(args.instance)
-    except (OSError, AuctionMatchError) as exc:
+        if args.algo == "mwm" and not inst.edges:
+            raise ValueError("the weighted engines need at least one edge")
+    except (ValueError, OSError, AuctionMatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.algo == "mwm" and not inst.edges:
-        print("error: the weighted engines need at least one edge",
-              file=sys.stderr)
         return 2
 
     report, exit_code = run_single(
@@ -137,6 +144,11 @@ def _cmd_suite(args) -> int:
         if any(n < 1 or n > 10 for n in numbers):
             print("error: criteria numbers run 1..10", file=sys.stderr)
             return 2
+    try:
+        _check_writable(args.report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from .criteria import aggregate_report, run_criteria
 
     outcomes = run_criteria(numbers)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
@@ -19,12 +19,8 @@ from .mcm import run_mcm
 from .mwm import run_mwm
 from .oracles import exact_mcbm, exact_mcm, exact_mwm
 from .streaming import EdgeStream, stream_mcbm, stream_mwm
-from .suite import run_single
+from .suite import GP_SCHEDULES, RUNS, run_single, verdict
 from .weight_reduction import run_reduced_mwm
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 class CriterionOutcome:
@@ -217,14 +213,38 @@ MCBM_EPS = (Epsilon(4), Epsilon(8))
 GP_EPS = (Epsilon(4), Epsilon(8))
 
 
-def _outcome(number, name, failures, detail, stats=None) -> CriterionOutcome:
-    return CriterionOutcome(
-        number=number, name=name, passed=not failures,
-        detail=detail, failures=failures[:20], stats=stats or {})
+def _criterion(number: int, name: str):
+    """Make a criterion body, which returns (failures, detail, stats), into
+    a criterion: the body is timed, its detail ends with the elapsed
+    seconds, which ``stats["elapsed_s"]`` keeps, and the outcome keeps the
+    first 20 failures."""
+    def wrap(body):
+        @wraps(body)
+        def criterion() -> CriterionOutcome:
+            t0 = time.perf_counter()
+            failures, detail, stats = body()
+            stats["elapsed_s"] = elapsed = time.perf_counter() - t0
+            return CriterionOutcome(number, name, not failures,
+                                    f"{detail}, {elapsed:.1f}s", failures[:20], stats)
+        return criterion
+    return wrap
 
 
-def criterion_1_mcm_approx() -> CriterionOutcome:
-    t0 = time.perf_counter()
+def _run_failures(where: str, inst: BipartiteInstance, algo: str, mode: str,
+                  kernel: str, eps: Epsilon, res, tr, opt: int) -> list[str]:
+    """The failures of one run, named by ``where``: its ``verdict`` against
+    the optimum ``opt``, and its round budget."""
+    value = res.cardinality if algo == "mcbm" else res.value
+    ok, prop = verdict(inst, algo, mode, kernel, eps, res.pairs, value, opt)
+    failures = [] if ok else [f"{where}: {prop} fails: value {value}, optimum {opt}"]
+    if tr.rounds_executed > tr.round_budget:
+        failures.append(f"{where}: rounds {tr.rounds_executed} "
+                        f"over budget {tr.round_budget}")
+    return failures
+
+
+@_criterion(1, "mcm-approximation")
+def criterion_1_mcm_approx():
     failures = []
     ratios = []
     max_rounds = 0
@@ -232,29 +252,20 @@ def criterion_1_mcm_approx() -> CriterionOutcome:
         opt = exact_mcm(inst).value
         for eps in MCM_EPS:
             res, tr = run_mcm(inst, eps)
-            need = ceil_div((eps.k - 2) * opt, eps.k)
-            if res.value < need:
-                failures.append(
-                    f"instance {idx} eps {eps}: size {res.value} < required {need}")
-            if tr.rounds_executed > tr.round_budget:
-                failures.append(
-                    f"instance {idx} eps {eps}: rounds {tr.rounds_executed} "
-                    f"over budget {tr.round_budget}")
-            if not res.valid:
-                failures.append(f"instance {idx} eps {eps}: invalid matching")
+            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mcm",
+                                      "memory", "det", eps, res, tr, opt)
             if opt:
                 ratios.append(res.value / opt)
             max_rounds = max(max_rounds, tr.rounds_executed)
-    elapsed = time.perf_counter() - t0
     detail = (f"{len(mcm_family())} instances x {len(MCM_EPS)} eps, "
-              f"min ratio {min(ratios):.3f}, max rounds {max_rounds}, {elapsed:.1f}s")
-    return _outcome(1, "mcm-approximation", failures, detail,
-                    {"min_ratio": min(ratios), "mean_ratio": sum(ratios) / len(ratios),
-                     "max_rounds": max_rounds, "elapsed_s": elapsed})
+              f"min ratio {min(ratios):.3f}, max rounds {max_rounds}")
+    return failures, detail, {"min_ratio": min(ratios),
+                              "mean_ratio": sum(ratios) / len(ratios),
+                              "max_rounds": max_rounds}
 
 
-def criterion_2_mcm_exact() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(2, "mcm-exactness")
+def criterion_2_mcm_exact():
     failures = []
     for idx, inst in enumerate(mcm_family()):
         opt = exact_mcm(inst).value
@@ -263,13 +274,11 @@ def criterion_2_mcm_exact() -> CriterionOutcome:
         if res.value != opt:
             failures.append(
                 f"instance {idx} eps {eps}: size {res.value} != optimum {opt}")
-    elapsed = time.perf_counter() - t0
-    detail = f"{len(mcm_family())} instances at eps=1/(n+1), {elapsed:.1f}s"
-    return _outcome(2, "mcm-exactness", failures, detail, {"elapsed_s": elapsed})
+    return failures, f"{len(mcm_family())} instances at eps=1/(n+1)", {}
 
 
-def criterion_3_mwm_approx() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(3, "mwm-approximation")
+def criterion_3_mwm_approx():
     failures = []
     ratios = []
     max_phases = 0
@@ -277,16 +286,9 @@ def criterion_3_mwm_approx() -> CriterionOutcome:
     for idx, inst in enumerate(family):
         opt = exact_mwm(inst).value
         for eps in MWM_EPS:
-            sg = scale_and_prune(inst, eps)
-            res, tr = run_mwm(sg, eps)
-            if eps.k * res.value < (eps.k - 6) * opt:
-                failures.append(
-                    f"instance {idx} eps {eps}: weight {res.value} below "
-                    f"(1-6eps) x {opt}")
-            if tr.rounds_executed > tr.round_budget:
-                failures.append(
-                    f"instance {idx} eps {eps}: phases {tr.rounds_executed} "
-                    f"over budget {tr.round_budget}")
+            res, tr = run_mwm(scale_and_prune(inst, eps), eps)
+            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mwm",
+                                      "memory", "det", eps, res, tr, opt)
             if opt:
                 ratios.append(res.value / opt)
             max_phases = max(max_phases, tr.rounds_executed)
@@ -297,40 +299,35 @@ def criterion_3_mwm_approx() -> CriterionOutcome:
         inst = family[idx]
         opt = exact_mwm(inst).value
         for eps in MWM_EPS:
-            sg = scale_and_prune(inst, eps)
-            res, _ = run_mwm(sg, eps, kernel="rand", seed=run_no)
-            if eps.k * res.value < (eps.k - 7) * opt:
-                failures.append(
-                    f"instance {idx} eps {eps} seed {run_no}: randomized weight "
-                    f"{res.value} below (1-7eps) x {opt}")
+            res, tr = run_mwm(scale_and_prune(inst, eps), eps, kernel="rand",
+                              seed=run_no)
+            failures += _run_failures(f"instance {idx} eps {eps} seed {run_no}",
+                                      inst, "mwm", "memory", "rand", eps, res, tr,
+                                      opt)
             run_no += 1
-    elapsed = time.perf_counter() - t0
     detail = (f"{len(family)} det + {run_no} rand runs, min ratio "
-              f"{min(ratios):.3f}, max phases {max_phases}, {elapsed:.1f}s")
-    return _outcome(3, "mwm-approximation", failures, detail,
-                    {"min_ratio": min(ratios), "mean_ratio": sum(ratios) / len(ratios),
-                     "max_rounds": max_phases, "elapsed_s": elapsed})
+              f"{min(ratios):.3f}, max phases {max_phases}")
+    return failures, detail, {"min_ratio": min(ratios),
+                              "mean_ratio": sum(ratios) / len(ratios),
+                              "max_rounds": max_phases}
 
 
-def criterion_4_mwm_audit() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(4, "mwm-invariant-audit")
+def criterion_4_mwm_audit():
     failures = []
     for idx, inst in enumerate(mwm_family()):
         opt = exact_mwm(inst).value
         for eps in MWM_EPS:
-            sg = scale_and_prune(inst, eps)
             try:
-                run_mwm(sg, eps, audit=True, optimum=opt)
+                run_mwm(scale_and_prune(inst, eps), eps, audit=True, optimum=opt)
             except InvariantViolation as exc:
                 failures.append(f"instance {idx} eps {eps}: {exc}")
-    elapsed = time.perf_counter() - t0
-    detail = f"audited every phase of {len(mwm_family())} x {len(MWM_EPS)} runs, {elapsed:.1f}s"
-    return _outcome(4, "mwm-invariant-audit", failures, detail,
-                    {"audit_failures": len(failures), "elapsed_s": elapsed})
+    detail = f"audited every phase of {len(mwm_family())} x {len(MWM_EPS)} runs"
+    return failures, detail, {"audit_failures": len(failures)}
 
 
-def criterion_5_mcbm() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(5, "mcbm-approximation")
+def criterion_5_mcbm():
     failures = []
     ratios = []
     max_rounds = 0
@@ -342,16 +339,8 @@ def criterion_5_mcbm() -> CriterionOutcome:
         for eps in MCBM_EPS:
             n_runs += 1
             res, tr = run_mcbm(inst, eps)
-            need = ceil_div((eps.k - 2) * opt, eps.k)
-            if res.cardinality < need:
-                failures.append(
-                    f"instance {idx} eps {eps}: size {res.cardinality} < {need}")
-            if tr.rounds_executed > tr.round_budget:
-                failures.append(
-                    f"instance {idx} eps {eps}: rounds {tr.rounds_executed} "
-                    f"over budget {tr.round_budget}")
-            if not res.valid:
-                failures.append(f"instance {idx} eps {eps}: invalid b-matching")
+            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mcbm",
+                                      "memory", "det", eps, res, tr, opt)
             if opt:
                 ratios.append(res.cardinality / opt)
             max_rounds = max(max_rounds, tr.rounds_executed)
@@ -363,7 +352,6 @@ def criterion_5_mcbm() -> CriterionOutcome:
             else:
                 if audit_tr.notes["reopened_pairs"]:
                     reopened_runs += 1
-    elapsed = time.perf_counter() - t0
     audit_note = (
         "audit clean" if not audit_hits else
         "audit violations: " + ", ".join(
@@ -371,16 +359,14 @@ def criterion_5_mcbm() -> CriterionOutcome:
     )
     detail = (f"{len(mcbm_family())} instances x {len(MCBM_EPS)} eps, "
               f"min ratio {min(ratios):.3f}, max rounds {max_rounds}, "
-              f"{audit_note}, re-opened pairs on {reopened_runs}/{n_runs} runs, "
-              f"{elapsed:.1f}s")
-    return _outcome(5, "mcbm-approximation", failures, detail,
-                    {"min_ratio": min(ratios), "max_rounds": max_rounds,
-                     "audit_violations": audit_hits,
-                     "reopened_runs": reopened_runs, "elapsed_s": elapsed})
+              f"{audit_note}, re-opened pairs on {reopened_runs}/{n_runs} runs")
+    return failures, detail, {"min_ratio": min(ratios), "max_rounds": max_rounds,
+                              "audit_violations": audit_hits,
+                              "reopened_runs": reopened_runs}
 
 
-def criterion_6_weight_reduction() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(6, "weight-reduction")
+def criterion_6_weight_reduction():
     failures = []
     ratios = []
     for idx, inst in enumerate(gp_family()):
@@ -388,11 +374,9 @@ def criterion_6_weight_reduction() -> CriterionOutcome:
         total = sum(w for _, _, w in inst.edges)
         for eps in GP_EPS:
             k = eps.k
-            res, _, detail = run_reduced_mwm(inst, eps, collect_detail=True)
-            if (k + 16) * res.value < k * opt:
-                failures.append(
-                    f"instance {idx} eps {eps}: weight {res.value} below "
-                    f"optimum {opt} / (1+16eps)")
+            res, tr, detail = run_reduced_mwm(inst, eps, collect_detail=True)
+            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mwm",
+                                      "gp", "det", eps, res, tr, opt)
             for cp in detail.partition.copies:
                 for lg in cp.levels:
                     if lg.w_max >= lg.w_min * k ** (k - 1):
@@ -415,21 +399,18 @@ def criterion_6_weight_reduction() -> CriterionOutcome:
                     f"!= total {total}")
             if opt:
                 ratios.append(res.value / opt)
-    elapsed = time.perf_counter() - t0
     detail_s = (f"{len(gp_family())} instances x {len(GP_EPS)} eps, min ratio "
-                f"{min(ratios):.3f}, {elapsed:.1f}s")
-    return _outcome(6, "weight-reduction", failures, detail_s,
-                    {"min_ratio": min(ratios), "elapsed_s": elapsed})
+                f"{min(ratios):.3f}")
+    return failures, detail_s, {"min_ratio": min(ratios)}
 
 
-def criterion_7_stream_equivalence() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(7, "stream-equivalence")
+def criterion_7_stream_equivalence():
     failures = []
     max_passes = 0
     for idx, inst in enumerate(mwm_family()):
         for eps in MWM_EPS:
-            sg = scale_and_prune(inst, eps)
-            mem, _ = run_mwm(sg, eps, kernel="stream")
+            mem, _ = run_mwm(scale_and_prune(inst, eps), eps, kernel="stream")
             got, tr = stream_mwm(EdgeStream.from_instance(inst), eps)
             if got.value != mem.value:
                 failures.append(
@@ -457,14 +438,12 @@ def criterion_7_stream_equivalence() -> CriterionOutcome:
                     f"mcbm instance {idx} eps {eps}: passes {tr.passes} over "
                     f"1+2x(2/eps^2)")
             max_passes = max(max_passes, tr.passes)
-    elapsed = time.perf_counter() - t0
-    detail = (f"mwm+mcbm suites streamed, max passes {max_passes}, {elapsed:.1f}s")
-    return _outcome(7, "stream-equivalence", failures, detail,
-                    {"max_passes": max_passes, "elapsed_s": elapsed})
+    detail = f"mwm+mcbm suites streamed, max passes {max_passes}"
+    return failures, detail, {"max_passes": max_passes}
 
 
-def criterion_8_space_growth() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(8, "space-growth")
+def criterion_8_space_growth():
     failures = []
     eps = Epsilon(8)
     sizes = (256, 512, 1024, 2048)
@@ -487,16 +466,13 @@ def criterion_8_space_growth() -> CriterionOutcome:
         failures.append(
             f"mcbm peak/(sum b + n_r) varied {min(mcbm_ratios):.2f}.."
             f"{max(mcbm_ratios):.2f} (> 2x)")
-    elapsed = time.perf_counter() - t0
     detail = (f"n in {sizes}: mwm peaks {mwm_peaks}, mcbm ratios "
-              f"{[round(r, 2) for r in mcbm_ratios]}, {elapsed:.1f}s")
-    return _outcome(8, "space-growth", failures, detail,
-                    {"mwm_peaks": mwm_peaks, "mcbm_ratios": mcbm_ratios,
-                     "elapsed_s": elapsed})
+              f"{[round(r, 2) for r in mcbm_ratios]}")
+    return failures, detail, {"mwm_peaks": mwm_peaks, "mcbm_ratios": mcbm_ratios}
 
 
-def criterion_9_oracle_consistency() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(9, "oracle-consistency")
+def criterion_9_oracle_consistency():
     failures = []
     for idx, inst in enumerate(small_oracle_family()):
         if inst.unit_capacities():
@@ -508,46 +484,42 @@ def criterion_9_oracle_consistency() -> CriterionOutcome:
             want_w = brute_force_mwm(inst)
             if got_w != want_w:
                 failures.append(f"instance {idx}: exact_mwm {got_w} != brute {want_w}")
-            if exact_mcbm(inst).value != got:
-                failures.append(
-                    f"instance {idx}: unit-capacity exact_mcbm "
-                    f"{exact_mcbm(inst).value} != exact_mcm {got}")
+            got_b = exact_mcbm(inst).value
+            if got_b != got:
+                failures.append(f"instance {idx}: unit-capacity exact_mcbm "
+                                f"{got_b} != exact_mcm {got}")
         else:
             got_b = exact_mcbm(inst).value
             want_b = brute_force_mcbm(inst)
             if got_b != want_b:
                 failures.append(f"instance {idx}: exact_mcbm {got_b} != brute {want_b}")
-    elapsed = time.perf_counter() - t0
-    detail = f"{len(small_oracle_family())} small instances cross-checked, {elapsed:.1f}s"
-    return _outcome(9, "oracle-consistency", failures, detail, {"elapsed_s": elapsed})
+    return failures, f"{len(small_oracle_family())} small instances cross-checked", {}
 
 
-def criterion_10_determinism() -> CriterionOutcome:
-    t0 = time.perf_counter()
+@_criterion(10, "report-determinism")
+def criterion_10_determinism():
+    # every (algo, mode, kernel) RUNS lists, then gp under each schedule
+    runs = [(algo, mode, kernel, None)
+            for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
+    runs += [("mwm", "gp", "det", schedule) for schedule in GP_SCHEDULES]
+    instances = {"mcm": mcm_family()[10], "mwm": mwm_family()[150],
+                 "mcbm": mcbm_family()[3]}
     failures = []
-    samples = [
-        (mcm_family()[0], "mcm", "1/4", "memory", "det"),
-        (mcm_family()[10], "mcm", "1/8", "memory", "det"),
-        (mwm_family()[0], "mwm", "1/8", "memory", "det"),
-        (mwm_family()[150], "mwm", "1/8", "stream", "det"),
-        (mwm_family()[5], "mwm", "1/4", "gp", "det"),
-        (mcbm_family()[0], "mcbm", "1/4", "memory", "det"),
-        (mcbm_family()[3], "mcbm", "1/8", "stream", "det"),
-    ]
-    for n, (inst, algo, eps_text, mode, kernel) in enumerate(samples):
-        blobs = []
+    for algo, mode, kernel, schedule in runs:
+        blobs = set()
         for _ in range(2):
-            report, _ = run_single(
-                inst, algo=algo, eps=Epsilon.parse(eps_text), mode=mode,
-                kernel=kernel, seed=0, verify=True, audit=False)
+            report, code = run_single(
+                instances[algo], algo=algo, eps=Epsilon(4), mode=mode,
+                kernel=kernel, seed=0, verify=True, audit=False,
+                gp_schedule=schedule)
             report.pop("wall_time_s")
-            blobs.append(json.dumps(report, sort_keys=True).encode())
-        if blobs[0] != blobs[1]:
-            failures.append(f"sample {n} ({algo}, {mode}): reports differ")
-    elapsed = time.perf_counter() - t0
-    detail = f"{len(samples)} run configurations repeated, {elapsed:.1f}s"
-    return _outcome(10, "report-determinism", failures, detail,
-                    {"elapsed_s": elapsed})
+            blobs.add(json.dumps(report, sort_keys=True))
+        where = f"({algo}, {mode}, {kernel}, {schedule})"
+        if code:
+            failures.append(f"{where}: {report['verify']['property']} fails")
+        if len(blobs) > 1:
+            failures.append(f"{where}: reports differ")
+    return failures, f"{len(runs)} run configurations repeated", {}
 
 
 ALL_CRITERIA = (
@@ -565,25 +537,21 @@ ALL_CRITERIA = (
 
 
 def run_criteria(numbers=None) -> list[CriterionOutcome]:
-    chosen = set(numbers) if numbers else None
-    out = []
-    for idx, fn in enumerate(ALL_CRITERIA, start=1):
-        if chosen is None or idx in chosen:
-            out.append(fn())
-    return out
+    return [fn() for idx, fn in enumerate(ALL_CRITERIA, start=1)
+            if not numbers or idx in numbers]
 
 
 def aggregate_report(outcomes: list[CriterionOutcome]) -> dict:
-    ratios = [oc.stats["min_ratio"] for oc in outcomes if "min_ratio" in oc.stats]
-    means = [oc.stats["mean_ratio"] for oc in outcomes if "mean_ratio" in oc.stats]
-    rounds = [oc.stats["max_rounds"] for oc in outcomes if "max_rounds" in oc.stats]
-    passes = [oc.stats["max_passes"] for oc in outcomes if "max_passes" in oc.stats]
+    ratios, means, rounds, passes = (
+        [oc.stats[key] for oc in outcomes if key in oc.stats]
+        for key in ("min_ratio", "mean_ratio", "max_rounds", "max_passes"))
     audit_failures = sum(oc.stats.get("audit_failures", 0) for oc in outcomes)
     return {
         "all_passed": all(oc.passed for oc in outcomes),
         "criteria": [
             {"number": oc.number, "name": oc.name, "passed": oc.passed,
-             "detail": oc.detail, "failures": oc.failures}
+             "detail": oc.detail, "failures": oc.failures,
+             "elapsed_s": oc.stats.get("elapsed_s")}
             for oc in outcomes
         ],
         "min_ratio": min(ratios) if ratios else None,

@@ -3,7 +3,8 @@
 ``run_single`` backs the CLI ``run`` subcommand and criterion 10; both
 accept the configurations ``RUNS`` lists and no other. It imports an
 engine, and the exact oracle under ``verify``, on first use, so that a
-run loads only the modules its algo and mode need.
+run loads only the modules its algo and mode need. ``verdict`` is the
+one check a verified run and the acceptance criteria hold a run to.
 """
 
 from __future__ import annotations
@@ -96,14 +97,30 @@ def _bound_holds(algo: str, mode: str, kernel: str, eps: Epsilon,
     return k * value >= (k - 6) * opt, BOUND_NAMES["mwm-det"]
 
 
+def verdict(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
+            eps: Epsilon, pairs, value: int, opt: int) -> tuple[bool, str]:
+    """(ok, property) of a run: ``pairs`` must first be a matching of
+    ``inst``'s edges (a b-matching under its capacities for mcbm), as
+    property ``valid-matching``, then ``value`` must meet the run's bound
+    in ``_bound_holds`` against the optimum ``opt``."""
+    from .auction import check_matching
+
+    caps = ((inst.b_l, inst.b_r) if algo == "mcbm"
+            else ((1,) * inst.n_l, (1,) * inst.n_r))
+    if not check_matching(pairs, *caps, inst.edges)[2]:
+        return False, "valid-matching"
+    return _bound_holds(algo, mode, kernel, eps, value, opt)
+
+
 def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
                kernel: str, seed: int, verify: bool, audit: bool,
                gp_schedule: str | None = None) -> tuple[dict, int]:
     """Run one engine configuration and assemble the JSON-ready report.
 
-    Returns (report, exit_code); exit code 1 signals a violated bound or
-    a failed audit, per the CLI contract. A configuration outside ``RUNS``
-    raises ``ValueError`` before any engine is imported.
+    Returns (report, exit_code); exit code 1 signals a failed audit or,
+    under ``verify``, a failed ``verdict``, per the CLI contract. A
+    configuration outside ``RUNS`` raises ``ValueError`` before any
+    engine is imported.
     """
     name = check_run(algo, mode, kernel, gp_schedule)
     # Engines and oracles are looked up on the module, where the first
@@ -134,7 +151,7 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
         "verify": None,
     }
     t0 = time.perf_counter()
-    exit_code = 0
+    ok = True
 
     try:
         if mode == "memory":
@@ -155,13 +172,10 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     if audit:
         report["audit"] = "ok"
     if verify:
-        oracle_value = oracle(inst).value
-        ok, prop = _bound_holds(algo, mode, kernel, eps, value, oracle_value)
-        report["oracle_value"] = oracle_value
-        report["ratio"] = value / oracle_value if oracle_value else None
+        report["oracle_value"] = opt = oracle(inst).value
+        ok, prop = verdict(inst, algo, mode, kernel, eps, res.pairs, value, opt)
+        report["ratio"] = value / opt if opt else None
         report["verify"] = {"passed": ok, "property": prop}
-        if not ok:
-            exit_code = 1
 
     if mode == "stream" or gp_schedule is not None:
         report["passes"] = tr.passes
@@ -176,4 +190,4 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     report["rounds"] = {"executed": tr.rounds_executed, "budget": tr.round_budget}
     report["result_value"] = value
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    return report, exit_code
+    return report, 0 if ok else 1

@@ -205,13 +205,16 @@ def run_reduced_mwm(
     engine "memory" runs the in-memory auction per level with the given
     kernel.  engine "stream-sequential" streams the copies one after
     another (each pass is shared by all levels of the current copy);
-    engine "stream-concurrent" streams all copies at once.  Per-level
-    results are identical either way; only pass and space accounting
-    differ.  Returns (result, trace) or (result, trace, detail) when
-    collect_detail is set.
+    engine "stream-concurrent" streams all copies at once.  Both run
+    ``stream_mwm`` per level, so they take kernel "det" only, ignore
+    ``seed`` and find engine "memory"'s per-level results under kernel
+    "stream"; they differ only in pass and space accounting.  Returns
+    (result, trace) or (result, trace, detail) when collect_detail is set.
     """
     if engine not in ("memory", "stream-sequential", "stream-concurrent"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine != "memory" and kernel != "det":
+        raise ValueError(f"engine {engine} takes the det kernel, not {kernel}")
     part = build_partition(inst, eps)
     detail = ReductionDetail(partition=part)
     b_l, b_r = (1,) * inst.n_l, (1,) * inst.n_r

@@ -2,10 +2,14 @@
 
 Each test runs its criterion exactly as the `suite` CLI subcommand does,
 prints the same status line, and fails with that line plus the recorded
-failure details when the criterion does not hold.
+failure details when the criterion does not hold. The last tests break
+a run on purpose and check that its criterion reports it.
 """
 
-from auctionmatch import criteria
+from types import SimpleNamespace
+
+from auctionmatch import criteria, suite
+from auctionmatch.suite import BOUND_NAMES
 
 
 def _check(outcome):
@@ -57,3 +61,56 @@ def test_criterion_09_oracle_consistency():
 
 def test_criterion_10_determinism():
     _check(criteria.criterion_10_determinism())
+
+
+def test_broken_bound_names_its_property(monkeypatch):
+    # twice the optimum plus two breaks (1 - 2 eps) at eps = 1/4 and 1/8
+    exact = criteria.exact_mcm
+    monkeypatch.setattr(criteria, "exact_mcm",
+                        lambda inst: SimpleNamespace(value=2 * exact(inst).value + 2))
+    outcome = criteria.criterion_1_mcm_approx()
+    assert not outcome.passed
+    assert outcome.failures
+    assert all(f": {BOUND_NAMES['mcm']} fails: value " in f for f in outcome.failures)
+
+
+def test_criterion_3_flags_an_invalid_rand_matching(monkeypatch):
+    # a randomized run that repeats a pair keeps its value, so only the
+    # validity check can catch it
+    real = criteria.run_mwm
+
+    def repeating(sg, eps, kernel="det", seed=0, **kwargs):
+        res, tr = real(sg, eps, kernel=kernel, seed=seed, **kwargs)
+        if kernel == "rand":
+            res = res._replace(pairs=res.pairs + res.pairs[:1])
+        return res, tr
+
+    monkeypatch.setattr(criteria, "run_mwm", repeating)
+    outcome = criteria.criterion_3_mwm_approx()
+    assert not outcome.passed
+    assert len(outcome.failures) == 20
+    assert all(" seed " in f and ": valid-matching fails: " in f
+               for f in outcome.failures)
+
+
+def test_criterion_10_verifies_every_run_twice(monkeypatch):
+    # the 13 runs of suite.RUNS and the gp schedules, each run twice; an
+    # optimum of 10^6 fails the three mcbm runs' verdicts
+    seen = []
+    real = criteria.run_single
+
+    def recording(inst, **kwargs):
+        seen.append(tuple(kwargs[key] for key in
+                          ("algo", "mode", "kernel", "gp_schedule")))
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(criteria, "run_single", recording)
+    monkeypatch.setattr(suite, "exact_mcbm",
+                        lambda inst: SimpleNamespace(value=10 ** 6))
+    outcome = criteria.criterion_10_determinism()
+    assert len(seen) == 26 and len(set(seen)) == 13
+    assert all(seen.count(config) == 2 for config in seen)
+    assert sorted(outcome.failures) == [
+        f"(mcbm, {mode}, {kernel}, None): {BOUND_NAMES['mcbm']} fails"
+        for mode, kernel in (("memory", "det"), ("memory", "stream"),
+                             ("stream", "det"))]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import auctionmatch
-from auctionmatch import criteria, mcbm, suite
+from auctionmatch import cli, criteria, mcbm, suite
 from auctionmatch.cli import main
 from auctionmatch.graph import (BipartiteInstance, Epsilon, load_instance,
                                 loads_instance, save_instance, scale_and_prune)
@@ -141,22 +141,40 @@ def test_report_flag_writes_file(capsys, single, tmp_path):
     assert report["result_value"] == 1
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
 @pytest.mark.parametrize("command", ["run", "gen", "suite"])
 def test_unwritable_output_path_exits_two(capsys, single, tmp_path, command,
                                           monkeypatch):
     # exit 1 means a violated bound; a path that cannot be written is an
-    # input error, reported on one line
+    # input error, reported on one line before any engine or criterion runs
     bad = str(tmp_path / "missing" / "out.json")
     argv = {"run": ["run", single, "--algo", "mcm", "--eps", "1/4", "--report", bad],
             "gen": ["gen", "-o", bad],
             "suite": ["suite", "--criteria", "2", "--report", bad]}[command]
-    if command == "suite":
-        monkeypatch.setattr(criteria, "run_criteria", lambda numbers: [])
+    monkeypatch.setattr(cli, "run_single", _no_work)
+    monkeypatch.setattr(criteria, "run_criteria", _no_work)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_failed_run_keeps_an_existing_report(capsys, tmp_path):
+    # the path check neither truncates a report nor leaves a new file
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}\n")
+    fresh = tmp_path / "fresh.json"
+    missing = str(tmp_path / "nope.gr")
+    for report in (kept, fresh):
+        assert main(["run", missing, "--algo", "mcm", "--eps", "1/2",
+                     "--report", str(report)]) == 2
+    assert kept.read_text() == "{}\n"
+    assert not fresh.exists()
+    capsys.readouterr()
 
 
 RESULT_FIELDS = ("rounds", "passes", "peak_words", "blackboard", "result_value",
@@ -182,6 +200,27 @@ def test_failed_bound_exits_one(capsys, k22, monkeypatch):
     assert (report["result_value"], report["oracle_value"]) == (2, 5)
     assert report["verify"] == {
         "passed": False, "property": "cardinality-approximation-(1-2eps)"}
+
+
+def test_verify_rejects_a_non_edge_pair(capsys, tmp_path, monkeypatch):
+    # the engine claims valid=True for a pair that is no edge; --verify
+    # checks the pairs against the loaded instance, not the engine's flag
+    path = tmp_path / "diag.gr"
+    save_instance(BipartiteInstance.build(2, 2, [(0, 0, 1), (1, 1, 1)]), path)
+    real = suite.stream_mwm
+
+    def misreporting(stream, eps, audit=False):
+        res, tr = real(stream, eps, audit=audit)
+        assert res.pairs == ((0, 0), (1, 1)) and res.valid
+        return res._replace(pairs=((0, 1), (1, 1))), tr
+
+    monkeypatch.setattr(suite, "stream_mwm", misreporting)
+    code, report = _run_json(capsys, [
+        "run", str(path), "--algo", "mwm", "--mode", "stream", "--eps", "1/4",
+        "--verify"])
+    assert code == 1
+    assert (report["result_value"], report["oracle_value"]) == (2, 2)
+    assert report["verify"] == {"passed": False, "property": "valid-matching"}
 
 
 def test_gen_is_seed_deterministic(capsys):
@@ -404,6 +443,10 @@ def test_suite_single_criterion(capsys, tmp_path):
     assert "PASS" in captured.err
     agg = json.loads(out.read_text())
     assert agg["criteria"][0]["passed"] is True
+    # the time the harness took, which the status line rounds
+    elapsed = agg["criteria"][0]["elapsed_s"]
+    assert elapsed > 0
+    assert captured.err.rstrip().endswith(f", {elapsed:.1f}s)")
 
 
 def test_suite_rejects_bad_criteria(capsys):

@@ -104,12 +104,26 @@ def test_reduction_bound_memory_engine(seed):
 def test_streaming_engines_match_memory_stream_kernel(engine, seed):
     inst = generate_random(8, 8, 0.5, w_range=(1, 10 ** 5), seed=seed)
     k = 4
-    mem_res, _ = run_reduced_mwm(inst, Epsilon(k), kernel="stream")
-    str_res, tr = run_reduced_mwm(inst, Epsilon(k), engine=engine)
+    mem_res, _, mem = run_reduced_mwm(inst, Epsilon(k), kernel="stream",
+                                      collect_detail=True)
+    str_res, tr, got = run_reduced_mwm(inst, Epsilon(k), engine=engine,
+                                       collect_detail=True)
     assert str_res.value == mem_res.value
     assert str_res.pairs == mem_res.pairs
+    # level by level, a streamed level is the stream kernel's level
+    assert got.level_results == mem.level_results
     assert tr.passes >= 1
     assert tr.peak_words > 0
+
+
+@pytest.mark.parametrize("engine", ["stream-sequential", "stream-concurrent"])
+@pytest.mark.parametrize("kernel", ["rand", "stream"])
+def test_streaming_engines_take_only_the_det_kernel(engine, kernel):
+    # stream_mwm runs each streamed level with one kernel and no seed
+    inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
+    with pytest.raises(ValueError,
+                       match=f"^engine {engine} takes the det kernel, not {kernel}$"):
+        run_reduced_mwm(inst, Epsilon(2), engine=engine, kernel=kernel, seed=3)
 
 
 def test_sequential_uses_less_space_than_concurrent():
