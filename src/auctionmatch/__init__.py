@@ -20,7 +20,7 @@ _EXPORTS = {
     "mcm": ("demand_set_mcm", "mcm_round_budget", "run_mcm"),
     "mwm": ("demand_set_mwm", "run_mwm"),
     "oracles": ("ORACLE_SIZE_LIMIT", "exact_mcbm", "exact_mcm", "exact_mwm"),
-    "results": ("BlackboardTrace", "BMatchingResult", "MatchingResult", "RunTrace"),
+    "results": ("BlackboardTrace", "MatchingResult", "RunTrace"),
     "streaming": ("STREAM_MCBM_SPACE_FACTOR", "EdgeStream", "SpaceAccountant",
                   "stream_mcbm", "stream_mwm"),
     "weight_reduction": ("build_partition", "combine_levels", "run_reduced_mwm",

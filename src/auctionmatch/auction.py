@@ -7,8 +7,9 @@ again. ``Auction`` holds that state, commits with eviction, feeds the
 evicted owners back to the next round's bidders, keeps the matched value
 and the best round-end assignment, runs the round loop around each
 engine's step and makes the two checks every engine's audit shares: the
-structural one it starts with and the demand one; the engines report
-through ``check_matching`` and ``blackboard_trace``.
+structural one it starts with and the demand one; randomized-kernel runs
+report through ``blackboard_trace``. No engine checks the matching it
+returns: ``suite.verdict`` checks it against the instance.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .graph import Epsilon
 from .kernels import KernelMatching
 from .results import BlackboardTrace
 
-__all__ = ["Auction", "blackboard_trace", "check_demand", "check_matching",
-           "phase_budget", "round_budget"]
+__all__ = ["Auction", "blackboard_trace", "check_demand", "phase_budget",
+           "round_budget"]
 
 
 def round_budget(eps: Epsilon) -> int:
@@ -189,25 +190,6 @@ def check_demand(live, demanded) -> None:
             "empty-demand-characterization",
             f"bidder {i}: demand empty={i not in demanded} but priced "
             f"out={i in demanded} at round-start prices")
-
-
-def check_matching(pairs, b_l, b_r, edges=None
-                   ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Bidder usage, item usage and validity of ``pairs``: no pair repeats,
-    no vertex exceeds its capacity in ``b_l`` or ``b_r`` and, when edges
-    (i, j, w) are given, every pair is one of them."""
-    bidder_usage = [0] * len(b_l)
-    item_usage = [0] * len(b_r)
-    for i, j in pairs:
-        bidder_usage[i] += 1
-        item_usage[j] += 1
-    pair_set = set(pairs)
-    valid = (len(pair_set) == len(pairs)
-             and all(u <= b for u, b in zip(bidder_usage, b_l))
-             and all(u <= b for u, b in zip(item_usage, b_r))
-             and (edges is None
-                  or not pair_set.difference((i, j) for i, j, _ in edges)))
-    return tuple(bidder_usage), tuple(item_usage), valid
 
 
 def blackboard_trace(n_r: int, price_levels: int, rounds: int, proposal_rounds: int,

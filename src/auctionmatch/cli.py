@@ -135,10 +135,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_suite(args) -> int:
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = [int(x) for x in args.criteria.split(",") if x.strip()]
         except ValueError:
+            numbers = []
+        if not numbers:
             print(f"error: bad criteria list {args.criteria!r}", file=sys.stderr)
             return 2
         if any(n < 1 or n > 10 for n in numbers):

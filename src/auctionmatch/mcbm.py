@@ -15,12 +15,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .auction import Auction, check_demand, check_matching
+from .auction import Auction, check_demand
 from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
 from .kernels import KernelMatching, nondup_maximal
-from .results import BMatchingResult, RunTrace
+from .results import MatchingResult, RunTrace
 
 
 class CopyGraph(NamedTuple):
@@ -163,7 +163,7 @@ def run_mcbm(
     kernel: str = "det",
     seed: int = 0,
     audit: bool = False,
-) -> tuple[BMatchingResult, RunTrace]:
+) -> tuple[MatchingResult, RunTrace]:
     """Run the capacitated cardinality auction.
 
     kernel "det" resolves each round with the duplicate-avoiding maximal
@@ -208,17 +208,8 @@ def run_mcbm(
 
     best_pairs = tuple(sorted(
         (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
-    bidder_usage, item_usage, valid = check_matching(
-        best_pairs, inst.b_l, inst.b_r, inst.edges)
-    result = BMatchingResult(
-        pairs=best_pairs,
-        cardinality=len(best_pairs),
-        round_captured=state.best_round,
-        bidder_usage=bidder_usage,
-        item_usage=item_usage,
-        valid=valid,
-    )
-    return result, trace
+    return MatchingResult(pairs=best_pairs, value=len(best_pairs),
+                          round_captured=state.best_round), trace
 
 
 def _det_round(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .auction import Auction, blackboard_trace, check_demand, check_matching
+from .auction import Auction, blackboard_trace, check_demand
 from .auction import round_budget as mcm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
@@ -161,11 +161,8 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
         lambda bidders: _round(state, bidders, kernel, rng),
         audited if audit else None)
 
-    best_pairs = state.best_pairs()
-    valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
-                           inst.edges)[2]
-    result = MatchingResult(pairs=best_pairs, value=state.best_value,
-                            round_captured=state.best_round, valid=valid)
+    result = MatchingResult(pairs=state.best_pairs(), value=state.best_value,
+                            round_captured=state.best_round)
     blackboard = None
     if kernel == "rand":
         blackboard = blackboard_trace(inst.n_r, eps.k, *totals)

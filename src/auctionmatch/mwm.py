@@ -20,8 +20,7 @@ import random
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .auction import (Auction, blackboard_trace, check_demand, check_matching,
-                      phase_budget)
+from .auction import Auction, blackboard_trace, check_demand, phase_budget
 from .errors import InvariantViolation
 from .graph import Epsilon, ScaledGraph, ceil_log
 from .kernels import KernelMatching, bucket_sweep
@@ -240,11 +239,8 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
         (lambda bidders: _phase_audit(state, bidders, optimum, weight))
         if audit else None)
 
-    best_pairs = state.best_pairs()
-    valid = check_matching(best_pairs, (1,) * inst.n_l, (1,) * inst.n_r,
-                           sg.edges)[2]
-    result = MatchingResult(pairs=best_pairs, value=state.best_value,
-                            round_captured=state.best_round, valid=valid)
+    result = MatchingResult(pairs=state.best_pairs(), value=state.best_value,
+                            round_captured=state.best_round)
     blackboard = None
     if kernel == "rand":
         blackboard = blackboard_trace(inst.n_r, eps.k * sg.w_max, *totals)

@@ -9,28 +9,16 @@ class MatchingResult(NamedTuple):
     """A matching captured at some round of an engine run.
 
     pairs are (bidder, item) indices sorted by bidder. ``value`` is the
-    cardinality for unweighted runs and the total weight in original
-    (unscaled) units for weighted runs. ``round_captured`` is the 1-based
-    round/phase whose end-of-round state produced this matching; ties on
-    value keep the earliest round. ``valid`` records that the engine checked
-    the pairs against the instance (edges exist, no endpoint reused).
+    cardinality for ``mcm`` and ``mcbm`` runs (the number of pairs) and the
+    total weight in original (unscaled) units for ``mwm`` runs.
+    ``round_captured`` is the 1-based round/phase whose end-of-round state
+    produced this matching, ties on value keeping the earliest round; it is
+    0 for the weight reduction, whose matching combines several runs.
     """
 
     pairs: tuple[tuple[int, int], ...]
     value: int
     round_captured: int
-    valid: bool
-
-
-class BMatchingResult(NamedTuple):
-    """A capacitated matching: at most b_i edges per bidder, b_j per item."""
-
-    pairs: tuple[tuple[int, int], ...]
-    cardinality: int
-    round_captured: int
-    bidder_usage: tuple[int, ...]
-    item_usage: tuple[int, ...]
-    valid: bool
 
 
 class BlackboardTrace(NamedTuple):

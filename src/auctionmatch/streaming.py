@@ -14,10 +14,10 @@ from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
 
-from .auction import Auction, check_matching, phase_budget, round_budget
+from .auction import Auction, phase_budget, round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon, ceil_log, prune_exponent, scale_and_prune
-from .results import BMatchingResult, MatchingResult, RunTrace
+from .results import MatchingResult, RunTrace
 
 # Measured ceiling for peak words over (sum of bidder capacities + n_r);
 # the capacitated engine's state is a fixed number of arrays on those
@@ -239,17 +239,15 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
         if not pairs:
             break
 
-    pairs_out = auc.best_pairs()
-    valid = check_matching(pairs_out, (1,) * n_l, (1,) * n_r)[2]
-    result = MatchingResult(pairs=pairs_out, value=auc.best_value,
-                            round_captured=auc.best_round, valid=valid)
+    result = MatchingResult(pairs=auc.best_pairs(), value=auc.best_value,
+                            round_captured=auc.best_round)
     trace = RunTrace(rounds_executed=phases, round_budget=budget or 0,
                      passes=stream.passes, peak_words=acct.peak)
     return result, trace
 
 
 def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
-                ) -> tuple[BMatchingResult, RunTrace]:
+                ) -> tuple[MatchingResult, RunTrace]:
     """Capacitated cardinality auction over an edge stream.
 
     Pass 1 reads the header and capacities.  Each round then spends one
@@ -451,10 +449,8 @@ def stream_mcbm(stream: EdgeStream, eps: Epsilon, audit: bool = False
             break
 
     pairs = tuple(sorted((bisect_right(start, bc) - 1, j) for bc, j in auc.best_pairs()))
-    bidder_usage, item_usage, valid = check_matching(pairs, b_l, b_r)
-    result = BMatchingResult(
-        pairs=pairs, cardinality=len(pairs), round_captured=auc.best_round,
-        bidder_usage=bidder_usage, item_usage=item_usage, valid=valid)
+    result = MatchingResult(pairs=pairs, value=len(pairs),
+                            round_captured=auc.best_round)
     trace = RunTrace(rounds_executed=rounds, round_budget=budget,
                      passes=stream.passes, peak_words=acct.peak)
     if audit:

@@ -97,17 +97,33 @@ def _bound_holds(algo: str, mode: str, kernel: str, eps: Epsilon,
     return k * value >= (k - 6) * opt, BOUND_NAMES["mwm-det"]
 
 
+def check_matching(pairs, b_l, b_r, edges) -> bool:
+    """Whether ``pairs`` is a b-matching of ``edges`` (i, j, w): every pair
+    one of them and none repeated, then no vertex used more often than its
+    capacity in ``b_l`` or ``b_r``. Edge membership comes first, so that a
+    pair out of range fails rather than indexes the capacities."""
+    pair_set = set(pairs)
+    if (len(pair_set) != len(pairs)
+            or pair_set.difference((i, j) for i, j, _ in edges)):
+        return False
+    bidder_usage = [0] * len(b_l)
+    item_usage = [0] * len(b_r)
+    for i, j in pairs:
+        bidder_usage[i] += 1
+        item_usage[j] += 1
+    return (all(u <= b for u, b in zip(bidder_usage, b_l))
+            and all(u <= b for u, b in zip(item_usage, b_r)))
+
+
 def verdict(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
             eps: Epsilon, pairs, value: int, opt: int) -> tuple[bool, str]:
     """(ok, property) of a run: ``pairs`` must first be a matching of
     ``inst``'s edges (a b-matching under its capacities for mcbm), as
     property ``valid-matching``, then ``value`` must meet the run's bound
     in ``_bound_holds`` against the optimum ``opt``."""
-    from .auction import check_matching
-
     caps = ((inst.b_l, inst.b_r) if algo == "mcbm"
             else ((1,) * inst.n_l, (1,) * inst.n_r))
-    if not check_matching(pairs, *caps, inst.edges)[2]:
+    if not check_matching(pairs, *caps, inst.edges):
         return False, "valid-matching"
     return _bound_holds(algo, mode, kernel, eps, value, opt)
 
@@ -167,14 +183,14 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
         report["audit"] = {"violated": exc.prop, "detail": str(exc)}
         report["wall_time_s"] = round(time.perf_counter() - t0, 6)
         return report, 1
-    value = res.cardinality if algo == "mcbm" else res.value
 
     if audit:
         report["audit"] = "ok"
     if verify:
         report["oracle_value"] = opt = oracle(inst).value
-        ok, prop = verdict(inst, algo, mode, kernel, eps, res.pairs, value, opt)
-        report["ratio"] = value / opt if opt else None
+        ok, prop = verdict(inst, algo, mode, kernel, eps, res.pairs,
+                           res.value, opt)
+        report["ratio"] = res.value / opt if opt else None
         report["verify"] = {"passed": ok, "property": prop}
 
     if mode == "stream" or gp_schedule is not None:
@@ -188,6 +204,6 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
             "total_bits": tr.blackboard.total_bits,
         }
     report["rounds"] = {"executed": tr.rounds_executed, "budget": tr.round_budget}
-    report["result_value"] = value
+    report["result_value"] = res.value
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     return report, 0 if ok else 1

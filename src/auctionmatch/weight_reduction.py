@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .auction import check_matching
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
 from .mwm import run_mwm
 from .results import MatchingResult, RunTrace
@@ -244,13 +243,9 @@ def run_reduced_mwm(
     best = max(detail.outcomes, key=lambda oc: (oc.weight, -oc.copy_index))
     detail.best_copy = best.copy_index
 
-    pairs = tuple(sorted((i, j) for (i, j, _), _ in best.taken))
     result = MatchingResult(
-        pairs=pairs,
-        value=best.weight,
-        round_captured=0,
-        valid=check_matching(pairs, (1,) * inst.n_l, (1,) * inst.n_r, inst.edges)[2],
-    )
+        pairs=tuple(sorted((i, j) for (i, j, _), _ in best.taken)),
+        value=best.weight, round_captured=0)
 
     trace = _aggregate_trace(engine, part, detail)
     return (result, trace, detail) if collect_detail else (result, trace)

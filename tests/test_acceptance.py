@@ -114,3 +114,20 @@ def test_criterion_10_verifies_every_run_twice(monkeypatch):
         f"(mcbm, {mode}, {kernel}, None): {BOUND_NAMES['mcbm']} fails"
         for mode, kernel in (("memory", "det"), ("memory", "stream"),
                              ("stream", "det"))]
+
+
+def test_criterion_7_compares_whole_results(monkeypatch):
+    # a streamed run with the in-memory value but its pairs in another
+    # order; a check of values alone passes it
+    real = criteria.stream_mwm
+
+    def reordered(stream, eps, audit=False):
+        res, tr = real(stream, eps, audit=audit)
+        return res._replace(pairs=res.pairs[::-1]), tr
+
+    monkeypatch.setattr(criteria, "stream_mwm", reordered)
+    outcome = criteria.criterion_7_stream_equivalence()
+    assert not outcome.passed
+    assert all(f.startswith("mwm instance ")
+               and f.endswith(": streamed pairs differ from in-memory")
+               for f in outcome.failures)

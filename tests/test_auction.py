@@ -1,11 +1,12 @@
 """The shared auction core: commit with eviction, snapshots, the round
-driver, result check."""
+loop; and the one check of a returned matching, ``suite.check_matching``."""
 
 import pytest
 
-from auctionmatch.auction import Auction, blackboard_trace, check_matching
+from auctionmatch.auction import Auction, blackboard_trace
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.kernels import KernelMatching
+from auctionmatch.suite import check_matching
 
 EDGES = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1))
 
@@ -17,7 +18,7 @@ def _auction(n_bidders=3, n_items=2):
 
 def test_check_matching_accepts_a_b_matching():
     pairs = ((0, 0), (0, 1), (1, 1))
-    assert check_matching(pairs, (2, 1, 1), (1, 2), EDGES) == ((2, 1, 0), (1, 2), True)
+    assert check_matching(pairs, (2, 1, 1), (1, 2), EDGES) is True
 
 
 @pytest.mark.parametrize("pairs,b_l,b_r", [
@@ -26,14 +27,12 @@ def test_check_matching_accepts_a_b_matching():
     (((0, 1), (1, 1)), (1, 1, 1), (1, 1)),
     (((0, 0), (1, 0), (2, 0)), (1, 1, 1), (2, 1)),
     (((0, 0), (0, 0)), (2, 1, 1), (2, 1)),
-], ids=["non-edge", "bidder-reused", "item-reused", "over-capacity", "repeated-pair"])
+    # a pair out of range fails as a non-edge before usage is counted
+    (((3, 0),), (1, 1, 1), (1, 1)),
+], ids=["non-edge", "bidder-reused", "item-reused", "over-capacity", "repeated-pair",
+        "out-of-range"])
 def test_check_matching_flags_each_fault(pairs, b_l, b_r):
-    assert check_matching(pairs, b_l, b_r, EDGES)[2] is False
-
-
-def test_check_matching_without_edges_checks_only_usage():
-    assert check_matching(((2, 1),), (1, 1, 1), (1, 1))[2] is True
-    assert check_matching(((1, 0), (2, 0)), (1, 1, 1), (1, 1))[2] is False
+    assert check_matching(pairs, b_l, b_r, EDGES) is False
 
 
 def test_commit_evicts_and_subtracts_the_evicted_gain():

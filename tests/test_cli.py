@@ -203,15 +203,17 @@ def test_failed_bound_exits_one(capsys, k22, monkeypatch):
 
 
 def test_verify_rejects_a_non_edge_pair(capsys, tmp_path, monkeypatch):
-    # the engine claims valid=True for a pair that is no edge; --verify
-    # checks the pairs against the loaded instance, not the engine's flag
+    # the engine returns a pair that is no edge; --verify checks the pairs
+    # against the loaded instance
+    inst = BipartiteInstance.build(2, 2, [(0, 0, 1), (1, 1, 1)])
     path = tmp_path / "diag.gr"
-    save_instance(BipartiteInstance.build(2, 2, [(0, 0, 1), (1, 1, 1)]), path)
+    save_instance(inst, path)
     real = suite.stream_mwm
 
     def misreporting(stream, eps, audit=False):
         res, tr = real(stream, eps, audit=audit)
-        assert res.pairs == ((0, 0), (1, 1)) and res.valid
+        assert res.pairs == ((0, 0), (1, 1))
+        assert suite.check_matching(res.pairs, (1, 1), (1, 1), inst.edges)
         return res._replace(pairs=((0, 1), (1, 1))), tr
 
     monkeypatch.setattr(suite, "stream_mwm", misreporting)
@@ -220,6 +222,21 @@ def test_verify_rejects_a_non_edge_pair(capsys, tmp_path, monkeypatch):
         "--verify"])
     assert code == 1
     assert (report["result_value"], report["oracle_value"]) == (2, 2)
+    assert report["verify"] == {"passed": False, "property": "valid-matching"}
+
+
+def test_verify_rejects_an_out_of_range_pair(capsys, k22, monkeypatch):
+    # a bidder index past n_l fails valid-matching instead of raising
+    real = suite.run_mcm
+
+    def out_of_range(inst, eps, **kwargs):
+        res, tr = real(inst, eps, **kwargs)
+        return res._replace(pairs=((0, 0), (inst.n_l, 0))), tr
+
+    monkeypatch.setattr(suite, "run_mcm", out_of_range)
+    code, report = _run_json(capsys, [
+        "run", k22, "--algo", "mcm", "--eps", "1/4", "--verify"])
+    assert code == 1
     assert report["verify"] == {"passed": False, "property": "valid-matching"}
 
 
@@ -390,7 +407,7 @@ def test_run_kernel_stream_is_the_in_memory_stream_order_kernel(capsys, tmp_path
         assert memory["result_value"] == res.value
     else:
         res, _ = run_mcbm(inst, eps, kernel="stream")
-        assert memory["result_value"] == res.cardinality
+        assert memory["result_value"] == res.value
 
 
 @pytest.mark.parametrize("mode", ["memory", "stream", "gp"])
@@ -449,10 +466,14 @@ def test_suite_single_criterion(capsys, tmp_path):
     assert captured.err.rstrip().endswith(f", {elapsed:.1f}s)")
 
 
-def test_suite_rejects_bad_criteria(capsys):
-    assert main(["suite", "--criteria", "11"]) == 2
-    assert main(["suite", "--criteria", "a,b"]) == 2
-    capsys.readouterr()
+def test_suite_rejects_bad_criteria(capsys, monkeypatch):
+    # a list with no criterion number in it is refused, not read as "all"
+    monkeypatch.setattr(criteria, "run_criteria", _no_work)
+    for numbers in ("11", "a,b", ",", ""):
+        assert main(["suite", "--criteria", numbers]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 # Modules no run may load: dataclasses, and the inspect, ast, dis and

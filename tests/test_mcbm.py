@@ -16,6 +16,7 @@ from auctionmatch.mcbm import (
 )
 from auctionmatch.mcm import run_mcm
 from auctionmatch.oracles import exact_mcbm
+from auctionmatch.suite import check_matching
 
 
 def test_copy_expansion_counts():
@@ -84,10 +85,9 @@ def test_bidder_capacity_two_items():
     inst = BipartiteInstance.build(
         1, 2, [(0, 0, 1), (0, 1, 1)], b_l=[2], b_r=[1, 1])
     res, tr = run_mcbm(inst, Epsilon(2))
-    assert res.cardinality == 2
+    assert res.value == 2
     assert res.pairs == ((0, 0), (0, 1))
-    assert res.bidder_usage == (2,)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert tr.round_budget == mcbm_round_budget(Epsilon(2)) == 8
 
 
@@ -95,7 +95,7 @@ def test_single_edge_used_once_despite_capacity():
     inst = BipartiteInstance.build(
         2, 2, [(0, 0, 1)], b_l=[2, 1], b_r=[2, 1])
     res, _ = run_mcbm(inst, Epsilon(2))
-    assert res.cardinality == 1
+    assert res.value == 1
     assert res.pairs == ((0, 0),)
 
 
@@ -113,8 +113,8 @@ def test_approximation_bound(kernel, seed):
     opt = exact_mcbm(inst).value
     for k in (4, 8):
         res, tr = run_mcbm(inst, Epsilon(k), kernel=kernel)
-        assert res.valid
-        assert k * res.cardinality >= (k - 2) * opt
+        assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
+        assert k * res.value >= (k - 2) * opt
         assert tr.rounds_executed <= tr.round_budget == 2 * k * k
 
 
@@ -123,7 +123,7 @@ def test_unit_capacities_match_plain_engine_value(seed):
     inst = generate_random(9, 9, 0.35, seed=seed)
     cap_res, _ = run_mcbm(inst, Epsilon(4))
     plain_res, _ = run_mcm(inst, Epsilon(4))
-    assert cap_res.cardinality == plain_res.value
+    assert cap_res.value == plain_res.value
 
 
 def test_structural_audit_properties_hold():

@@ -11,6 +11,7 @@ from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcm import McmState, demand_set_mcm, mcm_round_budget, run_mcm
 from auctionmatch.oracles import exact_mcm
+from auctionmatch.suite import check_matching
 
 
 def test_single_edge():
@@ -18,7 +19,7 @@ def test_single_edge():
     res, tr = run_mcm(inst, Epsilon(2))
     assert res.value == 1
     assert res.pairs == ((0, 0),)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert tr.round_budget == 8
 
 
@@ -49,7 +50,7 @@ def test_approximation_bound(kernel, seed):
     opt = exact_mcm(inst).value
     for k in (4, 8):
         res, tr = run_mcm(inst, Epsilon(k), kernel=kernel, seed=seed)
-        assert res.valid
+        assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
         # value >= (1 - 2 eps) * opt, checked in integers
         assert k * res.value >= (k - 2) * opt
         assert tr.rounds_executed <= tr.round_budget == 2 * k * k
@@ -68,7 +69,7 @@ def test_fine_eps_is_exact(seed):
 def test_audit_holds_on_every_round(kernel, seed):
     inst = generate_random(10, 10, 0.35, seed=seed)
     res, _ = run_mcm(inst, Epsilon(4), kernel=kernel, seed=seed, audit=True)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
 
 
 def test_demand_set_is_cheapest_neighbors():
@@ -98,7 +99,7 @@ def test_rand_kernel_is_seed_deterministic():
     assert a.pairs == b.pairs
     assert ta.blackboard.proposals == tb.blackboard.proposals
     c, _ = run_mcm(inst, Epsilon(4), kernel="rand", seed=12)
-    assert c.valid
+    assert check_matching(c.pairs, inst.b_l, inst.b_r, inst.edges)
 
 
 def test_blackboard_trace_shape():

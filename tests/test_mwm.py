@@ -24,6 +24,7 @@ from auctionmatch.graph import (
 from auctionmatch.mwm import MwmState, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
 from auctionmatch.streaming import EdgeStream, stream_mwm
+from auctionmatch.suite import check_matching
 from test_round_reference import _reference_phase, edge_bucket
 
 
@@ -106,7 +107,7 @@ def test_det_bound(seed):
     opt = exact_mwm(inst).value
     for k in (8, 16):
         res, tr = _run(inst, Epsilon(k), audit=True, optimum=opt)
-        assert res.valid
+        assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
         # value >= (1 - 6 eps) * opt, checked in integers
         assert k * res.value >= (k - 6) * opt
         assert tr.rounds_executed <= tr.round_budget
@@ -119,7 +120,7 @@ def test_rand_bound(seed):
     k = 8
     res, tr = _run(inst, Epsilon(k), kernel="rand", seed=seed,
                    audit=True, optimum=opt)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert k * res.value >= (k - 7) * opt
     bb = tr.blackboard
     assert bb is not None
@@ -133,7 +134,7 @@ def test_stream_kernel_bound(seed):
     k = 8
     res, _ = _run(inst, Epsilon(k), kernel="stream",
                   audit=True, optimum=opt)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert k * res.value >= (k - 6) * opt
 
 

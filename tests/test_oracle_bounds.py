@@ -13,6 +13,7 @@ from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
 from auctionmatch.oracles import exact_mcbm, exact_mcm, exact_mwm
+from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import run_reduced_mwm
 
 _cases = st.fixed_dictionaries({
@@ -53,23 +54,27 @@ def test_engines_meet_their_bounds(case):
     mcm_opt = exact_mcm(unit).value
     for kernel in ("det", "rand"):
         res, tr = run_mcm(unit, eps, kernel=kernel, seed=seed, audit=audit)
-        assert res.valid and tr.rounds_executed <= tr.round_budget
+        assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
+        assert tr.rounds_executed <= tr.round_budget
         assert k * res.value >= (k - 2) * mcm_opt, kernel
     res, _ = run_mcm(unit, Epsilon(unit.n_l + 1), seed=seed, audit=audit)
-    assert res.valid and res.value == mcm_opt
+    assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
+    assert res.value == mcm_opt
 
     mwm_opt = exact_mwm(unit).value
     sg = scale_and_prune(unit, eps)
     for kernel, slack in (("det", 6), ("rand", 7), ("stream", 6)):
         res, tr = run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit)
-        assert res.valid and tr.rounds_executed <= tr.round_budget
+        assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
+        assert tr.rounds_executed <= tr.round_budget
         assert k * res.value >= (k - slack) * mwm_opt, kernel
     res, _ = run_reduced_mwm(unit, eps, seed=seed, audit=audit)
-    assert res.valid
+    assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
     assert (k + 16) * res.value >= k * mwm_opt
 
     mcbm_opt = exact_mcbm(capped).value
     for kernel in ("det", "stream"):
         res, tr = run_mcbm(capped, eps, kernel=kernel, audit=audit)
-        assert res.valid and tr.rounds_executed <= tr.round_budget
-        assert k * res.cardinality >= (k - 2) * mcbm_opt, kernel
+        assert check_matching(res.pairs, capped.b_l, capped.b_r, capped.edges)
+        assert tr.rounds_executed <= tr.round_budget
+        assert k * res.value >= (k - 2) * mcbm_opt, kernel

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import auctionmatch
-from auctionmatch.auction import check_matching
 from auctionmatch.graph import BipartiteInstance, generate_random
 from auctionmatch.oracles import (
     ORACLE_SIZE_LIMIT,
@@ -21,6 +20,7 @@ from auctionmatch.criteria import (
     brute_force_mcm,
     brute_force_mwm,
 )
+from auctionmatch.suite import check_matching
 
 
 def test_mcm_on_a_path():
@@ -168,7 +168,7 @@ def test_oracles_match_scipy(block):
             dense[i, j] = w
         rows, cols = linear_sum_assignment(dense, maximize=True)
         assert got.value == int(dense[rows, cols].sum())
-        assert check_matching(got.pairs, (1,) * n_l, (1,) * n_r, inst.edges)[2]
+        assert check_matching(got.pairs, (1,) * n_l, (1,) * n_r, inst.edges)
         assert sum(weight[p] for p in got.pairs) == got.value
 
         got = exact_mcbm(inst)
@@ -179,7 +179,7 @@ def test_oracles_match_scipy(block):
         network = csr_matrix((np.array(caps, dtype=np.int32), (tails, heads)),
                              shape=(sink + 1, sink + 1))
         assert got.value == maximum_flow(network, source, sink).flow_value
-        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)[2]
+        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)
         assert len(got.pairs) == got.value
 
 
@@ -247,7 +247,7 @@ def test_mcm_pairs_match_recursive_search(seed):
         got = exact_mcm(inst)
         assert got.value == len(_recursive_mcm_pairs(inst)) == exact_mcbm(inst).value
         assert len(got.pairs) == got.value
-        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)[2]
+        assert check_matching(got.pairs, inst.b_l, inst.b_r, inst.edges)
         shapes.add((inst.n_l > inst.n_r) - (inst.n_l < inst.n_r))
     assert len(shapes) > 1
 

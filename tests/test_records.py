@@ -12,7 +12,7 @@ from auctionmatch.mcbm import expand_copies
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import DemandSpec
 from auctionmatch.oracles import OracleResult
-from auctionmatch.results import BlackboardTrace, BMatchingResult, MatchingResult, RunTrace
+from auctionmatch.results import BlackboardTrace, MatchingResult, RunTrace
 from auctionmatch.streaming import SpaceAccountant
 from auctionmatch.weight_reduction import (CombineOutcome, DisplacementRecord,
                                            ReductionDetail, build_partition,
@@ -29,9 +29,7 @@ def _value_records():
         eps,
         inst,
         scale_and_prune(inst, eps),
-        MatchingResult(pairs=((0, 1), (1, 0)), value=2, round_captured=3, valid=True),
-        BMatchingResult(pairs=((0, 1),), cardinality=1, round_captured=1,
-                        bidder_usage=(1, 0), item_usage=(0, 1), valid=True),
+        MatchingResult(pairs=((0, 1), (1, 0)), value=2, round_captured=3),
         BlackboardTrace(proposal_rounds=2, coordination_rounds=4, proposals=5,
                         price_announcements=3, proposal_bits_each=1,
                         price_bits_each=4),
@@ -61,9 +59,9 @@ def test_value_records_compare_and_hash_by_their_fields(record):
 def test_records_unpack_and_compare_equal_to_plain_tuples():
     inst = BipartiteInstance.build(2, 2, EDGES)
     res, _ = run_mcm(inst, Epsilon(3))
-    pairs, value, round_captured, valid = res
-    assert res == (pairs, value, round_captured, valid)
-    assert (value, valid) == (2, True)
+    pairs, value, round_captured = res
+    assert res == (pairs, value, round_captured)
+    assert value == len(pairs) == 2
     assert Epsilon(4) == (4,)
     assert repr(Epsilon(4)) == "Epsilon(k=4)" and str(Epsilon(4)) == "1/4"
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from auctionmatch import mcbm, mcm, mwm
-from auctionmatch.auction import blackboard_trace, check_matching, phase_budget, round_budget
+from auctionmatch.auction import blackboard_trace, phase_budget, round_budget
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
 from auctionmatch.kernels import (
     KernelMatching,
@@ -29,7 +29,8 @@ from auctionmatch.kernels import (
     greedy_maximal,
     randomized_proposal_mm,
 )
-from auctionmatch.results import BMatchingResult, MatchingResult, RunTrace
+from auctionmatch.results import MatchingResult, RunTrace
+from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import run_reduced_mwm
 
 
@@ -107,13 +108,13 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
         if not got.pairs:
             break
     best = state.best_pairs()
-    valid = check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, inst.edges)[2]
+    assert check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, inst.edges)
     blackboard = None
     if kernel == "rand":
         blackboard = blackboard_trace(inst.n_r, eps.k, executed, proposal_rounds,
                                       proposals, announcements)
     return (MatchingResult(pairs=best, value=state.best_value,
-                           round_captured=state.best_round, valid=valid),
+                           round_captured=state.best_round),
             RunTrace(rounds_executed=executed, round_budget=budget,
                      blackboard=blackboard))
 
@@ -168,13 +169,13 @@ def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
         if not pairs:
             break
     best = state.best_pairs()
-    valid = check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, sg.edges)[2]
+    assert check_matching(best, (1,) * inst.n_l, (1,) * inst.n_r, sg.edges)
     blackboard = None
     if kernel == "rand":
         blackboard = blackboard_trace(inst.n_r, k * sg.w_max, executed,
                                       proposal_rounds, proposals, announcements)
     return (MatchingResult(pairs=best, value=state.best_value,
-                           round_captured=state.best_round, valid=valid),
+                           round_captured=state.best_round),
             RunTrace(rounds_executed=executed, round_budget=budget,
                      blackboard=blackboard))
 
@@ -225,16 +226,9 @@ def _reference_run_mcbm(inst, eps, kernel="det", seed=0, audit=False):
 
     best_pairs = tuple(sorted(
         (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
-    bidder_usage, item_usage, valid = check_matching(
-        best_pairs, inst.b_l, inst.b_r, inst.edges)
-    result = BMatchingResult(
-        pairs=best_pairs,
-        cardinality=len(best_pairs),
-        round_captured=state.best_round,
-        bidder_usage=bidder_usage,
-        item_usage=item_usage,
-        valid=valid,
-    )
+    assert check_matching(best_pairs, inst.b_l, inst.b_r, inst.edges)
+    result = MatchingResult(pairs=best_pairs, value=len(best_pairs),
+                            round_captured=state.best_round)
     return result, trace
 
 

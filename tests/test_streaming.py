@@ -23,6 +23,7 @@ from auctionmatch.streaming import (
     stream_mcbm,
     stream_mwm,
 )
+from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import run_reduced_mwm
 
 
@@ -142,7 +143,7 @@ def test_stream_mwm_audit_accepts_prices_above_k_w_max():
     inst = generate_random(20, 15, 0.1, w_range=(1, 2), seed=0)
     res, _ = stream_mwm(EdgeStream.from_instance(inst), Epsilon(2),
                         audit=True)
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
 
 
 _core_commit = Auction.commit
@@ -279,8 +280,8 @@ def test_stream_mcbm_star():
         1, 4, [(0, j, 1) for j in range(4)], b_l=[2], b_r=[1] * 4)
     res, tr = stream_mcbm(EdgeStream.from_instance(inst), Epsilon(4),
                           audit=True)
-    assert res.cardinality == 2
-    assert res.bidder_usage == (2,)
+    assert res.value == 2
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert tr.passes == 1 + 2 * tr.rounds_executed == 3
     budget = STREAM_MCBM_SPACE_FACTOR * (sum(inst.b_l) + inst.n_r)
     assert tr.peak_words <= budget
@@ -293,8 +294,7 @@ def test_stream_mcbm_mirrors_memory_stream_kernel(seed):
     eps = Epsilon(4)
     mem_res, mem_tr = run_mcbm(inst, eps, kernel="stream")
     str_res, str_tr = stream_mcbm(EdgeStream.from_instance(inst), eps)
-    assert str_res.cardinality == mem_res.cardinality
-    assert str_res.pairs == mem_res.pairs
+    assert str_res == mem_res
     assert str_tr.rounds_executed == mem_tr.rounds_executed
     assert str_tr.passes == 1 + 2 * str_tr.rounds_executed
 
@@ -513,8 +513,8 @@ def test_stream_mcbm_unit_caps_degenerate(seed):
     res, tr = stream_mcbm(EdgeStream.from_instance(inst), Epsilon(4),
                           audit=True)
     mem_res, _ = run_mcbm(inst, Epsilon(4), kernel="stream")
-    assert res.cardinality == mem_res.cardinality
-    assert res.valid
+    assert res == mem_res
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     budget = STREAM_MCBM_SPACE_FACTOR * (sum(inst.b_l) + inst.n_r)
     assert tr.peak_words <= budget
 

@@ -4,6 +4,7 @@ import pytest
 
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.oracles import exact_mwm
+from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import (
     build_partition,
     combine_levels,
@@ -82,7 +83,7 @@ def test_frozen_disjoint_heavy_and_light():
     assert opt == 1001
     k = 2
     res, tr = run_reduced_mwm(inst, Epsilon(k))
-    assert res.valid
+    assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
     assert res.value == 1000
     # (1 + 16 eps) bound: opt <= (1 + 16/k) * value
     assert k * opt <= (k + 16) * res.value
@@ -95,7 +96,7 @@ def test_reduction_bound_memory_engine(seed):
     opt = exact_mwm(inst).value
     for k in (4, 8):
         res, _ = run_reduced_mwm(inst, Epsilon(k), audit=True)
-        assert res.valid
+        assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
         assert k * opt <= (k + 16) * res.value
 
 
