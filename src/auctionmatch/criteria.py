@@ -376,7 +376,7 @@ def criterion_6_weight_reduction():
             res, tr, detail = run_reduced_mwm(inst, eps, collect_detail=True)
             failures += _run_failures(f"instance {idx} eps {eps}", inst, "mwm",
                                       "gp", "det", eps, res, tr, opt)
-            for cp in detail.partition.copies:
+            for cp in detail.partition:
                 for lg in cp.levels:
                     if lg.w_max >= lg.w_min * k ** (k - 1):
                         failures.append(
@@ -391,7 +391,7 @@ def criterion_6_weight_reduction():
                             f"instance {idx} eps {eps} copy {oc.copy_index}: "
                             f"displaced group {rec.displaced_weight} over "
                             f"(1+3eps) x {w_e}")
-            removed = sum(cp.removed_weight for cp in detail.partition.copies)
+            removed = sum(cp.removed_weight for cp in detail.partition)
             if removed != total:
                 failures.append(
                     f"instance {idx} eps {eps}: removed weights sum {removed} "

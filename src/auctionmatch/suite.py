@@ -119,12 +119,17 @@ def verdict(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
             eps: Epsilon, pairs, value: int, opt: int) -> tuple[bool, str]:
     """(ok, property) of a run: ``pairs`` must first be a matching of
     ``inst``'s edges (a b-matching under its capacities for mcbm), as
-    property ``valid-matching``, then ``value`` must meet the run's bound
-    in ``_bound_holds`` against the optimum ``opt``."""
+    property ``valid-matching``, then ``value`` must be their number (their
+    weight for mwm), as ``matching-value``, and meet the run's bound in
+    ``_bound_holds`` against the optimum ``opt``."""
     caps = ((inst.b_l, inst.b_r) if algo == "mcbm"
             else ((1,) * inst.n_l, (1,) * inst.n_r))
     if not check_matching(pairs, *caps, inst.edges):
         return False, "valid-matching"
+    pair_set = set(pairs)
+    if value != (sum(w for i, j, w in inst.edges if (i, j) in pair_set)
+                 if algo == "mwm" else len(pairs)):
+        return False, "matching-value"
     return _bound_holds(algo, mode, kernel, eps, value, opt)
 
 

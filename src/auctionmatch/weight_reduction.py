@@ -61,15 +61,7 @@ class CopyPartition(NamedTuple):
         return sum(w for _, _, w in self.removed)
 
 
-class WeightPartition(NamedTuple):
-    copies: tuple[CopyPartition, ...]
-
-    @property
-    def n_copies(self) -> int:
-        return len(self.copies)
-
-
-def build_partition(inst: BipartiteInstance, eps: Epsilon) -> WeightPartition:
+def build_partition(inst: BipartiteInstance, eps: Epsilon) -> tuple[CopyPartition, ...]:
     """Split the instance into C = k copies of leveled subgraphs.
 
     In copy r an edge of bucket b survives iff b is not congruent to
@@ -94,7 +86,7 @@ def build_partition(inst: BipartiteInstance, eps: Epsilon) -> WeightPartition:
             for lv in sorted(level_edges)
         )
         copies.append(CopyPartition(index=r, levels=levels, removed=tuple(removed)))
-    return WeightPartition(copies=tuple(copies))
+    return tuple(copies)
 
 
 class DisplacementRecord(NamedTuple):
@@ -175,19 +167,15 @@ def combine_levels(
                           level_matchings=level_matchings)
 
 
-class ReductionDetail:
-    """Instrumentation for the reduction, kept for audits and reports."""
+class ReductionDetail(NamedTuple):
+    """Instrumentation for the reduction, kept for audits and reports: the
+    copies, each copy's combine outcome, and each level's result and trace
+    keyed by (copy index, level)."""
 
-    def __init__(self, partition: WeightPartition,
-                 outcomes: list[CombineOutcome] | None = None,
-                 level_results: dict[tuple[int, int], MatchingResult] | None = None,
-                 level_traces: dict[tuple[int, int], RunTrace] | None = None,
-                 best_copy: int = 0) -> None:
-        self.partition = partition
-        self.outcomes = [] if outcomes is None else outcomes
-        self.level_results = {} if level_results is None else level_results
-        self.level_traces = {} if level_traces is None else level_traces
-        self.best_copy = best_copy
+    partition: tuple[CopyPartition, ...]
+    outcomes: tuple[CombineOutcome, ...]
+    level_results: dict[tuple[int, int], MatchingResult]
+    level_traces: dict[tuple[int, int], RunTrace]
 
 
 def run_reduced_mwm(
@@ -207,18 +195,23 @@ def run_reduced_mwm(
     engine "stream-concurrent" streams all copies at once.  Both run
     ``stream_mwm`` per level, so they take kernel "det" only, ignore
     ``seed`` and find engine "memory"'s per-level results under kernel
-    "stream"; they differ only in pass and space accounting.  Returns
-    (result, trace) or (result, trace, detail) when collect_detail is set.
+    "stream"; they differ only in pass and space accounting.  The trace
+    has no blackboard, even under kernel "rand": each level prices over
+    its own width, k times its w_max, so the level blackboards in the
+    detail's ``level_traces`` do not add up to one.  Returns (result,
+    trace) or (result, trace, detail) when collect_detail is set.
     """
     if engine not in ("memory", "stream-sequential", "stream-concurrent"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "memory" and kernel != "det":
         raise ValueError(f"engine {engine} takes the det kernel, not {kernel}")
-    part = build_partition(inst, eps)
-    detail = ReductionDetail(partition=part)
+    copies = build_partition(inst, eps)
+    outcomes: list[CombineOutcome] = []
+    level_results: dict[tuple[int, int], MatchingResult] = {}
+    level_traces: dict[tuple[int, int], RunTrace] = {}
     b_l, b_r = (1,) * inst.n_l, (1,) * inst.n_r
 
-    for cp in part.copies:
+    for cp in copies:
         level_matchings: dict[int, list[Edge]] = {}
         for lg in cp.levels:
             # A level's edges are some of inst's own, already checked, edges.
@@ -232,64 +225,46 @@ def run_reduced_mwm(
 
                 stream = EdgeStream.from_instance(level_inst)
                 res, tr = stream_mwm(stream, eps, audit=audit)
-            detail.level_results[(cp.index, lg.level)] = res
-            detail.level_traces[(cp.index, lg.level)] = tr
+            level_results[cp.index, lg.level] = res
+            level_traces[cp.index, lg.level] = tr
             # The matched level edges, in res.pairs' order (by bidder).
             mate = dict(res.pairs)
             level_matchings[lg.level] = sorted(
                 e for e in lg.edges if mate.get(e[0]) == e[1])
-        detail.outcomes.append(combine_levels(cp, level_matchings))
+        outcomes.append(combine_levels(cp, level_matchings))
 
-    best = max(detail.outcomes, key=lambda oc: (oc.weight, -oc.copy_index))
-    detail.best_copy = best.copy_index
-
+    best = max(outcomes, key=lambda oc: (oc.weight, -oc.copy_index))
     result = MatchingResult(
         pairs=tuple(sorted((i, j) for (i, j, _), _ in best.taken)),
         value=best.weight, round_captured=0)
-
-    trace = _aggregate_trace(engine, part, detail)
+    trace = _aggregate_trace(engine, len(copies), level_traces)
+    trace.notes["best_copy"] = best.copy_index
+    detail = ReductionDetail(copies, tuple(outcomes), level_results, level_traces)
     return (result, trace, detail) if collect_detail else (result, trace)
 
 
-def _aggregate_trace(
-    engine: str, part: WeightPartition, detail: ReductionDetail
-) -> RunTrace:
-    """Fold per-level traces into one, per the engine's schedule.
+def _aggregate_trace(engine: str, n_copies: int,
+                     traces: dict[tuple[int, int], RunTrace]) -> RunTrace:
+    """Fold the level traces, keyed by (copy, level), into one per schedule.
 
-    Sequential streaming shares each pass among the levels of one copy,
-    so a copy costs one stats pass plus two passes per phase of its
-    slowest level, and only one copy's state is live at a time.
-    Concurrent streaming shares passes across everything and keeps all
-    state live at once.
+    A streamed schedule runs its levels in groups, one after another: one
+    group per copy under "stream-sequential", one of every level under
+    "stream-concurrent".  A group's levels share each pass, so it costs one
+    stats pass plus two passes per phase of its slowest level, and keeps
+    all of their state live at once.
     """
-    traces = detail.level_traces
-    total_phases = sum(tr.rounds_executed for tr in traces.values())
-    total_budget = sum(tr.round_budget for tr in traces.values())
-    trace = RunTrace(rounds_executed=total_phases, round_budget=total_budget)
-    trace.notes["n_copies"] = part.n_copies
+    trace = RunTrace(rounds_executed=sum(tr.rounds_executed for tr in traces.values()),
+                     round_budget=sum(tr.round_budget for tr in traces.values()))
+    trace.notes["n_copies"] = n_copies
     trace.notes["n_levels"] = len(traces)
-    trace.notes["best_copy"] = detail.best_copy
-
     if engine == "memory":
         return trace
 
-    def phases(key: tuple[int, int]) -> int:
-        return (traces[key].passes - 1) // 2
-
-    if engine == "stream-sequential":
-        passes = 0
-        peak = 0
-        for cp in part.copies:
-            keys = [(cp.index, lg.level) for lg in cp.levels]
-            if not keys:
-                continue
-            passes += 1 + 2 * max(phases(k) for k in keys)
-            peak = max(peak, sum(traces[k].peak_words for k in keys))
-    else:
-        keys = list(traces)
-        passes = 1 + 2 * max((phases(k) for k in keys), default=0) if keys else 0
-        peak = sum(traces[k].peak_words for k in keys)
-
-    trace.passes = passes
-    trace.peak_words = peak
+    groups: dict[int, list[RunTrace]] = {}
+    for (r, _), tr in traces.items():
+        groups.setdefault(r if engine == "stream-sequential" else 0, []).append(tr)
+    trace.passes = sum(1 + 2 * max((tr.passes - 1) // 2 for tr in group)
+                       for group in groups.values())
+    trace.peak_words = max(sum(tr.peak_words for tr in group)
+                           for group in groups.values())
     return trace

@@ -74,6 +74,22 @@ def test_broken_bound_names_its_property(monkeypatch):
     assert all(f": {BOUND_NAMES['mcm']} fails: value " in f for f in outcome.failures)
 
 
+def test_criterion_1_flags_a_value_its_pairs_do_not_have(monkeypatch):
+    # one more than the pairs' cardinality meets the bound, so only the
+    # value check can catch it
+    real = criteria.run_mcm
+
+    def inflated(inst, eps, **kwargs):
+        res, tr = real(inst, eps, **kwargs)
+        return res._replace(value=res.value + 1), tr
+
+    monkeypatch.setattr(criteria, "run_mcm", inflated)
+    outcome = criteria.criterion_1_mcm_approx()
+    assert not outcome.passed
+    assert outcome.failures
+    assert all(": matching-value fails: value " in f for f in outcome.failures)
+
+
 def test_criterion_3_flags_an_invalid_rand_matching(monkeypatch):
     # a randomized run that repeats a pair keeps its value, so only the
     # validity check can catch it

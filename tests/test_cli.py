@@ -240,6 +240,46 @@ def test_verify_rejects_an_out_of_range_pair(capsys, k22, monkeypatch):
     assert report["verify"] == {"passed": False, "property": "valid-matching"}
 
 
+@pytest.mark.parametrize("algo, engine", [("mwm", "run_mwm"), ("mcbm", "run_mcbm")])
+def test_verify_rejects_a_value_the_pairs_do_not_have(capsys, tmp_path, monkeypatch,
+                                                     algo, engine):
+    # valid pairs reported with a value above theirs: the bound alone
+    # would pass them
+    path = tmp_path / "w.gr"
+    save_instance(BipartiteInstance.build(
+        3, 3, [(0, 0, 5), (0, 1, 2), (1, 1, 7), (2, 2, 1)], b_l=(2, 1, 1)), path)
+    real = getattr(suite, engine)
+
+    def inflated(graph, eps, **kwargs):
+        res, tr = real(graph, eps, **kwargs)
+        return res._replace(value=10 ** 6), tr
+
+    monkeypatch.setattr(suite, engine, inflated)
+    code, report = _run_json(capsys, [
+        "run", str(path), "--algo", algo, "--eps", "1/4", "--verify"])
+    assert code == 1
+    assert report["result_value"] == 10 ** 6
+    assert report["verify"] == {"passed": False, "property": "matching-value"}
+
+
+@pytest.mark.parametrize("algo, mode, kernel", [
+    ("mcm", "memory", "det"), ("mwm", "memory", "det"), ("mwm", "gp", "det"),
+    ("mcbm", "memory", "det")])
+def test_verdict_checks_the_value_against_the_pairs(algo, mode, kernel):
+    inst = BipartiteInstance.build(
+        3, 3, [(0, 0, 5), (0, 1, 2), (1, 1, 7), (2, 2, 1)], b_l=(2, 1, 1))
+    pairs = ((0, 0), (1, 1), (2, 2))
+    value = 13 if algo == "mwm" else 3
+    eps = Epsilon(4)
+    assert suite.verdict(inst, algo, mode, kernel, eps, pairs, value, value)[0]
+    for wrong in (value - 1, value + 1):
+        assert suite.verdict(inst, algo, mode, kernel, eps, pairs, wrong,
+                             value) == (False, "matching-value")
+    # an invalid matching fails validity first, whatever its value
+    assert suite.verdict(inst, algo, mode, kernel, eps, pairs + pairs[:1],
+                         value, value) == (False, "valid-matching")
+
+
 def test_gen_is_seed_deterministic(capsys):
     argv = ["gen", "--nl", "6", "--nr", "7", "--density", "0.5",
             "--wmin", "2", "--wmax", "9", "--bl", "1:3", "--br", "1:2",

@@ -16,7 +16,7 @@ from auctionmatch.results import BlackboardTrace, MatchingResult, RunTrace
 from auctionmatch.streaming import SpaceAccountant
 from auctionmatch.weight_reduction import (CombineOutcome, DisplacementRecord,
                                            ReductionDetail, build_partition,
-                                           combine_levels)
+                                           combine_levels, run_reduced_mwm)
 
 EDGES = [(0, 0, 3), (0, 1, 1), (1, 0, 2)]
 
@@ -24,7 +24,7 @@ EDGES = [(0, 0, 3), (0, 1, 1), (1, 0, 2)]
 def _value_records():
     inst = BipartiteInstance.build(2, 2, EDGES)
     eps = Epsilon(4)
-    part = build_partition(inst, eps)
+    copies = build_partition(inst, eps)
     return [
         eps,
         inst,
@@ -36,9 +36,8 @@ def _value_records():
         OracleResult(value=2, pairs=((0, 1), (1, 0))),
         DemandSpec(max_utility=5, items=(0, 1), weights=(3, 1)),
         expand_copies(inst),
-        part,
-        part.copies[1],
-        part.copies[1].levels[0],
+        copies[1],
+        copies[1].levels[0],
         DisplacementRecord(edge=(0, 0, 3), level=1, displaced=(((0, 1, 1), 0),)),
     ]
 
@@ -118,13 +117,9 @@ def test_mutable_state_shares_no_default():
     auctions = [Auction(prices=[0], assignment=[None, None], owner=[None])
                 for _ in range(2)]
     outcomes = [CriterionOutcome(1, "c", True, "d") for _ in range(2)]
-    part = build_partition(BipartiteInstance.build(2, 2, EDGES), Epsilon(2))
-    details = [ReductionDetail(partition=part) for _ in range(2)]
     for a, b in [pairs, notes, tags, [x.best for x in auctions],
                  [x.gain for x in auctions], [x.failures for x in outcomes],
-                 [x.stats for x in outcomes], [x.outcomes for x in details],
-                 [x.level_results for x in details],
-                 [x.level_traces for x in details]]:
+                 [x.stats for x in outcomes]]:
         assert a is not b
     auctions[0].commit(0, 0, 1)
     auctions[0].snapshot(1)
@@ -132,6 +127,20 @@ def test_mutable_state_shares_no_default():
     assert auctions[1].gain == [0, 0] and auctions[1].best == []
     with pytest.raises(TypeError):
         Auction([0], [None], [None])  # keyword-only, as before
+
+
+def test_reduction_detail_is_an_immutable_record_built_once():
+    inst = BipartiteInstance.build(2, 2, EDGES)
+    _, _, detail = run_reduced_mwm(inst, Epsilon(2), collect_detail=True)
+    assert ReductionDetail._fields == (
+        "partition", "outcomes", "level_results", "level_traces")
+    assert ReductionDetail._field_defaults == {}
+    assert detail.partition == build_partition(inst, Epsilon(2))
+    assert type(detail.outcomes) is tuple
+    assert set(detail.level_results) == set(detail.level_traces) == {
+        (cp.index, lg.level) for cp in detail.partition for lg in cp.levels}
+    with pytest.raises(AttributeError):
+        detail.outcomes = ()
 
 
 def test_run_trace_equality_covers_every_field():
@@ -151,7 +160,7 @@ def test_run_trace_equality_covers_every_field():
 
 def test_combine_outcome_equality_ignores_level_matchings():
     inst = BipartiteInstance.build(3, 3, [(0, 0, 50), (0, 1, 5), (1, 0, 4), (2, 2, 3)])
-    copy_part = build_partition(inst, Epsilon(2)).copies[0]
+    copy_part = build_partition(inst, Epsilon(2))[0]
     level_matchings = {2: [(0, 0, 50)], 1: [(0, 1, 5), (1, 0, 4), (2, 2, 3)]}
     outcome = combine_levels(copy_part, level_matchings)
     assert outcome.taken == (((0, 0, 50), 2), ((2, 2, 3), 1))

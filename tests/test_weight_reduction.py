@@ -4,7 +4,7 @@ import pytest
 
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.oracles import exact_mwm
-from auctionmatch.suite import check_matching
+from auctionmatch.suite import check_matching, run_single
 from auctionmatch.weight_reduction import (
     build_partition,
     combine_levels,
@@ -28,21 +28,20 @@ def test_weight_bucket_rule():
 def test_partition_covers_every_edge_once_per_copy():
     inst = generate_random(8, 8, 0.5, w_range=(1, 10 ** 5), seed=1)
     eps = Epsilon(2)
-    part = build_partition(inst, eps)
-    assert part.n_copies == 2
-    for cp in part.copies:
+    copies = build_partition(inst, eps)
+    assert len(copies) == 2
+    for cp in copies:
         kept = [e for lg in cp.levels for e in lg.edges]
         assert sorted(kept + list(cp.removed)) == sorted(inst.edges)
     # each edge is removed in exactly one copy
-    removed_total = sum(len(cp.removed) for cp in part.copies)
+    removed_total = sum(len(cp.removed) for cp in copies)
     assert removed_total == inst.m
 
 
 def test_each_level_has_bounded_spread():
     inst = generate_random(8, 8, 0.5, w_range=(1, 10 ** 6), seed=3)
     for k in (2, 4):
-        part = build_partition(inst, Epsilon(k))
-        for cp in part.copies:
+        for cp in build_partition(inst, Epsilon(k)):
             for lg in cp.levels:
                 # spread stays strictly below k^(k-1) within a level
                 assert lg.w_max < lg.w_min * k ** (k - 1)
@@ -51,8 +50,7 @@ def test_each_level_has_bounded_spread():
 def test_combine_prefers_heavier_levels():
     inst = BipartiteInstance.build(
         2, 2, [(0, 0, 100), (0, 1, 1), (1, 0, 1)])
-    part = build_partition(inst, Epsilon(2))
-    cp = part.copies[0]
+    cp = build_partition(inst, Epsilon(2))[0]
     outcome = combine_levels(cp, {
         1: [(0, 0, 100)],
         0: [(0, 1, 1), (1, 0, 1)],
@@ -138,11 +136,11 @@ def test_sequential_uses_less_space_than_concurrent():
 
 def test_equal_weights_collapse_to_single_bucket():
     inst = generate_random(6, 6, 0.5, w_range=(7, 7), seed=2)
-    part = build_partition(inst, Epsilon(2))
+    copies = build_partition(inst, Epsilon(2))
     # bucket 0 everywhere: copy 0 drops everything, copy 1 keeps one level
-    assert part.copies[0].levels == ()
-    assert len(part.copies[0].removed) == inst.m
-    assert len(part.copies[1].levels) == 1
+    assert copies[0].levels == ()
+    assert len(copies[0].removed) == inst.m
+    assert len(copies[1].levels) == 1
     res, _ = run_reduced_mwm(inst, Epsilon(2))
     opt = exact_mwm(inst).value
     assert 2 * opt <= 18 * res.value
@@ -183,7 +181,7 @@ def test_level_matchings_are_the_matched_level_edges(engine, kernel):
         eps = Epsilon(4)
         _, _, detail = run_reduced_mwm(inst, eps, engine=engine, kernel=kernel,
                                        seed=seed, collect_detail=True)
-        for cp, outcome in zip(detail.partition.copies, detail.outcomes):
+        for cp, outcome in zip(detail.partition, detail.outcomes):
             # each level's matched pairs, weighed through an edge table
             expected = {}
             for lg in cp.levels:
@@ -192,3 +190,43 @@ def test_level_matchings_are_the_matched_level_edges(engine, kernel):
                 expected[lg.level] = [(i, j, weight_of[(i, j)]) for i, j in pairs]
             assert outcome.level_matchings == expected
             assert outcome == combine_levels(cp, expected)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_streamed_schedules_fold_the_level_traces(k):
+    # sequential: the copies one after another, each copy's levels sharing
+    # its passes and its space; concurrent: every level at once
+    instances = [generate_random(8, 8, 0.5, w_range=(1, 10 ** 5), seed=seed)
+                 for seed in range(20)]
+    instances.append(generate_random(6, 6, 0.5, w_range=(7, 7), seed=2))
+    for inst in instances:
+        eps = Epsilon(k)
+        for engine in ("stream-sequential", "stream-concurrent"):
+            _, tr, detail = run_reduced_mwm(inst, eps, engine=engine,
+                                            collect_detail=True)
+            traces = detail.level_traces
+            if engine == "stream-sequential":
+                groups = [[tr_l for (c, _), tr_l in traces.items() if c == copy]
+                          for copy in sorted({c for c, _ in traces})]
+            else:
+                groups = [list(traces.values())]
+            passes = sum(1 + 2 * max((t.passes - 1) // 2 for t in group)
+                         for group in groups)
+            peak = max(sum(t.peak_words for t in group) for group in groups)
+            assert (tr.passes, tr.peak_words) == (passes, peak)
+            assert tr.notes["n_levels"] == len(traces)
+
+
+def test_rand_reduction_reports_no_blackboard():
+    # each level's blackboard prices over its own width, so the levels'
+    # blackboards are kept per level and not summed into the report
+    inst = generate_random(12, 10, 0.4, w_range=(1, 10 ** 6), seed=5)
+    eps = Epsilon(4)
+    report, code = run_single(inst, algo="mwm", eps=eps, mode="gp", kernel="rand",
+                              seed=3, verify=False, audit=False)
+    assert code == 0 and report["blackboard"] is None
+    _, tr, detail = run_reduced_mwm(inst, eps, kernel="rand", seed=3,
+                                    collect_detail=True)
+    assert tr.blackboard is None
+    assert detail.level_traces
+    assert all(t.blackboard is not None for t in detail.level_traces.values())
