@@ -3,13 +3,14 @@
 Every engine runs the auction of Demange, Gale and Sotomayor and of
 Bertsekas: prices rise on an integer grid, each round commits one maximal
 matching over the unmatched bidders' demands, and displaced bidders bid
-again. ``Auction`` holds that state, commits with eviction, feeds the
-evicted owners back to the next round's bidders, keeps the matched value
-and the best round-end assignment, runs the round loop around each
-engine's step and makes the two checks every engine's audit shares: the
-structural one it starts with and the demand one; randomized-kernel runs
-report through ``blackboard_trace``. No engine checks the matching it
-returns: ``suite.verdict`` checks it against the instance.
+again. ``Auction`` holds that state, commits a round's pairs with
+eviction in one batch, feeds the evicted owners back to the next round's
+bidders, keeps the matched value and the best round-end assignment, runs
+the round loop around each engine's step and makes the two checks every
+engine's audit shares: the structural one it starts with and the demand
+one; randomized-kernel runs report through ``blackboard_trace``. No
+engine checks the matching it returns: ``suite.verdict`` checks it
+against the instance.
 """
 
 from __future__ import annotations
@@ -62,25 +63,35 @@ class Auction:
         self.best_value = 0
         self.best_round = 0
 
-    def commit(self, i: int, j: int, step: int) -> int | None:
-        """Give item j to bidder i, evicting its owner; the price and the
-        value both rise by ``step``. Returns the evicted owner or None."""
-        prev = self.owner[j]
-        if prev is not None:
-            self.assignment[prev] = None
-            self.value -= self.gain[prev]
-            self.gain[prev] = 0
-        self.owner[j] = i
-        self.assignment[i] = j
-        self.gain[i] = step
-        self.prices[j] += step
-        self.value += step
-        return prev
+    def commit_round(self, pairs: list[tuple[int, int, int]]
+                     ) -> list[int | None]:
+        """Commit one round's (bidder, item, price step) pairs in order: each
+        gives its item to its bidder, evicting the item's owner, and raises
+        the item's price and the value by its step. Returns, pair by pair,
+        the evicted owner or None."""
+        owner, assignment, gain, prices = (self.owner, self.assignment,
+                                           self.gain, self.prices)
+        value = self.value
+        evicted: list[int | None] = []
+        for i, j, step in pairs:
+            prev = owner[j]
+            if prev is not None:
+                assignment[prev] = None
+                value -= gain[prev]
+                gain[prev] = 0
+            evicted.append(prev)
+            owner[j] = i
+            assignment[i] = j
+            gain[i] = step
+            prices[j] += step
+            value += step
+        self.value = value
+        return evicted
 
     def next_bidders(self, bidders: list[int], evicted: list[int | None]
                      ) -> list[int]:
         """The bidders of the next round, ascending: ``bidders`` less those
-        that won this round, plus the owners ``commit`` returned as evicted."""
+        that won this round, plus the owners ``commit_round`` evicted."""
         return sorted([i for i in bidders if self.assignment[i] is None]
                       + [i for i in evicted if i is not None])
 
@@ -130,16 +141,17 @@ class Auction:
             f"bidder {i} is assigned {assignment[i]} and item {j} owned by {owner[j]}")
 
     def run_rounds(self, bidders: list[int], budget: int,
-                   step: Callable[[list[int]], tuple[list[int], KernelMatching]],
+                   step: Callable[[list[int]],
+                                  tuple[list[int], list[int], KernelMatching]],
                    audit: Callable[[list[int]], Callable[[list[int]], None]]
                    | None = None
                    ) -> tuple[int, int, int, int]:
         """Run up to ``budget`` rounds from the worklist ``bidders``.
 
-        ``step(bidders)`` returns, at round-start prices, the bidders to ask
-        again and a matching of (bidder, item, price step) pairs; the pairs
-        are committed and ``next_bidders`` of the kept bidders is the next
-        worklist. ``audit(bidders)`` runs at round start and returns the
+        ``step(bidders)`` finds, at round-start prices, a matching of
+        (bidder, item, price step) pairs and commits it; it returns the
+        bidders to ask again, the next worklist, ascending, and the
+        matching. ``audit(bidders)`` runs at round start and returns the
         check run on the kept bidders after the commits, before the snapshot.
 
         A bidder the step drops is priced out for good, since prices never
@@ -152,20 +164,18 @@ class Auction:
         """
         executed = proposal_rounds = proposals = committed = 0
         priced_out = False
-        commit = self.commit
         for round_no in range(1, budget + 1):
             if not bidders and not priced_out:
                 break
             executed = round_no
             check = audit(bidders) if audit is not None else None
-            kept, got = step(bidders)
+            kept, following, got = step(bidders)
             priced_out = priced_out or len(kept) < len(bidders)
             proposal_rounds += got.proposal_rounds
             proposals += got.proposals
             pairs = got.pairs
             committed += len(pairs)
-            evicted = [commit(i, j, s) for i, j, s in pairs]
-            bidders = self.next_bidders(kept, evicted)
+            bidders = following
             if check is not None:
                 check(kept)
             self.snapshot(round_no)

@@ -107,6 +107,10 @@ def _cmd_run(args) -> int:
         inst = load_instance(args.instance)
         if args.algo == "mwm" and not inst.edges:
             raise ValueError("the weighted engines need at least one edge")
+        if args.verify:
+            from .oracles import check_oracle_size
+
+            check_oracle_size(inst)
     except (ValueError, OSError, AuctionMatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,16 @@
 
 Every engine round boils down to one maximal matching on the bipartite
 subgraph of unmatched bidders and their demanded items. The 'rand' mcm
-round and the 'det' mcbm round hand a kernel that subgraph as a candidate
-dict: each demanding bidder maps to its demanded items, already in scan
-priority order (ascending price, then id); ``mwm._phase`` hands
-``bucket_sweep`` one sorted list of candidate tuples, and the 'det' mcm
-round does its greedy inline. Kernels never read prices or owners.
+round hands a kernel that subgraph as a candidate dict: each demanding
+bidder maps to its demanded items, already in scan priority order
+(ascending price, then id); ``mwm._phase`` hands ``bucket_sweep`` one
+sorted list of candidate tuples, and the 'det' mcm and mcbm rounds do
+their greedy inline. Kernels never read prices or owners.
 ``nondup_maximal`` is one greedy sweep with no sub-phase for unowned
 copies: a bidder copy's demanded copies share one price, so they are all
-unowned (price 0) or all owned, and the two groups share no item.
+unowned (price 0) or all owned, and the two groups share no item. No
+engine calls it: the 'det' mcbm round makes the same sweep inline, and
+the tests pin the two equal.
 """
 
 from __future__ import annotations

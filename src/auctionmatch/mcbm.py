@@ -19,7 +19,8 @@ from .auction import Auction, check_demand
 from .auction import round_budget as mcbm_round_budget
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon
-from .kernels import KernelMatching, nondup_maximal
+from .kernels import KernelMatching
+from .kernels import nondup_maximal  # noqa: F401 -- bench/tracer.py wraps mcbm.nondup_maximal
 from .results import MatchingResult, RunTrace
 
 
@@ -75,8 +76,8 @@ class McbmState(Auction):
 
     ``held`` holds the original (bidder, item) pairs the copy assignment
     covers; ``pmin[j]`` is the cheapest copy price of original item j;
-    ``adj`` lists each original bidder's items. ``commit`` keeps ``held``
-    and ``pmin`` in step with the copy assignment and prices.
+    ``adj`` lists each original bidder's items. ``commit_round`` keeps
+    ``held`` and ``pmin`` in step with the copy assignment and prices.
     """
 
     def __init__(self, cg: CopyGraph, k: int) -> None:
@@ -92,15 +93,18 @@ class McbmState(Auction):
         for i, j, _ in cg.instance.edges:
             self.adj[i].append(j)
 
-    def commit(self, i: int, j: int, step: int) -> int | None:
-        prev = super().commit(i, j, step)
-        cg = self.cg
-        oj = cg.item_orig[j]
-        if prev is not None:
-            self.held.discard((cg.bidder_orig[prev], oj))
-        self.held.add((cg.bidder_orig[i], oj))
-        self.pmin[oj] = min(self.prices[cg.item_start[oj]:cg.item_start[oj + 1]])
-        return prev
+    def commit_round(self, pairs: list[tuple[int, int, int]]
+                     ) -> list[int | None]:
+        evicted = super().commit_round(pairs)
+        cg, held, prices = self.cg, self.held, self.prices
+        bidder_orig, item_orig, starts = cg.bidder_orig, cg.item_orig, cg.item_start
+        for (bc, jc, _), prev in zip(pairs, evicted):
+            oj = item_orig[jc]
+            if prev is not None:
+                held.discard((bidder_orig[prev], oj))
+            held.add((bidder_orig[bc], oj))
+            self.pmin[oj] = min(prices[starts[oj]:starts[oj + 1]])
+        return evicted
 
     def price_minima(self) -> list[int]:
         """Each original item's cheapest copy price, computed from ``prices``."""
@@ -189,12 +193,13 @@ def run_mcbm(
         # stays: a sibling eviction can give an empty demand set items.
         demanded, pairs = (_det_round if kernel == "det" else _stream_round)(
             state, unmatched)
-        won = {bc for bc, _ in pairs}
+        got = KernelMatching(pairs=[(bc, jc, 1) for bc, jc in pairs])
+        evicted = state.commit_round(got.pairs)
         for bc in demanded:
-            if bc not in won:
+            if state.assignment[bc] is None:
                 state.cutoffs[bc] += 1
-        return ((unmatched if demanded else []),
-                KernelMatching(pairs=[(bc, jc, 1) for bc, jc in pairs]))
+        kept = unmatched if demanded else []
+        return kept, state.next_bidders(kept, evicted), got
 
     views: dict[int, frozenset[int]] = {}
     if audit:
@@ -215,20 +220,36 @@ def run_mcbm(
 def _det_round(
     state: McbmState, unmatched: list[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """One round via demand sets plus the duplicate-avoiding kernel."""
-    cg = state.cg
-    demands: dict[int, list[int]] = {}
+    """One round via demand sets and a duplicate-avoiding greedy.
+
+    Copies ascending, each takes the first item copy of its demand set
+    that no earlier copy claimed and whose original pair no earlier copy
+    formed; a demand set never holds a pair in ``held``. One sweep, with
+    no sub-phase for unowned copies: a copy's demanded copies share one
+    price, so they are all unowned (price 0) or all owned.
+    """
+    bidder_orig, item_orig = state.cg.bidder_orig, state.cg.item_orig
+    demanded: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    claimed: set[int] = set()
+    formed: set[tuple[int, int]] = set()
     for bc in unmatched:
-        d = find_demand_set(state, bc)
-        if d:
-            demands[bc] = d
-    got = nondup_maximal(
-        demands,
-        bidder_orig=cg.bidder_orig,
-        item_orig=cg.item_orig,
-        held=state.held,
-    )
-    return sorted(demands), got.pairs
+        demand = find_demand_set(state, bc)
+        if not demand:
+            continue
+        demanded.append(bc)
+        oi = bidder_orig[bc]
+        for jc in demand:
+            if jc in claimed:
+                continue
+            pair = (oi, item_orig[jc])
+            if pair in formed:
+                continue
+            claimed.add(jc)
+            formed.add(pair)
+            pairs.append((bc, jc))
+            break
+    return demanded, pairs
 
 
 def _stream_round(
@@ -242,8 +263,8 @@ def _stream_round(
     holder with the lowest copy id. Every sub-pass-two claim evicts: an
     owned copy is priced at least 1, so none at that price is free, and
     a price-0 edge that sub-pass one left unmatched had no free copy left.
-    The step reads round-start prices and holdings, since ``run_rounds``
-    commits only after it returns.
+    It reads round-start prices and holdings: ``run_mcbm``'s step commits
+    its pairs only after it returns.
     """
     cg, k = state.cg, state.k
     pmin, prices, owner = state.pmin, state.prices, state.owner

@@ -87,16 +87,20 @@ def _audit_round(state: McmState, prev_prices: list[int]) -> None:
 
 
 def _round(state: McmState, bidders: list[int], kernel: str,
-           rng: random.Random) -> tuple[list[int], KernelMatching]:
-    """One round's demand sets and maximal matching, at round-start prices.
+           rng: random.Random) -> tuple[list[int], list[int], KernelMatching]:
+    """One round's demand sets and maximal matching at round-start prices,
+    committed.
 
-    Returns the bidders, ascending, whose demand set is not empty, and the
-    matching as (i, j, 1) pairs. With 'rand' their ``demand_set_mcm`` lists
-    go to ``randomized_proposal_mm``. With 'det' each bidder's adjacency is
+    Returns the bidders, ascending, whose demand set is not empty, the next
+    worklist, ascending, and the matching as (i, j, 1) pairs. With 'rand'
+    their ``demand_set_mcm`` lists go to ``randomized_proposal_mm`` and the
+    pairs to ``commit_round``. With 'det' each bidder's adjacency is
     scanned once: its items come ascending, so the cheapest ones below k
     come in the order ``demand_set_mcm`` lists them, and the bidder takes
     the first of them that no earlier bidder took, as ``greedy_maximal``
-    would with bidders ascending.
+    would with bidders ascending. The scan commits each pick as it makes
+    it, as ``commit_round`` would, except that the won items' price steps
+    wait until the scan ends: every bidder reads round-start prices.
     """
     if kernel == "rand":
         candidates: dict[int, list[int]] = {}
@@ -106,11 +110,15 @@ def _round(state: McmState, bidders: list[int], kernel: str,
                 candidates[i] = demand
         got = randomized_proposal_mm(candidates, rng)
         got.pairs = [(i, j, 1) for i, j in got.pairs]
-        return list(candidates), got
+        kept = list(candidates)
+        return kept, state.next_bidders(kept, state.commit_round(got.pairs)), got
     prices, k, adj = state.prices, state.k, state.adj
+    owner, assignment, gain = state.owner, state.assignment, state.gain
     demanders: list[int] = []
+    following: list[int] = []
     taken: set[int] = set()
     pairs: list[tuple[int, int, int]] = []
+    value = state.value
     for i in bidders:
         # ``pick`` is the first untaken item at the cheapest price so far.
         best = k
@@ -122,12 +130,29 @@ def _round(state: McmState, bidders: list[int], kernel: str,
                 pick = None if j in taken else j
             elif p == best and pick is None and j not in taken:
                 pick = j
-        if best < k:
-            demanders.append(i)
-            if pick is not None:
-                taken.add(pick)
-                pairs.append((i, pick, 1))
-    return demanders, KernelMatching(pairs=pairs)
+        if best == k:
+            continue
+        demanders.append(i)
+        if pick is None:
+            following.append(i)
+            continue
+        taken.add(pick)
+        pairs.append((i, pick, 1))
+        prev = owner[pick]
+        if prev is not None:
+            assignment[prev] = None
+            value -= gain[prev]
+            gain[prev] = 0
+            following.append(prev)
+        owner[pick] = i
+        assignment[i] = pick
+        gain[i] = 1
+        value += 1
+    for j in taken:
+        prices[j] += 1
+    state.value = value
+    following.sort()
+    return demanders, following, KernelMatching(pairs=pairs)
 
 
 def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",

@@ -230,12 +230,18 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     # The audit's edge -> weight table, built once per audited run.
     weight = {(i, j): w for i, j, w in sg.edges} if audit else None
 
-    # The stream kernel scans every unmatched bidder's edges itself; a
-    # bidder off the worklist is priced out, so it demands nothing there.
+    def step(bidders):
+        # The stream kernel scans every unmatched bidder's edges itself; a
+        # bidder off the worklist is priced out, so it demands nothing there.
+        if kernel == "stream":
+            demanders, got = _stream_order_matching(state)
+        else:
+            demanders, got = _phase(state, bidders, kernel, rng, bucket_of)
+        return (demanders,
+                state.next_bidders(demanders, state.commit_round(got.pairs)), got)
+
     totals = state.run_rounds(
-        [i for i in range(inst.n_l) if state.adj[i]], budget,
-        (lambda bidders: _stream_order_matching(state)) if kernel == "stream"
-        else lambda bidders: _phase(state, bidders, kernel, rng, bucket_of),
+        [i for i in range(inst.n_l) if state.adj[i]], budget, step,
         (lambda bidders: _phase_audit(state, bidders, optimum, weight))
         if audit else None)
 

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from .graph import BipartiteInstance
 
-__all__ = ["OracleResult", "exact_mcm", "exact_mwm", "exact_mcbm", "ORACLE_SIZE_LIMIT"]
+__all__ = ["OracleResult", "check_oracle_size", "exact_mcm", "exact_mwm", "exact_mcbm",
+           "ORACLE_SIZE_LIMIT"]
 
 ORACLE_SIZE_LIMIT = 1 << 20  # n_l * n_r
 
@@ -23,7 +24,9 @@ class OracleResult(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def _check_size(inst: BipartiteInstance) -> None:
+def check_oracle_size(inst: BipartiteInstance) -> None:
+    """``ValueError`` with a one-line reason when ``inst`` has more than
+    ORACLE_SIZE_LIMIT vertex pairs."""
     if inst.n_l * inst.n_r > ORACLE_SIZE_LIMIT:
         raise ValueError(
             f"instance with {inst.n_l}x{inst.n_r} vertex pairs exceeds the oracle size limit")
@@ -39,7 +42,7 @@ def exact_mcm(inst: BipartiteInstance) -> OracleResult:
     per-bidder arc pointers. The search keeps its own stack, so a path may
     be as long as the instance allows. O(m * sqrt(n)) in all.
     """
-    _check_size(inst)
+    check_oracle_size(inst)
     n_l = inst.n_l
     adj: list[list[int]] = [[] for _ in range(n_l)]
     for i, j, _ in inst.edges:
@@ -132,7 +135,7 @@ def exact_mwm(inst: BipartiteInstance) -> OracleResult:
     more rows than columns at least the surplus rows end there, which is
     why the smaller side is the one that must be assigned.
     """
-    _check_size(inst)
+    check_oracle_size(inst)
     if not inst.edges:
         return OracleResult(value=0, pairs=())
     flip = inst.n_r < inst.n_l
@@ -236,7 +239,7 @@ def exact_mcbm(inst: BipartiteInstance) -> OracleResult:
     search with per-node arc pointers. The saturated bidder-item arcs are
     the witness.
     """
-    _check_size(inst)
+    check_oracle_size(inst)
     n_l, n_r = inst.n_l, inst.n_r
     source = 0
     sink = 1 + n_l + n_r

@@ -227,8 +227,7 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     acct.alloc(5, "phase-claims")
                     break
 
-        for i, j, w in pairs:
-            auc.commit(i, j, w)
+        auc.commit_round(pairs)
 
         if audit:
             check(demanders)

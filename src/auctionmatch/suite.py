@@ -28,6 +28,7 @@ _LAZY = {
     "exact_mcm": "oracles",
     "exact_mwm": "oracles",
     "exact_mcbm": "oracles",
+    "check_oracle_size": "oracles",
 }
 
 
@@ -141,15 +142,19 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     Returns (report, exit_code); exit code 1 signals a failed audit or,
     under ``verify``, a failed ``verdict``, per the CLI contract. A
     configuration outside ``RUNS`` raises ``ValueError`` before any
-    engine is imported.
+    engine is imported, and under ``verify`` an instance beyond the
+    oracles' size limit raises ``ValueError`` before the engine runs.
     """
     name = check_run(algo, mode, kernel, gp_schedule)
     # Engines and oracles are looked up on the module, where the first
     # lookup imports them and where a caller may have replaced them, and
     # before the clock starts, so that wall_time_s times only their runs.
     this = sys.modules[__name__]
+    oracle = None
+    if verify:
+        this.check_oracle_size(inst)
+        oracle = getattr(this, f"exact_{algo}")
     solve = getattr(this, name)
-    oracle = getattr(this, f"exact_{algo}") if verify else None
     # A failed audit leaves every result field None.
     report = {
         "algo": algo,

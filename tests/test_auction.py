@@ -1,5 +1,5 @@
-"""The shared auction core: commit with eviction, snapshots, the round
-loop; and the one check of a returned matching, ``suite.check_matching``."""
+"""The shared auction core: the batch commit with eviction, snapshots,
+the round loop; and the one check of a returned matching, ``suite.check_matching``."""
 
 import pytest
 
@@ -37,35 +37,36 @@ def test_check_matching_flags_each_fault(pairs, b_l, b_r):
 
 def test_commit_evicts_and_subtracts_the_evicted_gain():
     auc = _auction()
-    assert auc.commit(0, 1, 5) is None
-    assert auc.commit(1, 0, 2) is None
+    assert auc.commit_round([(0, 1, 5), (1, 0, 2)]) == [None, None]
     assert auc.value == 7
-    assert auc.commit(2, 1, 3) == 0
+    assert auc.commit_round([(2, 1, 3)]) == [0]
     assert auc.assignment == [None, 0, 1]
     assert auc.owner == [1, 2]
     assert auc.prices == [2, 8]
     assert auc.gain == [0, 2, 3]
     assert auc.value == 5
+    assert auc.commit_round([]) == []
+    assert auc.value == 5
 
 
 def test_next_bidders_drops_winners_and_adds_evicted_owners():
     auc = _auction(n_bidders=4)
-    auc.commit(3, 0, 1)
+    auc.commit_round([(3, 0, 1)])
     # bidders 0 and 2 bid; 2 takes item 0 from bidder 3, 0 takes item 1
-    evicted = [auc.commit(2, 0, 1), auc.commit(0, 1, 1)]
+    evicted = auc.commit_round([(2, 0, 1), (0, 1, 1)])
     assert evicted == [3, None]
     assert auc.next_bidders([0, 1, 2], evicted) == [1, 3]
 
 
 def test_snapshot_keeps_the_earliest_round_on_a_tie():
     auc = _auction()
-    auc.commit(0, 0, 1)
+    auc.commit_round([(0, 0, 1)])
     auc.snapshot(1)
-    auc.commit(1, 0, 1)  # evicts bidder 0: same value, other pair
+    auc.commit_round([(1, 0, 1)])  # evicts bidder 0: same value, other pair
     auc.snapshot(2)
     assert (auc.best_value, auc.best_round) == (1, 1)
     assert auc.best_pairs() == ((0, 0),)
-    auc.commit(0, 1, 1)
+    auc.commit_round([(0, 1, 1)])
     auc.snapshot(3)
     assert (auc.best_value, auc.best_round) == (2, 3)
     assert auc.best_pairs() == ((0, 1), (1, 0))
@@ -145,29 +146,36 @@ def test_blackboard_trace_bit_widths():
     assert bb.total_bits == 6 * 3 + 2 * 3
 
 
-class _ScriptedStep:
-    """A round step that plays ``script``, one (kept, pairs, proposal
-    rounds, proposals) entry per call, and records what each call was
-    handed; ``kept`` None keeps every bidder handed. Past the script's end
-    it keeps nothing and matches nothing."""
+def _settled(auc, kept, got):
+    """A step's result after it commits ``got``: kept, the next worklist
+    and the matching."""
+    return kept, auc.next_bidders(kept, auc.commit_round(got.pairs)), got
 
-    def __init__(self, *script):
+
+class _ScriptedStep:
+    """A round step of ``auc`` that plays ``script``, one (kept, pairs,
+    proposal rounds, proposals) entry per call, commits the pairs and
+    records what each call was handed; ``kept`` None keeps every bidder
+    handed. Past the script's end it keeps nothing and matches nothing."""
+
+    def __init__(self, auc, *script):
+        self.auc = auc
         self.script = list(script)
         self.handed: list[list[int]] = []
 
     def __call__(self, bidders):
         self.handed.append(list(bidders))
         if not self.script:
-            return [], KernelMatching()
+            return _settled(self.auc, [], KernelMatching())
         kept, pairs, proposal_rounds, proposals = self.script.pop(0)
-        return (list(bidders) if kept is None else kept,
-                KernelMatching(pairs=pairs, proposal_rounds=proposal_rounds,
-                               proposals=proposals))
+        return _settled(self.auc, list(bidders) if kept is None else kept,
+                        KernelMatching(pairs=pairs, proposal_rounds=proposal_rounds,
+                                       proposals=proposals))
 
 
 def test_run_rounds_with_no_bidders_runs_no_round():
     auc = _auction()
-    step = _ScriptedStep()
+    step = _ScriptedStep(auc)
     assert auc.run_rounds([], 10, step) == (0, 0, 0, 0)
     assert step.handed == []
     assert auc.best_round == 0
@@ -176,12 +184,12 @@ def test_run_rounds_with_no_bidders_runs_no_round():
 def test_run_rounds_runs_one_empty_round_after_a_bidder_is_priced_out():
     # every bidder kept: both win, the worklist empties, the run stops
     auc = _auction()
-    step = _ScriptedStep((None, [(0, 0, 1), (1, 1, 1)], 0, 0))
+    step = _ScriptedStep(auc, (None, [(0, 0, 1), (1, 1, 1)], 0, 0))
     assert auc.run_rounds([0, 1], 10, step)[0] == 1
     assert step.handed == [[0, 1]]
     # bidder 2 priced out: the empty worklist still runs a last round
     auc = _auction()
-    step = _ScriptedStep(([0, 1], [(0, 0, 1), (1, 1, 1)], 0, 0))
+    step = _ScriptedStep(auc, ([0, 1], [(0, 0, 1), (1, 1, 1)], 0, 0))
     assert auc.run_rounds([0, 1, 2], 10, step)[0] == 2
     assert step.handed == [[0, 1, 2], []]
     assert (auc.best_value, auc.best_round) == (2, 1)
@@ -193,7 +201,7 @@ def test_run_rounds_stops_at_the_budget():
 
     def war(bidders):
         handed.append(list(bidders))
-        return bidders, KernelMatching(pairs=[(bidders[0], 0, 1)])
+        return _settled(auc, bidders, KernelMatching(pairs=[(bidders[0], 0, 1)]))
 
     auc = _auction(n_bidders=2, n_items=1)
     assert auc.run_rounds([0, 1], 7, war) == (7, 0, 0, 7)
@@ -205,9 +213,9 @@ def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
     log = []
 
     class Logged(Auction):
-        def commit(self, i, j, step):
-            log.append(("commit", i))
-            return super().commit(i, j, step)
+        def commit_round(self, pairs):
+            log.extend(("commit", i) for i, _, _ in pairs)
+            return super().commit_round(pairs)
 
         def snapshot(self, round_no):
             log.append(("snapshot", round_no))
@@ -219,7 +227,7 @@ def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
 
     def step(bidders):
         log.append(("step", list(bidders)))
-        return next(plays)
+        return _settled(auc, *next(plays))
 
     plays = iter([([0, 1, 2], KernelMatching(pairs=[(0, 0, 1), (1, 1, 1)])),
                   ([2], KernelMatching(pairs=[(2, 0, 1)])),
@@ -238,6 +246,7 @@ def test_run_rounds_checks_each_round_after_the_commits_before_the_snapshot():
 def test_run_rounds_sums_the_steps_counts():
     auc = _auction(n_bidders=4, n_items=3)
     step = _ScriptedStep(
+        auc,
         (None, [(0, 0, 2), (1, 1, 3)], 2, 5),
         (None, [(3, 0, 1)], 1, 3),
         ([0], [], 4, 1),

@@ -163,6 +163,40 @@ def test_unwritable_output_path_exits_two(capsys, single, tmp_path, command,
     assert captured.err.count("\n") == 1
 
 
+def _engine_ran(*args, **kwargs):
+    raise AssertionError("an engine ran on a run that --verify refuses")
+
+
+def test_verify_above_the_oracle_limit_exits_two_before_any_engine(capsys, tmp_path,
+                                                                   monkeypatch):
+    # 1025 x 1024 vertex pairs is just over ORACLE_SIZE_LIMIT (2^20)
+    path = str(tmp_path / "over.gr")
+    assert main(["gen", "--nl", "1025", "--nr", "1024", "--density", "0.002",
+                 "--wmax", "100", "--seed", "3", "-o", path]) == 0
+    monkeypatch.setattr(cli, "run_single", _engine_ran)
+    for algo in ("mcm", "mwm", "mcbm"):
+        assert main(["run", path, "--algo", algo, "--eps", "1/8", "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: instance with 1025x1024 vertex pairs "
+                                "exceeds the oracle size limit\n")
+
+
+def test_run_single_refuses_verify_above_the_oracle_limit_before_the_engine(
+        monkeypatch):
+    inst = BipartiteInstance.build(1025, 1024, [(0, 0, 1), (1024, 1023, 1)])
+    for name in ("run_mcm", "run_mwm", "run_mcbm", "stream_mwm"):
+        monkeypatch.setattr(suite, name, _engine_ran)
+    for algo, mode in (("mcm", "memory"), ("mwm", "memory"), ("mcbm", "memory"),
+                       ("mwm", "stream")):
+        with pytest.raises(ValueError, match="^instance with 1025x1024 vertex pairs "
+                                             "exceeds the oracle size limit$"):
+            suite.run_single(inst, algo, Epsilon(8), mode, "det", 0, True, False)
+    # without verify the same run goes ahead
+    with pytest.raises(AssertionError, match="an engine ran"):
+        suite.run_single(inst, "mcm", Epsilon(8), "memory", "det", 0, False, False)
+
+
 def test_failed_run_keeps_an_existing_report(capsys, tmp_path):
     # the path check neither truncates a report nor leaves a new file
     kept = tmp_path / "kept.json"

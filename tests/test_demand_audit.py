@@ -35,13 +35,21 @@ def _outcome(run, *args, **kwargs):
 
 
 def _dropping(step):
-    """``step`` that also drops every third demander that won nothing."""
+    """``step`` that also drops every third demander that won nothing. The
+    mcm round, which commits and returns (kept, next worklist, matching),
+    drops it from the next worklist too; the mwm steps return (kept,
+    matching) and ``run_mwm`` builds that worklist from kept."""
     count = itertools.count(1)
 
     def dropped(*args):
-        kept, got = step(*args)
+        out = step(*args)
+        kept, got = out[0], out[-1]
         won = {pair[0] for pair in got.pairs}
-        return [i for i in kept if i in won or next(count) % 3], got
+        still = [i for i in kept if i in won or next(count) % 3]
+        if len(out) == 2:
+            return still, got
+        gone = set(kept).difference(still)
+        return still, [i for i in out[1] if i not in gone], got
     return dropped
 
 

@@ -140,30 +140,31 @@ def _two_sweep_nondup(candidates, bidder_orig, item_orig, owner, held):
 
 
 def test_nondup_one_sweep_equals_the_two_sweep_kernel_in_runs(monkeypatch):
-    # The one sweep needs no first pass over unowned copies because every
-    # demand set the engine hands it has one price: all its copies are
-    # unowned at price 0 and all owned above it.
-    states, calls = [], []
+    # The one sweep, which the det capacitated round makes inline over the
+    # demand sets, needs no first pass over unowned copies because every
+    # demand set has one price: all its copies are unowned at price 0 and
+    # all owned above it.
+    calls = []
+    det_round = mcbm._det_round
 
-    class Recorded(mcbm.McbmState):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            states.append(self)
-
-    def wrapped(candidates, **kw):
-        state = states[-1]
-        got = nondup_maximal(candidates, **kw)
+    def wrapped(state, unmatched):
+        cg = state.cg
+        candidates = {bc: d for bc in unmatched if (d := mcbm.find_demand_set(state, bc))}
+        held = set(state.held)
+        demanded, pairs = det_round(state, unmatched)
         free = set()
         for copies in candidates.values():
             (price,) = {state.prices[jc] for jc in copies}
             assert all((state.owner[jc] is None) == (price == 0) for jc in copies)
             free.add(price == 0)
-        assert got.pairs == _two_sweep_nondup(candidates, owner=state.owner, **kw)
+        kw = dict(bidder_orig=cg.bidder_orig, item_orig=cg.item_orig, held=held)
+        assert demanded == sorted(candidates)
+        assert pairs == _two_sweep_nondup(candidates, owner=state.owner, **kw)
+        assert pairs == nondup_maximal(candidates, **kw).pairs
         calls.append(free)
-        return got
+        return demanded, pairs
 
-    monkeypatch.setattr(mcbm, "McbmState", Recorded)
-    monkeypatch.setattr(mcbm, "nondup_maximal", wrapped)
+    monkeypatch.setattr(mcbm, "_det_round", wrapped)
     for inst in mcbm_family()[:30]:
         for k in (4, 8):
             mcbm.run_mcbm(inst, Epsilon(k))

@@ -202,12 +202,11 @@ def test_commit_keeps_held_pairs_and_item_minima():
     # bidder copies 0 and 1 belong to bidder 0, copy 2 to bidder 1; item
     # copies 0 and 1 to item 0, copies 2 and 3 to item 1
     state = _probe_state()
-    assert state.commit(0, 0, 1) is None
-    assert state.commit(1, 2, 1) is None
+    assert state.commit_round([(0, 0, 1), (1, 2, 1)]) == [None, None]
     assert (state.pmin, state.held) == ([0, 0], {(0, 0), (0, 1)})
-    assert state.commit(2, 0, 1) == 0
+    assert state.commit_round([(2, 0, 1)]) == [0]
     assert (state.pmin, state.held) == ([0, 0], {(0, 1), (1, 0)})
-    assert state.commit(0, 1, 1) is None
+    assert state.commit_round([(0, 1, 1)]) == [None]
     assert state.prices == [2, 1, 1, 0]
     assert (state.pmin, state.held) == ([1, 0], {(0, 0), (0, 1), (1, 0)})
     # owned item copies never become free again

@@ -5,13 +5,13 @@ import itertools
 import pytest
 
 from auctionmatch import mcm
-from auctionmatch.auction import Auction
 from auctionmatch.criteria import mcm_family
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
 from auctionmatch.mcm import McmState, demand_set_mcm, mcm_round_budget, run_mcm
 from auctionmatch.oracles import exact_mcm
 from auctionmatch.suite import check_matching
+from test_round_reference import faulty_det_round
 
 
 def test_single_edge():
@@ -171,21 +171,20 @@ def _lower_another_price(state, evicted, item):
 @pytest.mark.parametrize("index", [1, 3, 7])
 def test_audit_catches_a_commit_fault_the_unstructured_audit_missed(
         fault, every, prop, index, monkeypatch):
-    # Every ``every``-th commit also does ``fault``. The audit without
-    # round-start prices or an owner check lets these runs through.
+    # Every ``every``-th commit of the det round's scan also does ``fault``.
+    # The audit without round-start prices or an owner check lets these
+    # runs through.
     inst = mcm_family()[index]
 
     def run(audit_round):
         count = itertools.count(1)
 
-        def commit(self, i, j, step):
-            evicted = Auction.commit(self, i, j, step)
+        def every_nth(state, i, j, step, prev):
             if next(count) % every == 0:
-                fault(self, evicted, j)
-            return evicted
+                fault(state, prev, j)
 
         with monkeypatch.context() as m:
-            m.setattr(McmState, "commit", commit)
+            m.setattr(mcm, "_round", faulty_det_round(every_nth))
             m.setattr(mcm, "_audit_round", audit_round)
             run_mcm(inst, Epsilon(4), audit=True)
 

@@ -12,7 +12,6 @@ import pytest
 
 import auctionmatch
 from auctionmatch import mwm
-from auctionmatch.auction import Auction
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import (
     BipartiteInstance,
@@ -25,7 +24,7 @@ from auctionmatch.mwm import MwmState, phase_budget, run_mwm
 from auctionmatch.oracles import exact_mwm
 from auctionmatch.streaming import EdgeStream, stream_mwm
 from auctionmatch.suite import check_matching
-from test_round_reference import _reference_phase, edge_bucket
+from test_round_reference import _reference_phase, edge_bucket, faulty_commit_round
 
 
 def _run(inst, eps, **kw):
@@ -190,12 +189,10 @@ def test_price_audit_catches_a_double_step(monkeypatch):
     inst = BipartiteInstance.build(2, 1, [(0, 0, 1), (1, 0, 1)])
     _run(inst, Epsilon(3), audit=True, optimum=1)
 
-    def overbid(self, i, j, step):
-        prev = Auction.commit(self, i, j, step)
-        self.prices[j] += step
-        return prev
+    def overbid(state, i, j, step, prev):
+        state.prices[j] += step
 
-    monkeypatch.setattr(MwmState, "commit", overbid)
+    monkeypatch.setattr(MwmState, "commit_round", faulty_commit_round(overbid))
     with pytest.raises(InvariantViolation) as info:
         _run(inst, Epsilon(3), audit=True, optimum=1)
     assert info.value.prop == "owned-price-bound"
@@ -294,10 +291,8 @@ def _audit_outcome(audit, *args):
     return None
 
 
-def _double_step(self, i, j, step):
-    prev = Auction.commit(self, i, j, step)
-    self.prices[j] += step
-    return prev
+def _double_step(state, i, j, step, prev):
+    state.prices[j] += step
 
 
 def _dearest_demand(state, bidder):
@@ -312,13 +307,11 @@ def _dearest_demand(state, bidder):
     return mwm.DemandSpec(max_utility=best, items=items, weights=weights)
 
 
-def _lowering_commit(self, i, j, step):
+def _lowering_commit(state, i, j, step, prev):
     # also takes one unit off the dearest other item's price
-    prev = Auction.commit(self, i, j, step)
-    p, other = max((p, o) for o, p in enumerate(self.prices) if o != j)
+    p, other = max((p, o) for o, p in enumerate(state.prices) if o != j)
     if p > 0:
-        self.prices[other] -= 1
-    return prev
+        state.prices[other] -= 1
 
 
 @pytest.mark.parametrize("mutant, caught", [
@@ -333,13 +326,14 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
     # the one the scan over all items gives. Audited stream_mwm runs keep
     # run_mwm's state, so the reference scan reads their sg.edges too.
     if mutant == "double-step":
-        monkeypatch.setattr(MwmState, "commit", _double_step)
+        monkeypatch.setattr(MwmState, "commit_round", faulty_commit_round(_double_step))
     elif mutant == "dearest-demand":
         # the phase reads demand sets only through this reference copy
         monkeypatch.setattr(mwm, "_phase", partial(_reference_phase,
                                                    demand=_dearest_demand))
     elif mutant == "lowered-price":
-        monkeypatch.setattr(MwmState, "commit", _lowering_commit)
+        monkeypatch.setattr(MwmState, "commit_round",
+                            faulty_commit_round(_lowering_commit))
     audit = mwm._audit_phase
     seen = []
     kernel = None
@@ -368,7 +362,7 @@ def test_audit_outcomes_match_the_full_item_scan(mutant, caught, monkeypatch):
             except InvariantViolation:
                 pass
     caught_by = {prop for _, prop in seen} - {None}
-    # the commit mutants reach stream_mwm through MwmState.commit too
+    # the commit mutants reach stream_mwm through MwmState.commit_round too
     streamed = {prop for kern, prop in seen if kern == "streamed"} - {None}
     assert streamed == {
         "double-step": {"owned-price-bound", "weighted-happiness"},

@@ -121,7 +121,7 @@ def test_mutable_state_shares_no_default():
                  [x.gain for x in auctions], [x.failures for x in outcomes],
                  [x.stats for x in outcomes]]:
         assert a is not b
-    auctions[0].commit(0, 0, 1)
+    auctions[0].commit_round([(0, 0, 1)])
     auctions[0].snapshot(1)
     assert auctions[0].gain == [1, 0] and auctions[0].best == [0, None]
     assert auctions[1].gain == [0, 0] and auctions[1].best == []

@@ -13,6 +13,10 @@ and blackboard traces must not change, also when edge lines are not in
 item order. The three engines run their rounds through
 ``Auction.run_rounds``; the capacitated reference is a round loop of its
 own, which raises the cutoffs after the commits.
+
+The references commit pair by pair through ``reference_commit``, the
+per-pair commit that the engines' batch ``Auction.commit_round`` and the
+deterministic cardinality round's in-scan commit must equal.
 """
 
 import random
@@ -21,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from auctionmatch import mcbm, mcm, mwm
-from auctionmatch.auction import blackboard_trace, phase_budget, round_budget
+from auctionmatch.auction import Auction, blackboard_trace, phase_budget, round_budget
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
 from auctionmatch.kernels import (
     KernelMatching,
@@ -44,6 +48,72 @@ def edge_bucket(scaled_w, eps):
     while Fraction(1, eps.k) ** (b - 1) > scaled_w:
         b += 1
     return b
+
+
+def reference_commit(state, i, j, step):
+    """Give item j to bidder i, evicting its owner; the price and the value
+    both rise by ``step``. On an ``McbmState`` it also keeps ``held`` and
+    ``pmin`` in step. Returns the evicted owner or None."""
+    prev = state.owner[j]
+    if prev is not None:
+        state.assignment[prev] = None
+        state.value -= state.gain[prev]
+        state.gain[prev] = 0
+    state.owner[j] = i
+    state.assignment[i] = j
+    state.gain[i] = step
+    state.prices[j] += step
+    state.value += step
+    if isinstance(state, mcbm.McbmState):
+        cg = state.cg
+        oj = cg.item_orig[j]
+        if prev is not None:
+            state.held.discard((cg.bidder_orig[prev], oj))
+        state.held.add((cg.bidder_orig[i], oj))
+        state.pmin[oj] = min(state.prices[cg.item_start[oj]:cg.item_start[oj + 1]])
+    return prev
+
+
+def replay_with_fault(state, pairs, evicted, fault):
+    """Run ``fault(state, i, j, step, prev)`` after each committed pair, as
+    if the pairs had been committed one by one: the round's price steps are
+    taken back and made again in pair order, each followed by its fault.
+
+    ``pairs`` were committed in one batch and ``evicted`` lists, pair by
+    pair, the owner each evicted. A commit reads only its own item's owner
+    and price, and no fault here writes another pair's item, owner or
+    bidder, so every fault sees and leaves the state that a per-pair commit
+    followed by the fault would.
+    """
+    for _, j, step in pairs:
+        state.prices[j] -= step
+    for (i, j, step), prev in zip(pairs, evicted):
+        state.prices[j] += step
+        fault(state, i, j, step, prev)
+
+
+def faulty_commit_round(fault, commit_round=Auction.commit_round):
+    """``commit_round`` that runs ``fault(state, i, j, step, prev)`` after
+    every pair it commits, as ``replay_with_fault`` does."""
+    def committed(self, pairs):
+        evicted = commit_round(self, pairs)
+        replay_with_fault(self, pairs, evicted, fault)
+        return evicted
+    return committed
+
+
+def faulty_det_round(fault, round_=mcm._round):
+    """``mcm._round`` that runs ``fault(state, i, j, step, prev)`` after
+    every pair its scan commits, as ``replay_with_fault`` does; a pair's
+    evicted owner is its item's owner at round start, since no item is
+    won twice in a round."""
+    def faulted(state, bidders, *args):
+        owners = list(state.owner)
+        kept, following, got = round_(state, bidders, *args)
+        replay_with_fault(state, got.pairs, [owners[j] for _, j, _ in got.pairs],
+                          fault)
+        return kept, following, got
+    return faulted
 
 
 def _tuple_keyed_bucket_ordered_maximal(candidates, buckets, kernel="det", seed=0):
@@ -99,7 +169,7 @@ def _reference_run_mcm(inst, eps, kernel="det", seed=0, audit=False):
             proposals += got.proposals
         else:
             got = greedy_maximal(sub)
-        evicted = [state.commit(i, j, 1) for i, j in got.pairs]
+        evicted = [reference_commit(state, i, j, 1) for i, j in got.pairs]
         bidders = state.next_bidders(bidders, evicted)
         announcements += len(got.pairs)
         if audit:
@@ -160,7 +230,7 @@ def _reference_run_mwm(sg, eps, kernel="det", seed=0, audit=False):
             proposals += got.proposals
             pairs = got.pairs
         prev_prices = list(state.prices)
-        evicted = [state.commit(i, j, w) for i, j, w in pairs]
+        evicted = [reference_commit(state, i, j, w) for i, j, w in pairs]
         unmatched = state.next_bidders(unmatched, evicted)
         announcements += len(pairs)
         if audit:
@@ -208,7 +278,7 @@ def _reference_run_mcbm(inst, eps, kernel="det", seed=0, audit=False):
         else:
             demanded, pairs = mcbm._stream_round(state, unmatched)
 
-        evicted = [state.commit(bc, jc, 1) for bc, jc in pairs]
+        evicted = [reference_commit(state, bc, jc, 1) for bc, jc in pairs]
         unmatched = state.next_bidders(unmatched, evicted)
 
         for bc in demanded:
@@ -268,9 +338,9 @@ def _spy(monkeypatch, module, name, empty):
 
 
 class _RoundSpy:
-    """Stands in for a round step, ``mcm._round`` or ``mwm._phase``: counts
-    calls and fails on a call handed a bidder whose demand set already came
-    back empty."""
+    """Stands in for a round step, ``mcm._round`` or ``mwm._phase``, whose
+    result starts with the demanders: counts calls and fails on a call
+    handed a bidder whose demand set already came back empty."""
 
     def __init__(self, step):
         self.step = step
@@ -280,9 +350,24 @@ class _RoundSpy:
     def __call__(self, state, bidders, *args):
         assert not self.priced_out.intersection(bidders), "a priced-out bidder bid again"
         self.rounds += 1
-        demanders, got = self.step(state, bidders, *args)
-        self.priced_out.update(set(bidders) - set(demanders))
-        return demanders, got
+        out = self.step(state, bidders, *args)
+        self.priced_out.update(set(bidders) - set(out[0]))
+        return out
+
+
+def _reference_round(state, bidders, kernel, rng):
+    """``mcm._round`` as a demand set per bidder, the kernel on their
+    candidate dict, ``reference_commit`` pair by pair and ``next_bidders``."""
+    sub = {}
+    for i in bidders:
+        demand = mcm.demand_set_mcm(state, i)
+        if demand:
+            sub[i] = demand
+    got = randomized_proposal_mm(sub, rng) if kernel == "rand" else greedy_maximal(sub)
+    got.pairs = [(i, j, 1) for i, j in got.pairs]
+    evicted = [reference_commit(state, i, j, step) for i, j, step in got.pairs]
+    kept = list(sub)
+    return kept, state.next_bidders(kept, evicted), got
 
 
 # (instance, eps) whose last round, the fourth with either kernel, asks no
@@ -391,16 +476,17 @@ def test_a_last_round_of_priced_out_bidders_still_counts(engine, kernel, audit,
     inst, eps = _MCM_LAST_ROUND_PRICED_OUT
     want = _reference_run_mcm(inst, eps, kernel, audit=audit)
     if kernel == "det":
-        # the det round scans demand and picks inline, so the worklist
-        # each round hands on is what shows the last round's bidders
+        # the det round scans demand, picks and commits inline, so the
+        # worklist each round hands on is what shows the last round's bidders
         handed_on = []
-        inner_next = mcm.McmState.next_bidders
+        inner_round = mcm._round
 
-        def logged_next(self, bidders, evicted):
-            handed_on.append(inner_next(self, bidders, evicted))
-            return handed_on[-1]
+        def logged_round(state, bidders, *args):
+            kept, following, got = inner_round(state, bidders, *args)
+            handed_on.append(following)
+            return kept, following, got
 
-        monkeypatch.setattr(mcm.McmState, "next_bidders", logged_next)
+        monkeypatch.setattr(mcm, "_round", logged_round)
         got = mcm.run_mcm(inst, eps, kernel, audit=audit)
         assert got == want
         assert got[1].rounds_executed == 4
@@ -449,18 +535,28 @@ def _out_of_item_order(inst):
     return False
 
 
+def _run_through_reference_commits(monkeypatch, inst, eps, kernel, seed, audit):
+    """``run_mcm`` with its round step replaced by ``_reference_round``:
+    the same round loop and audit, committing pair by pair."""
+    with monkeypatch.context() as m:
+        m.setattr(mcm, "_round", _reference_round)
+        return mcm.run_mcm(inst, eps, kernel, seed, audit)
+
+
 @pytest.mark.parametrize("kernel", ["det", "rand"])
-def test_one_scan_round_matches_the_reference_on_shuffled_edges(kernel):
+def test_one_scan_round_matches_the_reference_on_shuffled_edges(kernel, monkeypatch):
     for seed in range(10):
         inst = _shuffled(generate_random(72, 64, 4 / 64, seed=seed), seed)
         assert _out_of_item_order(inst)
         for eps, audit in ((Epsilon(8), seed % 2 == 0), (Epsilon(73), seed % 3 == 0)):
-            assert mcm.run_mcm(inst, eps, kernel, seed, audit) == _reference_run_mcm(
-                inst, eps, kernel, seed, audit)
+            got = mcm.run_mcm(inst, eps, kernel, seed, audit)
+            assert got == _reference_run_mcm(inst, eps, kernel, seed, audit)
+            assert got == _run_through_reference_commits(monkeypatch, inst, eps,
+                                                         kernel, seed, audit)
 
 
 @pytest.mark.parametrize("kernel", ["det", "rand"])
-def test_one_scan_round_matches_the_reference_in_exact_mode(kernel):
+def test_one_scan_round_matches_the_reference_in_exact_mode(kernel, monkeypatch):
     # eps = 1/(n_l + 1) runs a price war of thousands of rounds
     for seed, audit in ((0, False), (1, True)):
         inst = _shuffled(generate_random(216, 192, 4 / 192, seed=seed), seed)
@@ -470,6 +566,9 @@ def test_one_scan_round_matches_the_reference_in_exact_mode(kernel):
         want = _reference_run_mcm(inst, eps, kernel, seed, audit)
         assert got[1].rounds_executed > 1000
         assert got == want
+        # the in-scan commit against the per-pair one, round for round
+        assert got == _run_through_reference_commits(monkeypatch, inst, eps,
+                                                     kernel, seed, audit)
 
 
 @pytest.mark.parametrize("kernel", ["det", "rand"])

@@ -25,6 +25,7 @@ from auctionmatch.streaming import (
 )
 from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import run_reduced_mwm
+from test_round_reference import faulty_commit_round
 
 
 def test_stream_requires_exactly_one_source():
@@ -146,14 +147,16 @@ def test_stream_mwm_audit_accepts_prices_above_k_w_max():
     assert check_matching(res.pairs, inst.b_l, inst.b_r, inst.edges)
 
 
-_core_commit = Auction.commit
+def _no_fault(state, i, j, step, prev):
+    pass
 
 
-def _stream_audit_outcome(inst, k, commit):
+def _stream_audit_outcome(inst, k, fault):
     """The property of the first violation an audited ``stream_mwm`` run on
-    ``inst`` at eps 1/k raises with ``commit`` as the core's, or None."""
+    ``inst`` at eps 1/k raises when the core's ``commit_round`` also runs
+    ``fault`` after every pair, or None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Auction, "commit", commit)
+        mp.setattr(Auction, "commit_round", faulty_commit_round(fault))
         try:
             stream_mwm(EdgeStream.from_instance(inst), Epsilon(k), audit=True)
         except InvariantViolation as exc:
@@ -168,10 +171,8 @@ def test_stream_mwm_audit_bounds_price_by_owner_weight():
     inst = BipartiteInstance.build(1, 1, [(0, 0, w)])
 
     def priced(price):
-        def set_price(self, i, j, step):
-            prev = _core_commit(self, i, j, step)
-            self.prices[j] = price
-            return prev
+        def set_price(state, i, j, step, prev):
+            state.prices[j] = price
         return set_price
 
     # (k + 1) * w - 1 is the highest price one bid at weight w can leave
@@ -180,33 +181,27 @@ def test_stream_mwm_audit_bounds_price_by_owner_weight():
             == "owned-price-bound")
 
 
-def _double_step(self, i, j, step):
-    prev = _core_commit(self, i, j, step)
-    self.prices[j] += step
-    return prev
+def _double_step(state, i, j, step, prev):
+    state.prices[j] += step
 
 
-def _lowering_commit(self, i, j, step):
+def _lowering_commit(state, i, j, step, prev):
     # also takes one unit off the dearest other item's price
-    prev = _core_commit(self, i, j, step)
-    p, other = max((p, o) for o, p in enumerate(self.prices) if o != j)
+    p, other = max((p, o) for o, p in enumerate(state.prices) if o != j)
     if p > 0:
-        self.prices[other] -= 1
-    return prev
+        state.prices[other] -= 1
 
 
-def _misowning_commit(self, i, j, step):
+def _misowning_commit(state, i, j, step, prev):
     # records the next bidder, not the winner, as the item's owner
-    prev = _core_commit(self, i, j, step)
-    self.owner[j] = (i + 1) % len(self.assignment)
-    return prev
+    state.owner[j] = (i + 1) % len(state.assignment)
 
 
 def test_stream_mwm_audit_catches_a_double_step():
     # two bidders of weight 1 on one item at eps 1/3: steps of w end at
     # price 3 < (k + 1) * w, steps of 2w reach 4
     inst = BipartiteInstance.build(2, 1, [(0, 0, 1), (1, 0, 1)])
-    assert _stream_audit_outcome(inst, 3, _core_commit) is None
+    assert _stream_audit_outcome(inst, 3, _no_fault) is None
     assert (_stream_audit_outcome(inst, 3, _double_step)
             == "owned-price-bound")
     caught = [_stream_audit_outcome(inst, k, _double_step)
@@ -240,7 +235,7 @@ def test_stream_mwm_audit_raises_what_the_memory_stream_kernel_raises(
         commit, monkeypatch):
     # Both engines commit through MwmState and audit each phase through
     # mwm._phase_audit, so a broken commit trips the same first check.
-    monkeypatch.setattr(Auction, "commit", commit)
+    monkeypatch.setattr(Auction, "commit_round", faulty_commit_round(commit))
     outcomes = []
     for inst in mwm_family()[::10]:
         for k in (2, 4, 8):
@@ -264,6 +259,42 @@ def test_stream_mwm_audit_changes_no_result_or_trace(k):
         for engine in ("stream-sequential", "stream-concurrent"):
             assert (run_reduced_mwm(inst, eps, engine=engine, audit=True)
                     == run_reduced_mwm(inst, eps, engine=engine))
+
+
+def _stream_mwm_word_bound(n_l, n_r):
+    """Words a ``stream_mwm`` run may hold: 8 scalars, a price and an owner
+    per item, four words per bidder, a best margin per bidder and 5 words
+    per claim of one phase, of which there are at most min(n_l, n_r)."""
+    return 8 + 2 * n_r + 5 * n_l + 5 * min(n_l, n_r)
+
+
+def _shuffled(inst, seed):
+    edges = list(inst.edges)
+    random.Random(seed).shuffle(edges)
+    return BipartiteInstance(n_l=inst.n_l, n_r=inst.n_r, edges=tuple(edges),
+                             b_l=inst.b_l, b_r=inst.b_r)
+
+
+def test_stream_mwm_peak_words_stay_within_their_bound():
+    # In either edge order, and on every level a streamed gp schedule runs.
+    runs = at_bound = 0
+    for idx, inst in enumerate(mwm_family()[::5]):
+        bound = _stream_mwm_word_bound(inst.n_l, inst.n_r)
+        for edges in (inst, _shuffled(inst, idx)):
+            for k in (4, 8, 16):
+                _, tr = stream_mwm(EdgeStream.from_instance(edges), Epsilon(k))
+                assert tr.peak_words <= bound, (idx, k)
+                runs += 1
+                at_bound += tr.peak_words == bound
+            for engine in ("stream-sequential", "stream-concurrent"):
+                _, _, detail = run_reduced_mwm(edges, Epsilon(4), engine=engine,
+                                               collect_detail=True)
+                for level, tr in detail.level_traces.items():
+                    assert tr.peak_words <= bound, (idx, engine, level)
+                    runs += 1
+                    at_bound += tr.peak_words == bound
+    # the bound is tight: a word more per claim would break it
+    assert at_bound > 0 and runs > 240
 
 
 def test_stream_mwm_space_grows_linearly():
