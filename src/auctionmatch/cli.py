@@ -66,8 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    low = int(lo)
-    high = int(hi) if hi else low
+    try:
+        low, high = int(lo), int(hi or lo)
+    except ValueError:
+        low = high = 0  # not a number: refused below
     if low < 1 or high < low:
         raise ValueError(f"bad capacity range {text!r}")
     return low, high

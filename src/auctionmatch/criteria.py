@@ -1,26 +1,25 @@
 """Acceptance criteria: instance families, brute-force solvers, runners.
 
 Each criterion function runs one assertable property of the engines over
-a deterministic instance family and returns a CriterionOutcome. The CLI
-``suite`` subcommand prints one line per outcome and aggregates them into
-a JSON summary; the test suite asserts each outcome individually.
+a deterministic instance family, running them through ``suite.solve``, and
+returns a CriterionOutcome. Criteria 1, 3, 5 and 6 hold every run of
+``suite.CONFIGS`` to ``suite.verdict`` and its round budget, each over the
+family and eps list of its row in ``BOUNDS``. The CLI ``suite`` subcommand
+prints one line per outcome and aggregates them into a JSON summary; the
+test suite asserts each outcome individually.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from functools import lru_cache, wraps
 
+from . import suite
 from .errors import InvariantViolation
-from .graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
-from .mcbm import run_mcbm
-from .mcm import run_mcm
-from .mwm import run_mwm
-from .oracles import exact_mcbm, exact_mcm, exact_mwm
-from .streaming import EdgeStream, stream_mcbm, stream_mwm
-from .suite import GP_SCHEDULES, RUNS, run_single, verdict
-from .weight_reduction import run_reduced_mwm
+from .graph import BipartiteInstance, Epsilon, generate_random
+from .suite import solve, verdict
 
 
 class CriterionOutcome:
@@ -44,18 +43,6 @@ class CriterionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_grid(grid, count):
-    out = []
-    seed = 0
-    while len(out) < count:
-        for params in grid:
-            if len(out) >= count:
-                break
-            out.append((*params, seed))
-        seed += 1
-    return out
-
-
 def _safe_generate(**kwargs):
     try:
         return generate_random(**kwargs)
@@ -64,13 +51,19 @@ def _safe_generate(**kwargs):
         return generate_random(**kwargs)
 
 
+def _grid_family(sizes, densities, count, first_seed=0, **kwargs):
+    """``count`` square instances, cycling through sizes x densities with
+    the seed one higher on each cycle."""
+    grid = [(n, d) for n in sizes for d in densities]
+    return tuple(
+        _safe_generate(n_l=n, n_r=n, density=d, seed=first_seed + k // len(grid),
+                       **kwargs)
+        for k, (n, d) in zip(range(count), itertools.cycle(grid)))
+
+
 @lru_cache(maxsize=None)
 def mcm_family(count: int = 200) -> tuple[BipartiteInstance, ...]:
-    grid = [(n, d) for n in (8, 16, 32) for d in (0.1, 0.3, 0.7)]
-    return tuple(
-        _safe_generate(n_l=n, n_r=n, density=d, seed=seed)
-        for n, d, seed in _cycle_grid(grid, count)
-    )
+    return _grid_family((8, 16, 32), (0.1, 0.3, 0.7), count)
 
 
 def _skew_weights(inst: BipartiteInstance) -> BipartiteInstance:
@@ -82,39 +75,22 @@ def _skew_weights(inst: BipartiteInstance) -> BipartiteInstance:
 
 @lru_cache(maxsize=None)
 def mwm_family(count: int = 200) -> tuple[BipartiteInstance, ...]:
-    grid = [(n, d) for n in (8, 16, 32) for d in (0.1, 0.3, 0.7)]
-    uniform = [
-        _safe_generate(n_l=n, n_r=n, density=d, w_range=(1, 100), seed=seed)
-        for n, d, seed in _cycle_grid(grid, count - count // 2)
-    ]
-    skewed = [
-        _skew_weights(
-            _safe_generate(n_l=n, n_r=n, density=d, w_range=(1, 2), seed=1000 + seed)
-        )
-        for n, d, seed in _cycle_grid(grid, count // 2)
-    ]
-    return tuple(uniform + skewed)
+    uniform = _grid_family((8, 16, 32), (0.1, 0.3, 0.7), count - count // 2,
+                           w_range=(1, 100))
+    skewed = _grid_family((8, 16, 32), (0.1, 0.3, 0.7), count // 2, 1000,
+                          w_range=(1, 2))
+    return uniform + tuple(map(_skew_weights, skewed))
 
 
 @lru_cache(maxsize=None)
 def mcbm_family(count: int = 100) -> tuple[BipartiteInstance, ...]:
-    grid = [(n, d) for n in (6, 12, 24) for d in (0.3, 0.7)]
-    return tuple(
-        _safe_generate(
-            n_l=n, n_r=n, density=d,
-            b_l_range=(1, 4), b_r_range=(1, 4), seed=seed,
-        )
-        for n, d, seed in _cycle_grid(grid, count)
-    )
+    return _grid_family((6, 12, 24), (0.3, 0.7), count,
+                        b_l_range=(1, 4), b_r_range=(1, 4))
 
 
 @lru_cache(maxsize=None)
 def gp_family(count: int = 50) -> tuple[BipartiteInstance, ...]:
-    grid = [(n, d) for n in (8, 16) for d in (0.3, 0.6)]
-    return tuple(
-        _safe_generate(n_l=n, n_r=n, density=d, w_range=(1, 10 ** 6), seed=seed)
-        for n, d, seed in _cycle_grid(grid, count)
-    )
+    return _grid_family((8, 16), (0.3, 0.6), count, w_range=(1, 10 ** 6))
 
 
 @lru_cache(maxsize=None)
@@ -242,34 +218,77 @@ def _run_failures(where: str, inst: BipartiteInstance, algo: str, mode: str,
     return failures
 
 
-@_criterion(1, "mcm-approximation")
-def criterion_1_mcm_approx():
-    failures = []
-    ratios = []
-    max_rounds = 0
-    for idx, inst in enumerate(mcm_family()):
-        opt = exact_mcm(inst).value
-        for eps in MCM_EPS:
-            res, tr = run_mcm(inst, eps)
-            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mcm",
-                                      "memory", "det", eps, res, tr, opt)
-            if opt:
-                ratios.append(res.value / opt)
-            max_rounds = max(max_rounds, tr.rounds_executed)
-    detail = (f"{len(mcm_family())} instances x {len(MCM_EPS)} eps, "
-              f"min ratio {min(ratios):.3f}, max rounds {max_rounds}")
+# The bound table: every run of ``suite.CONFIGS`` -> (the criterion that
+# bounds it, its instance family, its eps list).
+BOUNDS = {
+    ("mcm", "memory", "det", None): (1, mcm_family, MCM_EPS),
+    ("mcm", "memory", "rand", None): (1, mcm_family, MCM_EPS),
+    ("mwm", "memory", "det", None): (3, mwm_family, MWM_EPS),
+    ("mwm", "memory", "rand", None): (3, mwm_family, MWM_EPS),
+    ("mwm", "memory", "stream", None): (3, mwm_family, MWM_EPS),
+    ("mwm", "stream", "det", None): (3, mwm_family, MWM_EPS),
+    ("mcbm", "memory", "det", None): (5, mcbm_family, MCBM_EPS),
+    ("mcbm", "memory", "stream", None): (5, mcbm_family, MCBM_EPS),
+    ("mcbm", "stream", "det", None): (5, mcbm_family, MCBM_EPS),
+    ("mwm", "gp", "det", None): (6, gp_family, GP_EPS),
+    ("mwm", "gp", "rand", None): (6, gp_family, GP_EPS),
+    ("mwm", "gp", "det", "sequential"): (6, gp_family, GP_EPS),
+    ("mwm", "gp", "det", "concurrent"): (6, gp_family, GP_EPS),
+}
+
+
+def _name(run) -> str:
+    return f"({', '.join(map(str, run))})"
+
+
+def _bound_runs(number: int, extra=None):
+    """The body of bound criterion ``number``: every run ``BOUNDS`` gives
+    it, on each instance of its family at each eps of its list, held to
+    ``_run_failures`` and, when given, to ``extra(run, where, inst, eps,
+    trace)``, which returns the run's further failures. Each run is seeded
+    with the number of runs before it, so rand runs vary run by run."""
+    failures, ratios = [], []
+    n_runs = max_rounds = 0
+    rows = [(run, family, eps_list)
+            for run, (crit, family, eps_list) in BOUNDS.items() if crit == number]
+    for run, family, eps_list in rows:
+        algo, mode, kernel, schedule = run
+        oracle = getattr(suite, f"exact_{algo}")
+        for idx, inst in enumerate(family()):
+            opt = oracle(inst).value
+            for eps in eps_list:
+                where = f"{_name(run)} instance {idx} eps {eps}"
+                if kernel == "rand":
+                    where += f" seed {n_runs}"
+                res, tr = solve(inst, algo, mode, kernel, eps, seed=n_runs,
+                                gp_schedule=schedule)
+                n_runs += 1
+                failures += _run_failures(where, inst, algo, mode, kernel, eps,
+                                          res, tr, opt)
+                if extra is not None:
+                    failures += extra(run, where, inst, eps, tr)
+                if opt:
+                    ratios.append(res.value / opt)
+                max_rounds = max(max_rounds, tr.rounds_executed)
+    detail = (f"{len(rows)} configurations, {n_runs} runs, min ratio "
+              f"{min(ratios):.3f}, max rounds {max_rounds}")
     return failures, detail, {"min_ratio": min(ratios),
                               "mean_ratio": sum(ratios) / len(ratios),
                               "max_rounds": max_rounds}
+
+
+@_criterion(1, "mcm-approximation")
+def criterion_1_mcm_approx():
+    return _bound_runs(1)
 
 
 @_criterion(2, "mcm-exactness")
 def criterion_2_mcm_exact():
     failures = []
     for idx, inst in enumerate(mcm_family()):
-        opt = exact_mcm(inst).value
+        opt = suite.exact_mcm(inst).value
         eps = Epsilon(inst.n_l + 1)
-        res, _ = run_mcm(inst, eps)
+        res, _ = solve(inst, "mcm", "memory", "det", eps)
         if res.value != opt:
             failures.append(
                 f"instance {idx} eps {eps}: size {res.value} != optimum {opt}")
@@ -278,48 +297,18 @@ def criterion_2_mcm_exact():
 
 @_criterion(3, "mwm-approximation")
 def criterion_3_mwm_approx():
-    failures = []
-    ratios = []
-    max_phases = det_runs = 0
-    family = mwm_family()
-    for idx, inst in enumerate(family):
-        opt = exact_mwm(inst).value
-        for eps in MWM_EPS:
-            res, tr = run_mwm(scale_and_prune(inst, eps), eps)
-            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mwm",
-                                      "memory", "det", eps, res, tr, opt)
-            det_runs += 1
-            if opt:
-                ratios.append(res.value / opt)
-            max_phases = max(max_phases, tr.rounds_executed)
-    # Randomized kernel: 20 seeded runs across a stratified tenth of the
-    # family, each against the weaker (1 - 7*eps) bound.
-    run_no = 0
-    for idx in range(0, len(family), len(family) // 10):
-        inst = family[idx]
-        opt = exact_mwm(inst).value
-        for eps in MWM_EPS:
-            res, tr = run_mwm(scale_and_prune(inst, eps), eps, kernel="rand",
-                              seed=run_no)
-            failures += _run_failures(f"instance {idx} eps {eps} seed {run_no}",
-                                      inst, "mwm", "memory", "rand", eps, res, tr,
-                                      opt)
-            run_no += 1
-    detail = (f"{det_runs} det + {run_no} rand runs, min ratio "
-              f"{min(ratios):.3f}, max phases {max_phases}")
-    return failures, detail, {"min_ratio": min(ratios),
-                              "mean_ratio": sum(ratios) / len(ratios),
-                              "max_rounds": max_phases}
+    return _bound_runs(3)
 
 
 @_criterion(4, "mwm-invariant-audit")
 def criterion_4_mwm_audit():
     failures = []
     for idx, inst in enumerate(mwm_family()):
-        opt = exact_mwm(inst).value
+        opt = suite.exact_mwm(inst).value
         for eps in MWM_EPS:
             try:
-                run_mwm(scale_and_prune(inst, eps), eps, audit=True, optimum=opt)
+                suite.run_mwm(suite.scale_and_prune(inst, eps), eps, audit=True,
+                              optimum=opt)
             except InvariantViolation as exc:
                 failures.append(f"instance {idx} eps {eps}: {exc}")
     detail = f"audited every phase of {len(mwm_family())} x {len(MWM_EPS)} runs"
@@ -328,100 +317,76 @@ def criterion_4_mwm_audit():
 
 @_criterion(5, "mcbm-approximation")
 def criterion_5_mcbm():
-    failures = []
-    ratios = []
-    max_rounds = 0
+    # Each det run is repeated under the audit.
     audit_hits: dict[str, int] = {}
-    reopened_runs = 0
-    n_runs = 0
-    for idx, inst in enumerate(mcbm_family()):
-        opt = exact_mcbm(inst).value
-        for eps in MCBM_EPS:
-            n_runs += 1
-            res, tr = run_mcbm(inst, eps)
-            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mcbm",
-                                      "memory", "det", eps, res, tr, opt)
-            if opt:
-                ratios.append(res.value / opt)
-            max_rounds = max(max_rounds, tr.rounds_executed)
-            try:
-                _, audit_tr = run_mcbm(inst, eps, audit=True)
-            except InvariantViolation as exc:
-                audit_hits[exc.prop] = audit_hits.get(exc.prop, 0) + 1
-                failures.append(f"instance {idx} eps {eps}: audit: {exc}")
-            else:
-                if audit_tr.notes["reopened_pairs"]:
-                    reopened_runs += 1
+    reopened: list[bool] = []
+
+    def audited(run, where, inst, eps, _):
+        if run != ("mcbm", "memory", "det", None):
+            return []
+        try:
+            _, audit_tr = solve(inst, "mcbm", "memory", "det", eps, audit=True)
+        except InvariantViolation as exc:
+            audit_hits[exc.prop] = audit_hits.get(exc.prop, 0) + 1
+            return [f"{where}: audit: {exc}"]
+        reopened.append(audit_tr.notes["reopened_pairs"] > 0)
+        return []
+
+    failures, detail, stats = _bound_runs(5, audited)
+    n_audited = len(reopened) + sum(audit_hits.values())
     audit_note = (
         "audit clean" if not audit_hits else
         "audit violations: " + ", ".join(
-            f"{prop} on {cnt}/{n_runs} runs" for prop, cnt in sorted(audit_hits.items()))
-    )
-    detail = (f"{len(mcbm_family())} instances x {len(MCBM_EPS)} eps, "
-              f"min ratio {min(ratios):.3f}, max rounds {max_rounds}, "
-              f"{audit_note}, re-opened pairs on {reopened_runs}/{n_runs} runs")
-    return failures, detail, {"min_ratio": min(ratios), "max_rounds": max_rounds,
-                              "audit_violations": audit_hits,
-                              "reopened_runs": reopened_runs}
+            f"{prop} on {cnt}/{n_audited} runs"
+            for prop, cnt in sorted(audit_hits.items())))
+    detail += (f", {audit_note}, re-opened pairs on "
+               f"{sum(reopened)}/{n_audited} det runs")
+    stats.update(audit_violations=audit_hits, reopened_runs=sum(reopened))
+    return failures, detail, stats
 
 
 @_criterion(6, "weight-reduction")
 def criterion_6_weight_reduction():
-    failures = []
-    ratios = []
-    for idx, inst in enumerate(gp_family()):
-        opt = exact_mwm(inst).value
+    def reduction_failures(run, where, inst, eps, tr):
+        k = eps.k
+        detail = tr.notes["detail"]
+        failures = []
+        for cp in detail.partition:
+            for lg in cp.levels:
+                if lg.w_max >= lg.w_min * k ** (k - 1):
+                    failures.append(
+                        f"{where} copy {cp.index} level {lg.level}: ratio "
+                        f"{lg.w_max}/{lg.w_min} not below k^(C-1)")
+        for oc in detail.outcomes:
+            for rec in oc.records:
+                w_e = rec.edge[2]
+                if k * (w_e + rec.displaced_weight) > (k + 3) * w_e:
+                    failures.append(
+                        f"{where} copy {oc.copy_index}: displaced group "
+                        f"{rec.displaced_weight} over (1+3eps) x {w_e}")
+        removed = sum(cp.removed_weight for cp in detail.partition)
         total = sum(w for _, _, w in inst.edges)
-        for eps in GP_EPS:
-            k = eps.k
-            res, tr, detail = run_reduced_mwm(inst, eps, collect_detail=True)
-            failures += _run_failures(f"instance {idx} eps {eps}", inst, "mwm",
-                                      "gp", "det", eps, res, tr, opt)
-            for cp in detail.partition:
-                for lg in cp.levels:
-                    if lg.w_max >= lg.w_min * k ** (k - 1):
-                        failures.append(
-                            f"instance {idx} eps {eps} copy {cp.index} level "
-                            f"{lg.level}: ratio {lg.w_max}/{lg.w_min} not below "
-                            f"k^(C-1)")
-            for oc in detail.outcomes:
-                for rec in oc.records:
-                    w_e = rec.edge[2]
-                    if k * (w_e + rec.displaced_weight) > (k + 3) * w_e:
-                        failures.append(
-                            f"instance {idx} eps {eps} copy {oc.copy_index}: "
-                            f"displaced group {rec.displaced_weight} over "
-                            f"(1+3eps) x {w_e}")
-            removed = sum(cp.removed_weight for cp in detail.partition)
-            if removed != total:
-                failures.append(
-                    f"instance {idx} eps {eps}: removed weights sum {removed} "
-                    f"!= total {total}")
-            if opt:
-                ratios.append(res.value / opt)
-    detail_s = (f"{len(gp_family())} instances x {len(GP_EPS)} eps, min ratio "
-                f"{min(ratios):.3f}")
-    return failures, detail_s, {"min_ratio": min(ratios)}
+        if removed != total:
+            failures.append(
+                f"{where}: removed weights sum {removed} != total {total}")
+        return failures
+
+    return _bound_runs(6, reduction_failures)
 
 
 @_criterion(7, "stream-equivalence")
 def criterion_7_stream_equivalence():
-    # per algo: its family and eps, the streamed engine and the in-memory
-    # engine with the stream kernel it reproduces
-    suites = (
-        ("mwm", mwm_family(), MWM_EPS, stream_mwm,
-         lambda inst, eps: run_mwm(scale_and_prune(inst, eps), eps, kernel="stream")),
-        ("mcbm", mcbm_family(), MCBM_EPS, stream_mcbm,
-         lambda inst, eps: run_mcbm(inst, eps, kernel="stream")),
-    )
+    # per algo, its family and eps: the streamed engine must reproduce the
+    # in-memory engine under the stream kernel
     failures = []
     max_passes = 0
-    for algo, family, eps_list, stream, memory in suites:
+    for algo, family, eps_list in (("mwm", mwm_family(), MWM_EPS),
+                                   ("mcbm", mcbm_family(), MCBM_EPS)):
         for idx, inst in enumerate(family):
             for eps in eps_list:
                 where = f"{algo} instance {idx} eps {eps}"
-                mem, mem_tr = memory(inst, eps)
-                got, tr = stream(EdgeStream.from_instance(inst), eps)
+                mem, mem_tr = solve(inst, algo, "memory", "stream", eps)
+                got, tr = solve(inst, algo, "stream", "det", eps)
                 differ = [name for name, a, b in zip(got._fields, got, mem) if a != b]
                 if tr.rounds_executed != mem_tr.rounds_executed:
                     differ.append("rounds_executed")
@@ -448,7 +413,7 @@ def criterion_8_space_growth():
     for n in sizes:
         inst = _safe_generate(n_l=n, n_r=n, density=min(1.0, 16 / n),
                               w_range=(1, 100), seed=8)
-        _, tr = stream_mwm(EdgeStream.from_instance(inst), eps)
+        _, tr = solve(inst, "mwm", "stream", "det", eps)
         mwm_peaks.append(tr.peak_words)
     for a, b in zip(mwm_peaks, mwm_peaks[1:]):
         if b > 2.5 * a:
@@ -457,7 +422,7 @@ def criterion_8_space_growth():
     for n in sizes:
         inst = _safe_generate(n_l=n, n_r=n, density=min(1.0, 8 / n),
                               b_l_range=(1, 4), b_r_range=(1, 4), seed=9)
-        _, tr = stream_mcbm(EdgeStream.from_instance(inst), eps)
+        _, tr = solve(inst, "mcbm", "stream", "det", eps)
         mcbm_ratios.append(tr.peak_words / (inst.sum_b_l + inst.n_r))
     if max(mcbm_ratios) > 2 * min(mcbm_ratios):
         failures.append(
@@ -473,20 +438,20 @@ def criterion_9_oracle_consistency():
     failures = []
     for idx, inst in enumerate(small_oracle_family()):
         if inst.unit_capacities():
-            got = exact_mcm(inst).value
+            got = suite.exact_mcm(inst).value
             want = brute_force_mcm(inst)
             if got != want:
                 failures.append(f"instance {idx}: exact_mcm {got} != brute {want}")
-            got_w = exact_mwm(inst).value
+            got_w = suite.exact_mwm(inst).value
             want_w = brute_force_mwm(inst)
             if got_w != want_w:
                 failures.append(f"instance {idx}: exact_mwm {got_w} != brute {want_w}")
-            got_b = exact_mcbm(inst).value
+            got_b = suite.exact_mcbm(inst).value
             if got_b != got:
                 failures.append(f"instance {idx}: unit-capacity exact_mcbm "
                                 f"{got_b} != exact_mcm {got}")
         else:
-            got_b = exact_mcbm(inst).value
+            got_b = suite.exact_mcbm(inst).value
             want_b = brute_force_mcbm(inst)
             if got_b != want_b:
                 failures.append(f"instance {idx}: exact_mcbm {got_b} != brute {want_b}")
@@ -495,28 +460,27 @@ def criterion_9_oracle_consistency():
 
 @_criterion(10, "report-determinism")
 def criterion_10_determinism():
-    # every (algo, mode, kernel) RUNS lists, then gp under each schedule
-    runs = [(algo, mode, kernel, None)
-            for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
-    runs += [("mwm", "gp", "det", schedule) for schedule in GP_SCHEDULES]
+    # every supported run, which must also have a row in the bound table
     instances = {"mcm": mcm_family()[10], "mwm": mwm_family()[150],
                  "mcbm": mcbm_family()[3]}
     failures = []
-    for algo, mode, kernel, schedule in runs:
+    for run in suite.CONFIGS:
+        algo, mode, kernel, schedule = run
+        if run not in BOUNDS:
+            failures.append(f"{_name(run)}: no row in the bound table")
         blobs = set()
         for _ in range(2):
-            report, code = run_single(
+            report, code = suite.run_single(
                 instances[algo], algo=algo, eps=Epsilon(4), mode=mode,
                 kernel=kernel, seed=0, verify=True, audit=False,
                 gp_schedule=schedule)
             report.pop("wall_time_s")
             blobs.add(json.dumps(report, sort_keys=True))
-        where = f"({algo}, {mode}, {kernel}, {schedule})"
         if code:
-            failures.append(f"{where}: {report['verify']['property']} fails")
+            failures.append(f"{_name(run)}: {report['verify']['property']} fails")
         if len(blobs) > 1:
-            failures.append(f"{where}: reports differ")
-    return failures, f"{len(runs)} run configurations repeated", {}
+            failures.append(f"{_name(run)}: reports differ")
+    return failures, f"{len(suite.CONFIGS)} run configurations repeated", {}
 
 
 ALL_CRITERIA = (

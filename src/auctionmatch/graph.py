@@ -451,6 +451,8 @@ def generate_random(n_l: int, n_r: int, density: float,
     (capacities clamped to the opposite side's size). A zero-edge draw is
     retried once from the continuing generator state before raising.
     """
+    if n_l < 1 or n_r < 1:
+        raise ValueError("n_l and n_r must be at least 1")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     if w_range[0] < 1 or w_range[0] > w_range[1]:

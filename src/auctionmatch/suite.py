@@ -1,10 +1,12 @@
-"""Single-run reports: one engine configuration on one instance.
+"""Single runs: one engine configuration on one instance.
 
-``run_single`` backs the CLI ``run`` subcommand and criterion 10; both
-accept the configurations ``RUNS`` lists and no other. It imports an
-engine, and the exact oracle under ``verify``, on first use, so that a
-run loads only the modules its algo and mode need. ``verdict`` is the
-one check a verified run and the acceptance criteria hold a run to.
+``RUNS`` lists the supported configurations and ``CONFIGS`` enumerates
+them. ``solve`` is the only code that knows how each (algo, mode) calls
+its engine: ``run_single``, which backs the CLI ``run`` subcommand, and
+the acceptance criteria run every engine through it. It looks engines up
+on this module, which imports each on first use, so that a run loads only
+the modules its algo and mode need. ``verdict`` is the one check a
+verified run and the acceptance criteria hold a run to.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ RUNS = {
     ("mcbm", "memory"): ("run_mcbm", ("det", "stream")),
     ("mcbm", "stream"): ("stream_mcbm", ("det",)),
 }
+# The same runs, one (algo, mode, kernel, gp_schedule) each: every kernel of
+# every (algo, mode), then gp under each schedule.
+CONFIGS = tuple(
+    [(algo, mode, kernel, None)
+     for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
+    + [("mwm", "gp", "det", schedule) for schedule in GP_SCHEDULES])
 
 
 def check_run(algo: str, mode: str, kernel: str,
@@ -134,6 +142,25 @@ def verdict(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
     return _bound_holds(algo, mode, kernel, eps, value, opt)
 
 
+def solve(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
+          eps: Epsilon, seed: int = 0, audit: bool = False,
+          gp_schedule: str | None = None):
+    """(result, trace) of the engine ``RUNS`` lists for (algo, mode) on
+    ``inst``, scaled first for mwm in memory mode, streamed in stream mode.
+    The engine is looked up on this module, where the first lookup imports
+    it and where a caller may have replaced it."""
+    this = sys.modules[__name__]
+    engine = getattr(this, RUNS[algo, mode][0])
+    if mode == "memory":
+        graph = scale_and_prune(inst, eps) if algo == "mwm" else inst
+        return engine(graph, eps, kernel=kernel, seed=seed, audit=audit)
+    if mode == "stream":
+        return engine(this.EdgeStream.from_instance(inst), eps, audit=audit)
+    schedule = "memory" if gp_schedule is None else f"stream-{gp_schedule}"
+    return engine(inst, eps, engine=schedule, kernel=kernel, seed=seed,
+                  audit=audit)
+
+
 def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
                kernel: str, seed: int, verify: bool, audit: bool,
                gp_schedule: str | None = None) -> tuple[dict, int]:
@@ -146,15 +173,13 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     oracles' size limit raises ``ValueError`` before the engine runs.
     """
     name = check_run(algo, mode, kernel, gp_schedule)
-    # Engines and oracles are looked up on the module, where the first
-    # lookup imports them and where a caller may have replaced them, and
+    # The engine and the oracle are first looked up, and so imported,
     # before the clock starts, so that wall_time_s times only their runs.
     this = sys.modules[__name__]
-    oracle = None
     if verify:
         this.check_oracle_size(inst)
         oracle = getattr(this, f"exact_{algo}")
-    solve = getattr(this, name)
+    getattr(this, name)
     # A failed audit leaves every result field None.
     report = {
         "algo": algo,
@@ -178,17 +203,13 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     }
     t0 = time.perf_counter()
     ok = True
+    if verify:
+        # Before the engine, so that the two never hold memory at once: a gp
+        # run's trace keeps every level of every copy.
+        opt = oracle(inst).value
 
     try:
-        if mode == "memory":
-            graph = scale_and_prune(inst, eps) if algo == "mwm" else inst
-            res, tr = solve(graph, eps, kernel=kernel, seed=seed, audit=audit)
-        elif mode == "stream":
-            res, tr = solve(this.EdgeStream.from_instance(inst), eps, audit=audit)
-        else:
-            engine = "memory" if gp_schedule is None else f"stream-{gp_schedule}"
-            res, tr = solve(inst, eps, engine=engine, kernel=kernel, seed=seed,
-                            audit=audit)
+        res, tr = solve(inst, algo, mode, kernel, eps, seed, audit, gp_schedule)
     except InvariantViolation as exc:
         report["audit"] = {"violated": exc.prop, "detail": str(exc)}
         report["wall_time_s"] = round(time.perf_counter() - t0, 6)
@@ -197,7 +218,7 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     if audit:
         report["audit"] = "ok"
     if verify:
-        report["oracle_value"] = opt = oracle(inst).value
+        report["oracle_value"] = opt
         ok, prop = verdict(inst, algo, mode, kernel, eps, res.pairs,
                            res.value, opt)
         report["ratio"] = res.value / opt if opt else None

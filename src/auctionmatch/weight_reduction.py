@@ -185,8 +185,7 @@ def run_reduced_mwm(
     kernel: str = "det",
     seed: int = 0,
     audit: bool = False,
-    collect_detail: bool = False,
-):
+) -> tuple[MatchingResult, RunTrace]:
     """Solve weighted matching through the bucket-copy reduction.
 
     engine "memory" runs the in-memory auction per level with the given
@@ -199,7 +198,7 @@ def run_reduced_mwm(
     has no blackboard, even under kernel "rand": each level prices over
     its own width, k times its w_max, so the level blackboards in the
     detail's ``level_traces`` do not add up to one.  Returns (result,
-    trace) or (result, trace, detail) when collect_detail is set.
+    trace); the trace's ``notes["detail"]`` holds the ``ReductionDetail``.
     """
     if engine not in ("memory", "stream-sequential", "stream-concurrent"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -239,8 +238,9 @@ def run_reduced_mwm(
         value=best.weight, round_captured=0)
     trace = _aggregate_trace(engine, len(copies), level_traces)
     trace.notes["best_copy"] = best.copy_index
-    detail = ReductionDetail(copies, tuple(outcomes), level_results, level_traces)
-    return (result, trace, detail) if collect_detail else (result, trace)
+    trace.notes["detail"] = ReductionDetail(copies, tuple(outcomes),
+                                            level_results, level_traces)
+    return result, trace
 
 
 def _aggregate_trace(engine: str, n_copies: int,

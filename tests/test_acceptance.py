@@ -65,8 +65,8 @@ def test_criterion_10_determinism():
 
 def test_broken_bound_names_its_property(monkeypatch):
     # twice the optimum plus two breaks (1 - 2 eps) at eps = 1/4 and 1/8
-    exact = criteria.exact_mcm
-    monkeypatch.setattr(criteria, "exact_mcm",
+    exact = suite.exact_mcm
+    monkeypatch.setattr(suite, "exact_mcm",
                         lambda inst: SimpleNamespace(value=2 * exact(inst).value + 2))
     outcome = criteria.criterion_1_mcm_approx()
     assert not outcome.passed
@@ -77,13 +77,13 @@ def test_broken_bound_names_its_property(monkeypatch):
 def test_criterion_1_flags_a_value_its_pairs_do_not_have(monkeypatch):
     # one more than the pairs' cardinality meets the bound, so only the
     # value check can catch it
-    real = criteria.run_mcm
+    real = suite.run_mcm
 
     def inflated(inst, eps, **kwargs):
         res, tr = real(inst, eps, **kwargs)
         return res._replace(value=res.value + 1), tr
 
-    monkeypatch.setattr(criteria, "run_mcm", inflated)
+    monkeypatch.setattr(suite, "run_mcm", inflated)
     outcome = criteria.criterion_1_mcm_approx()
     assert not outcome.passed
     assert outcome.failures
@@ -93,7 +93,7 @@ def test_criterion_1_flags_a_value_its_pairs_do_not_have(monkeypatch):
 def test_criterion_3_flags_an_invalid_rand_matching(monkeypatch):
     # a randomized run that repeats a pair keeps its value, so only the
     # validity check can catch it
-    real = criteria.run_mwm
+    real = suite.run_mwm
 
     def repeating(sg, eps, kernel="det", seed=0, **kwargs):
         res, tr = real(sg, eps, kernel=kernel, seed=seed, **kwargs)
@@ -101,7 +101,7 @@ def test_criterion_3_flags_an_invalid_rand_matching(monkeypatch):
             res = res._replace(pairs=res.pairs + res.pairs[:1])
         return res, tr
 
-    monkeypatch.setattr(criteria, "run_mwm", repeating)
+    monkeypatch.setattr(suite, "run_mwm", repeating)
     outcome = criteria.criterion_3_mwm_approx()
     assert not outcome.passed
     assert len(outcome.failures) == 20
@@ -113,14 +113,14 @@ def test_criterion_10_verifies_every_run_twice(monkeypatch):
     # the 13 runs of suite.RUNS and the gp schedules, each run twice; an
     # optimum of 10^6 fails the three mcbm runs' verdicts
     seen = []
-    real = criteria.run_single
+    real = suite.run_single
 
     def recording(inst, **kwargs):
         seen.append(tuple(kwargs[key] for key in
                           ("algo", "mode", "kernel", "gp_schedule")))
         return real(inst, **kwargs)
 
-    monkeypatch.setattr(criteria, "run_single", recording)
+    monkeypatch.setattr(suite, "run_single", recording)
     monkeypatch.setattr(suite, "exact_mcbm",
                         lambda inst: SimpleNamespace(value=10 ** 6))
     outcome = criteria.criterion_10_determinism()
@@ -135,15 +135,64 @@ def test_criterion_10_verifies_every_run_twice(monkeypatch):
 def test_criterion_7_compares_whole_results(monkeypatch):
     # a streamed run with the in-memory value but its pairs in another
     # order; a check of values alone passes it
-    real = criteria.stream_mwm
+    real = suite.stream_mwm
 
     def reordered(stream, eps, audit=False):
         res, tr = real(stream, eps, audit=audit)
         return res._replace(pairs=res.pairs[::-1]), tr
 
-    monkeypatch.setattr(criteria, "stream_mwm", reordered)
+    monkeypatch.setattr(suite, "stream_mwm", reordered)
     outcome = criteria.criterion_7_stream_equivalence()
     assert not outcome.passed
     assert all(f.startswith("mwm instance ")
                and f.endswith(": streamed pairs differ from in-memory")
+               for f in outcome.failures)
+
+
+def test_a_run_without_a_bound_row_fails_the_suite(monkeypatch):
+    # as if mwm in stream mode took the rand kernel too: stream_mwm takes no
+    # kernel, so the run meets its bound and only its missing row fails
+    extra = ("mwm", "stream", "rand", None)
+    monkeypatch.setitem(suite.RUNS, ("mwm", "stream"), ("stream_mwm", ("det", "rand")))
+    monkeypatch.setattr(suite, "CONFIGS", suite.CONFIGS + (extra,))
+    outcomes = criteria.run_criteria([10])
+    assert not criteria.aggregate_report(outcomes)["all_passed"]
+    assert outcomes[0].failures == [
+        "(mwm, stream, rand, None): no row in the bound table"]
+
+
+def test_criterion_5_bounds_the_streamed_engine(monkeypatch):
+    # an empty matching is valid and has its value, so only the bound can
+    # catch it
+    real = suite.stream_mcbm
+
+    def emptied(stream, eps, audit=False):
+        res, tr = real(stream, eps, audit=audit)
+        return res._replace(pairs=(), value=0), tr
+
+    monkeypatch.setattr(suite, "stream_mcbm", emptied)
+    outcome = criteria.criterion_5_mcbm()
+    assert not outcome.passed
+    assert len(outcome.failures) == 20
+    assert all(f.startswith("(mcbm, stream, det, None) instance ")
+               and f": {BOUND_NAMES['mcbm']} fails: value 0, " in f
+               for f in outcome.failures)
+
+
+def test_criterion_6_bounds_the_rand_kernel(monkeypatch):
+    # as above, for the reduction's runs under the rand kernel only
+    real = suite.run_reduced_mwm
+
+    def emptied(inst, eps, kernel="det", **kwargs):
+        res, tr = real(inst, eps, kernel=kernel, **kwargs)
+        if kernel == "rand":
+            res = res._replace(pairs=(), value=0)
+        return res, tr
+
+    monkeypatch.setattr(suite, "run_reduced_mwm", emptied)
+    outcome = criteria.criterion_6_weight_reduction()
+    assert not outcome.passed
+    assert len(outcome.failures) == 20
+    assert all(f.startswith("(mwm, gp, rand, None) instance ") and " seed " in f
+               and f": {BOUND_NAMES['mwm-gp']} fails: value 0, " in f
                for f in outcome.failures)

@@ -338,6 +338,11 @@ def test_gen_rejects_bad_capacity_range(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--density", "0"], "density must be in (0, 1]"),
     (["--wmin", "5", "--wmax", "3"], "weight range must satisfy 1 <= lo <= hi"),
+    (["--nl", "0"], "n_l and n_r must be at least 1"),
+    (["--nl", "-3"], "n_l and n_r must be at least 1"),
+    (["--nr", "0"], "n_l and n_r must be at least 1"),
+    (["--bl", "1:x"], "bad capacity range '1:x'"),
+    (["--br", "two"], "bad capacity range 'two'"),
 ])
 def test_gen_rejects_bad_parameters(capsys, argv, message):
     assert main(["gen", *argv]) == 2

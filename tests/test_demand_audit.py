@@ -22,7 +22,7 @@ from auctionmatch.criteria import mcbm_family, mcm_family, mwm_family
 from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, scale_and_prune
 from auctionmatch.streaming import EdgeStream
-from auctionmatch.suite import GP_SCHEDULES, RUNS, run_single
+from auctionmatch.suite import CONFIGS, run_single
 
 
 def _outcome(run, *args, **kwargs):
@@ -148,14 +148,6 @@ def test_capacitated_audits_catch_a_step_that_under_reports_losing_copies(
                          audit=True) == "empty-demand-characterization")
 
 
-# Every run the package accepts.
-_CONFIGS = (
-    [(algo, mode, kernel, None)
-     for (algo, mode), (_, kernels) in RUNS.items() for kernel in kernels]
-    + [("mwm", "gp", "det", schedule) for schedule in GP_SCHEDULES]
-)
-
-
 @st.composite
 def _instances(draw):
     """A weighted instance, and its edges at unit weight with capacities
@@ -187,7 +179,8 @@ def test_demand_check_never_fires_on_an_unmutated_run(instances, k, seed):
         # mcbm._round_audit, so these three modules see every call
         for module in (mcm, mwm, mcbm):
             m.setattr(module, "check_demand", counted)
-        for algo, mode, kernel, schedule in _CONFIGS:
+        # every run the package accepts
+        for algo, mode, kernel, schedule in CONFIGS:
             del calls[:]
             report, code = run_single(instances[algo == "mcbm"], algo, Epsilon(k),
                                       mode, kernel, seed, False, True, schedule)

@@ -1,8 +1,8 @@
-"""Every in-memory engine and kernel against the exact oracles.
+"""Every engine, kernel and gp schedule against the exact oracles.
 
-Small random instances, half of the runs audited; each engine must return
-a valid matching within its approximation bound, and the cardinality
-auction at eps = 1/(n_l + 1) must be exact.
+Small random instances, half of the runs audited; each run must return a
+valid matching within its approximation bound and round budget, and the
+cardinality auction at eps = 1/(n_l + 1) must be exact.
 """
 
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from auctionmatch.mcbm import run_mcbm
 from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
 from auctionmatch.oracles import exact_mcbm, exact_mcm, exact_mwm
+from auctionmatch.streaming import EdgeStream, stream_mcbm, stream_mwm
 from auctionmatch.suite import check_matching
 from auctionmatch.weight_reduction import run_reduced_mwm
 
@@ -63,18 +64,28 @@ def test_engines_meet_their_bounds(case):
 
     mwm_opt = exact_mwm(unit).value
     sg = scale_and_prune(unit, eps)
-    for kernel, slack in (("det", 6), ("rand", 7), ("stream", 6)):
-        res, tr = run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit)
+    weighted = [(kernel, slack, run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit))
+                for kernel, slack in (("det", 6), ("rand", 7), ("stream", 6))]
+    weighted.append(("stream mode", 6,
+                     stream_mwm(EdgeStream.from_instance(unit), eps, audit=audit)))
+    for name, slack, (res, tr) in weighted:
         assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
         assert tr.rounds_executed <= tr.round_budget
-        assert k * res.value >= (k - slack) * mwm_opt, kernel
-    res, _ = run_reduced_mwm(unit, eps, seed=seed, audit=audit)
-    assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
-    assert (k + 16) * res.value >= k * mwm_opt
+        assert k * res.value >= (k - slack) * mwm_opt, name
+    for engine, kernel in (("memory", "det"), ("memory", "rand"),
+                           ("stream-sequential", "det"), ("stream-concurrent", "det")):
+        res, tr = run_reduced_mwm(unit, eps, engine=engine, kernel=kernel, seed=seed,
+                                  audit=audit)
+        assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
+        assert tr.rounds_executed <= tr.round_budget
+        assert (k + 16) * res.value >= k * mwm_opt, (engine, kernel)
 
     mcbm_opt = exact_mcbm(capped).value
-    for kernel in ("det", "stream"):
-        res, tr = run_mcbm(capped, eps, kernel=kernel, audit=audit)
+    capacitated = [(kernel, run_mcbm(capped, eps, kernel=kernel, audit=audit))
+                   for kernel in ("det", "stream")]
+    capacitated.append(
+        ("stream mode", stream_mcbm(EdgeStream.from_instance(capped), eps, audit=audit)))
+    for name, (res, tr) in capacitated:
         assert check_matching(res.pairs, capped.b_l, capped.b_r, capped.edges)
         assert tr.rounds_executed <= tr.round_budget
-        assert k * res.value >= (k - 2) * mcbm_opt, kernel
+        assert k * res.value >= (k - 2) * mcbm_opt, name

@@ -131,7 +131,8 @@ def test_mutable_state_shares_no_default():
 
 def test_reduction_detail_is_an_immutable_record_built_once():
     inst = BipartiteInstance.build(2, 2, EDGES)
-    _, _, detail = run_reduced_mwm(inst, Epsilon(2), collect_detail=True)
+    _, tr = run_reduced_mwm(inst, Epsilon(2))
+    detail = tr.notes["detail"]
     assert ReductionDetail._fields == (
         "partition", "outcomes", "level_results", "level_traces")
     assert ReductionDetail._field_defaults == {}

@@ -604,13 +604,14 @@ def test_sorted_phase_matches_the_subgraph_path(kernel, monkeypatch):
                 assert got == want
                 assert (got[1].blackboard is not None) == (kernel == "rand")
         eps = Epsilon(3)
-        got = run_reduced_mwm(inst, eps, "memory", kernel, seed, collect_detail=True)
+        got = run_reduced_mwm(inst, eps, "memory", kernel, seed)
         with monkeypatch.context() as m:
             m.setattr(mwm, "_phase", _reference_phase)
-            want = run_reduced_mwm(inst, eps, "memory", kernel, seed, collect_detail=True)
-        assert got[:2] == want[:2]
-        assert got[2].level_results == want[2].level_results
-        assert got[2].level_traces == want[2].level_traces
+            want = run_reduced_mwm(inst, eps, "memory", kernel, seed)
+        assert got == want
+        got_detail, want_detail = got[1].notes["detail"], want[1].notes["detail"]
+        assert got_detail.level_results == want_detail.level_results
+        assert got_detail.level_traces == want_detail.level_traces
     assert max(bucket_counts) >= 3
 
 

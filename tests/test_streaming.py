@@ -287,8 +287,8 @@ def test_stream_mwm_peak_words_stay_within_their_bound():
                 runs += 1
                 at_bound += tr.peak_words == bound
             for engine in ("stream-sequential", "stream-concurrent"):
-                _, _, detail = run_reduced_mwm(edges, Epsilon(4), engine=engine,
-                                               collect_detail=True)
+                _, gp_tr = run_reduced_mwm(edges, Epsilon(4), engine=engine)
+                detail = gp_tr.notes["detail"]
                 for level, tr in detail.level_traces.items():
                     assert tr.peak_words <= bound, (idx, engine, level)
                     runs += 1

@@ -65,8 +65,8 @@ def test_combine_prefers_heavier_levels():
 def test_displacement_stays_within_level_gap():
     inst = generate_random(10, 10, 0.4, w_range=(1, 10 ** 6), seed=5)
     k = 4
-    _, _, detail = run_reduced_mwm(
-        inst, Epsilon(k), collect_detail=True)
+    _, tr = run_reduced_mwm(inst, Epsilon(k))
+    detail = tr.notes["detail"]
     for outcome in detail.outcomes:
         for rec in outcome.records:
             w = rec.edge[2]
@@ -103,10 +103,9 @@ def test_reduction_bound_memory_engine(seed):
 def test_streaming_engines_match_memory_stream_kernel(engine, seed):
     inst = generate_random(8, 8, 0.5, w_range=(1, 10 ** 5), seed=seed)
     k = 4
-    mem_res, _, mem = run_reduced_mwm(inst, Epsilon(k), kernel="stream",
-                                      collect_detail=True)
-    str_res, tr, got = run_reduced_mwm(inst, Epsilon(k), engine=engine,
-                                       collect_detail=True)
+    mem_res, mem_tr = run_reduced_mwm(inst, Epsilon(k), kernel="stream")
+    str_res, tr = run_reduced_mwm(inst, Epsilon(k), engine=engine)
+    mem, got = mem_tr.notes["detail"], tr.notes["detail"]
     assert str_res.value == mem_res.value
     assert str_res.pairs == mem_res.pairs
     # level by level, a streamed level is the stream kernel's level
@@ -179,8 +178,8 @@ def test_level_matchings_are_the_matched_level_edges(engine, kernel):
     for seed in range(5):
         inst = generate_random(16, 14, 0.4, w_range=(1, 10 ** 6), seed=seed)
         eps = Epsilon(4)
-        _, _, detail = run_reduced_mwm(inst, eps, engine=engine, kernel=kernel,
-                                       seed=seed, collect_detail=True)
+        _, tr = run_reduced_mwm(inst, eps, engine=engine, kernel=kernel, seed=seed)
+        detail = tr.notes["detail"]
         for cp, outcome in zip(detail.partition, detail.outcomes):
             # each level's matched pairs, weighed through an edge table
             expected = {}
@@ -202,9 +201,8 @@ def test_streamed_schedules_fold_the_level_traces(k):
     for inst in instances:
         eps = Epsilon(k)
         for engine in ("stream-sequential", "stream-concurrent"):
-            _, tr, detail = run_reduced_mwm(inst, eps, engine=engine,
-                                            collect_detail=True)
-            traces = detail.level_traces
+            _, tr = run_reduced_mwm(inst, eps, engine=engine)
+            traces = tr.notes["detail"].level_traces
             if engine == "stream-sequential":
                 groups = [[tr_l for (c, _), tr_l in traces.items() if c == copy]
                           for copy in sorted({c for c, _ in traces})]
@@ -225,8 +223,8 @@ def test_rand_reduction_reports_no_blackboard():
     report, code = run_single(inst, algo="mwm", eps=eps, mode="gp", kernel="rand",
                               seed=3, verify=False, audit=False)
     assert code == 0 and report["blackboard"] is None
-    _, tr, detail = run_reduced_mwm(inst, eps, kernel="rand", seed=3,
-                                    collect_detail=True)
+    _, tr = run_reduced_mwm(inst, eps, kernel="rand", seed=3)
+    detail = tr.notes["detail"]
     assert tr.blackboard is None
     assert detail.level_traces
     assert all(t.blackboard is not None for t in detail.level_traces.values())
