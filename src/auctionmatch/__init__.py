@@ -19,7 +19,8 @@ _EXPORTS = {
     "mcbm": ("expand_copies", "find_demand_set", "mcbm_round_budget", "run_mcbm"),
     "mcm": ("demand_set_mcm", "mcm_round_budget", "run_mcm"),
     "mwm": ("demand_set_mwm", "run_mwm"),
-    "oracles": ("ORACLE_SIZE_LIMIT", "exact_mcbm", "exact_mcm", "exact_mwm"),
+    "oracles": ("ORACLE_SIZE_LIMIT", "check_oracle_size", "exact_mcbm",
+                "exact_mcm", "exact_mwm"),
     "results": ("BlackboardTrace", "MatchingResult", "RunTrace"),
     "streaming": ("STREAM_MCBM_SPACE_FACTOR", "EdgeStream", "SpaceAccountant",
                   "stream_mcbm", "stream_mwm"),

@@ -13,10 +13,7 @@ import sys
 
 from .errors import AuctionMatchError
 from .graph import Epsilon, dumps_instance, generate_random, load_instance
-from .suite import GP_SCHEDULES, check_run, run_single
-
-MODES = ("memory", "stream", "gp")
-KERNELS = ("det", "rand", "stream")
+from .suite import GP_SCHEDULES, RUNS, check_input, check_run, run_single
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,14 +22,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Auction-based bipartite matching engines with "
                     "streaming and communication accounting.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each choice list in the order of its first run in RUNS.
+    algos, modes = (tuple(dict.fromkeys(key[n] for key in RUNS)) for n in (0, 1))
+    kernels = tuple(dict.fromkeys(k for _, ks in RUNS.values() for k in ks))
 
     run_p = sub.add_parser("run", help="run one engine on an instance file")
     run_p.add_argument("instance", help="instance file path")
-    run_p.add_argument("--algo", required=True, choices=("mcm", "mwm", "mcbm"))
+    run_p.add_argument("--algo", required=True, choices=algos)
     run_p.add_argument("--eps", required=True,
                        help="approximation parameter, written 1/k")
-    run_p.add_argument("--mode", default="memory", choices=MODES)
-    run_p.add_argument("--kernel", default="det", choices=KERNELS,
+    run_p.add_argument("--mode", default="memory", choices=modes)
+    run_p.add_argument("--kernel", default="det", choices=kernels,
                        help="round kernel; stream, for mwm and mcbm in memory "
                             "mode, is the kernel the streamed engines reproduce")
     run_p.add_argument("--seed", type=int, default=0)
@@ -107,12 +107,7 @@ def _cmd_run(args) -> int:
         check_run(args.algo, args.mode, args.kernel, args.gp_schedule)
         _check_writable(args.report)
         inst = load_instance(args.instance)
-        if args.algo == "mwm" and not inst.edges:
-            raise ValueError("the weighted engines need at least one edge")
-        if args.verify:
-            from .oracles import check_oracle_size
-
-            check_oracle_size(inst)
+        check_input(inst, args.algo, args.verify)
     except (ValueError, OSError, AuctionMatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,6 +135,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .criteria import ALL_CRITERIA, aggregate_report, run_criteria
+
     numbers = None
     if args.criteria is not None:
         try:
@@ -149,15 +146,14 @@ def _cmd_suite(args) -> int:
         if not numbers:
             print(f"error: bad criteria list {args.criteria!r}", file=sys.stderr)
             return 2
-        if any(n < 1 or n > 10 for n in numbers):
-            print("error: criteria numbers run 1..10", file=sys.stderr)
+        if any(n < 1 or n > len(ALL_CRITERIA) for n in numbers):
+            print(f"error: criteria numbers run 1..{len(ALL_CRITERIA)}", file=sys.stderr)
             return 2
     try:
         _check_writable(args.report)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .criteria import aggregate_report, run_criteria
 
     outcomes = run_criteria(numbers)
     for oc in outcomes:

@@ -341,7 +341,8 @@ def criterion_5_mcbm():
             for prop, cnt in sorted(audit_hits.items())))
     detail += (f", {audit_note}, re-opened pairs on "
                f"{sum(reopened)}/{n_audited} det runs")
-    stats.update(audit_violations=audit_hits, reopened_runs=sum(reopened))
+    stats.update(audit_violations=audit_hits, reopened_runs=sum(reopened),
+                 audit_failures=sum(audit_hits.values()))
     return failures, detail, stats
 
 

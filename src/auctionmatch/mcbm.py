@@ -22,6 +22,7 @@ from .graph import BipartiteInstance, Epsilon
 from .kernels import KernelMatching
 from .kernels import nondup_maximal  # noqa: F401 -- bench/tracer.py wraps mcbm.nondup_maximal
 from .results import MatchingResult, RunTrace
+from .suite import check_run
 
 
 class CopyGraph(NamedTuple):
@@ -179,8 +180,7 @@ def run_mcbm(
     With ``audit`` every round runs ``_round_audit``;
     ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
     """
-    if kernel not in ("det", "stream"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+    check_run("mcbm", "memory", kernel)
     cg = expand_copies(inst)
     state = McbmState(cg=cg, k=eps.k)
     budget = mcbm_round_budget(eps)

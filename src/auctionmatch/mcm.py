@@ -20,6 +20,7 @@ from .graph import BipartiteInstance, Epsilon
 from .kernels import KernelMatching, randomized_proposal_mm
 from .kernels import greedy_maximal  # noqa: F401 -- bench/tracer.py wraps mcm.greedy_maximal
 from .results import MatchingResult, RunTrace
+from .suite import check_run
 
 __all__ = ["McmState", "demand_set_mcm", "run_mcm", "mcm_round_budget"]
 
@@ -165,8 +166,7 @@ def run_mcm(inst: BipartiteInstance, eps: Epsilon, kernel: str = "det",
     in a blackboard communication trace. A round with no reassignment ends
     the run early; the nominal budget is still reported in the trace.
     """
-    if kernel not in ("det", "rand"):
-        raise ValueError(f"unknown kernel {kernel!r} for the cardinality engine")
+    check_run("mcm", "memory", kernel)
     state = _new_state(inst, eps)
     budget = mcm_round_budget(eps)
     rng = random.Random(seed)

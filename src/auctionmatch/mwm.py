@@ -26,6 +26,7 @@ from .graph import Epsilon, ScaledGraph, ceil_log
 from .kernels import KernelMatching, bucket_sweep
 from .kernels import bucket_ordered_maximal  # noqa: F401 -- bench/tracer.py wraps mwm.bucket_ordered_maximal
 from .results import MatchingResult, RunTrace
+from .suite import check_run
 
 __all__ = [
     "DemandSpec",
@@ -217,8 +218,7 @@ def run_mwm(sg: ScaledGraph, eps: Epsilon, kernel: str = "det", seed: int = 0,
     units. ``optimum``, when given, additionally audits the price-sum bound
     ``sum(prices) <= (k + 1) * optimum``.
     """
-    if kernel not in ("det", "rand", "stream"):
-        raise ValueError(f"unknown kernel {kernel!r} for the weighted engine")
+    check_run("mwm", "memory", kernel)
     if not sg.edges:
         raise ValueError("scaled graph has no surviving edges")
     inst = sg.instance

@@ -4,41 +4,27 @@
 them. ``solve`` is the only code that knows how each (algo, mode) calls
 its engine: ``run_single``, which backs the CLI ``run`` subcommand, and
 the acceptance criteria run every engine through it. It looks engines up
-on this module, which imports each on first use, so that a run loads only
-the modules its algo and mode need. ``verdict`` is the one check a
-verified run and the acceptance criteria hold a run to.
+on this module, which imports each through the package on first use, so
+that a run loads only the modules its algo and mode need. ``check_run``
+and ``check_input`` refuse what no run takes, and ``verdict`` is the one
+check a verified run and the acceptance criteria hold a run to.
 """
 
 from __future__ import annotations
 
-import importlib
 import sys
 import time
 
+from . import __getattr__ as _exported
 from .errors import InvariantViolation
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
 
-# Lazily imported name -> the module that defines it.
-_LAZY = {
-    "run_mcm": "mcm",
-    "run_mwm": "mwm",
-    "run_mcbm": "mcbm",
-    "run_reduced_mwm": "weight_reduction",
-    "EdgeStream": "streaming",
-    "stream_mwm": "streaming",
-    "stream_mcbm": "streaming",
-    "exact_mcm": "oracles",
-    "exact_mwm": "oracles",
-    "exact_mcbm": "oracles",
-    "check_oracle_size": "oracles",
-}
-
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    try:
+        value = _exported(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     globals()[name] = value
     return value
 
@@ -83,6 +69,17 @@ def check_run(algo: str, mode: str, kernel: str,
         raise ValueError(f"{algo} in {where} takes the {' or '.join(kernels)} "
                          f"kernel, not {kernel}")
     return name
+
+
+def check_input(inst: BipartiteInstance, algo: str, verify: bool) -> None:
+    """``ValueError`` with a one-line reason when no run of ``algo`` takes
+    ``inst``: a weighted run needs an edge, and under ``verify`` the
+    instance must be within the oracles' size limit. The edges come first,
+    so that an edgeless instance is refused without importing the oracles."""
+    if algo == "mwm" and not inst.edges:
+        raise ValueError("the weighted engines need at least one edge")
+    if verify:
+        sys.modules[__name__].check_oracle_size(inst)
 
 
 BOUND_NAMES = {
@@ -156,8 +153,7 @@ def solve(inst: BipartiteInstance, algo: str, mode: str, kernel: str,
         return engine(graph, eps, kernel=kernel, seed=seed, audit=audit)
     if mode == "stream":
         return engine(this.EdgeStream.from_instance(inst), eps, audit=audit)
-    schedule = "memory" if gp_schedule is None else f"stream-{gp_schedule}"
-    return engine(inst, eps, engine=schedule, kernel=kernel, seed=seed,
+    return engine(inst, eps, schedule=gp_schedule, kernel=kernel, seed=seed,
                   audit=audit)
 
 
@@ -169,15 +165,15 @@ def run_single(inst: BipartiteInstance, algo: str, eps: Epsilon, mode: str,
     Returns (report, exit_code); exit code 1 signals a failed audit or,
     under ``verify``, a failed ``verdict``, per the CLI contract. A
     configuration outside ``RUNS`` raises ``ValueError`` before any
-    engine is imported, and under ``verify`` an instance beyond the
-    oracles' size limit raises ``ValueError`` before the engine runs.
+    engine is imported, and an instance ``check_input`` refuses raises
+    ``ValueError`` before the oracle or the engine runs.
     """
     name = check_run(algo, mode, kernel, gp_schedule)
+    check_input(inst, algo, verify)
     # The engine and the oracle are first looked up, and so imported,
     # before the clock starts, so that wall_time_s times only their runs.
     this = sys.modules[__name__]
     if verify:
-        this.check_oracle_size(inst)
         oracle = getattr(this, f"exact_{algo}")
     getattr(this, name)
     # A failed audit leaves every result field None.

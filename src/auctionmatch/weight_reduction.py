@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .graph import BipartiteInstance, Epsilon, scale_and_prune
 from .mwm import run_mwm
 from .results import MatchingResult, RunTrace
+from .suite import check_run
 
 Edge = tuple[int, int, int]
 
@@ -181,29 +182,27 @@ class ReductionDetail(NamedTuple):
 def run_reduced_mwm(
     inst: BipartiteInstance,
     eps: Epsilon,
-    engine: str = "memory",
+    schedule: str | None = None,
     kernel: str = "det",
     seed: int = 0,
     audit: bool = False,
 ) -> tuple[MatchingResult, RunTrace]:
     """Solve weighted matching through the bucket-copy reduction.
 
-    engine "memory" runs the in-memory auction per level with the given
-    kernel.  engine "stream-sequential" streams the copies one after
+    With no ``schedule`` each level runs the in-memory auction with the
+    given kernel.  Schedule "sequential" streams the copies one after
     another (each pass is shared by all levels of the current copy);
-    engine "stream-concurrent" streams all copies at once.  Both run
+    schedule "concurrent" streams all copies at once.  Both run
     ``stream_mwm`` per level, so they take kernel "det" only, ignore
-    ``seed`` and find engine "memory"'s per-level results under kernel
-    "stream"; they differ only in pass and space accounting.  The trace
+    ``seed`` and find ``run_mwm``'s per-level results under kernel
+    "stream"; they differ only in pass and space accounting.  A run that
+    ``suite.check_run`` refuses raises its ``ValueError``.  The trace
     has no blackboard, even under kernel "rand": each level prices over
     its own width, k times its w_max, so the level blackboards in the
     detail's ``level_traces`` do not add up to one.  Returns (result,
     trace); the trace's ``notes["detail"]`` holds the ``ReductionDetail``.
     """
-    if engine not in ("memory", "stream-sequential", "stream-concurrent"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "memory" and kernel != "det":
-        raise ValueError(f"engine {engine} takes the det kernel, not {kernel}")
+    check_run("mwm", "gp", kernel, schedule)
     copies = build_partition(inst, eps)
     outcomes: list[CombineOutcome] = []
     level_results: dict[tuple[int, int], MatchingResult] = {}
@@ -216,7 +215,7 @@ def run_reduced_mwm(
             # A level's edges are some of inst's own, already checked, edges.
             level_inst = BipartiteInstance._checked_by_reader(
                 inst.n_l, inst.n_r, lg.edges, b_l, b_r)
-            if engine == "memory":
+            if schedule is None:
                 sg = scale_and_prune(level_inst, eps)
                 res, tr = run_mwm(sg, eps, kernel=kernel, seed=seed, audit=audit)
             else:
@@ -236,20 +235,20 @@ def run_reduced_mwm(
     result = MatchingResult(
         pairs=tuple(sorted((i, j) for (i, j, _), _ in best.taken)),
         value=best.weight, round_captured=0)
-    trace = _aggregate_trace(engine, len(copies), level_traces)
+    trace = _aggregate_trace(schedule, len(copies), level_traces)
     trace.notes["best_copy"] = best.copy_index
     trace.notes["detail"] = ReductionDetail(copies, tuple(outcomes),
                                             level_results, level_traces)
     return result, trace
 
 
-def _aggregate_trace(engine: str, n_copies: int,
+def _aggregate_trace(schedule: str | None, n_copies: int,
                      traces: dict[tuple[int, int], RunTrace]) -> RunTrace:
     """Fold the level traces, keyed by (copy, level), into one per schedule.
 
     A streamed schedule runs its levels in groups, one after another: one
-    group per copy under "stream-sequential", one of every level under
-    "stream-concurrent".  A group's levels share each pass, so it costs one
+    group per copy under "sequential", one of every level under
+    "concurrent".  A group's levels share each pass, so it costs one
     stats pass plus two passes per phase of its slowest level, and keeps
     all of their state live at once.
     """
@@ -257,12 +256,12 @@ def _aggregate_trace(engine: str, n_copies: int,
                      round_budget=sum(tr.round_budget for tr in traces.values()))
     trace.notes["n_copies"] = n_copies
     trace.notes["n_levels"] = len(traces)
-    if engine == "memory":
+    if schedule is None:
         return trace
 
     groups: dict[int, list[RunTrace]] = {}
     for (r, _), tr in traces.items():
-        groups.setdefault(r if engine == "stream-sequential" else 0, []).append(tr)
+        groups.setdefault(r if schedule == "sequential" else 0, []).append(tr)
     trace.passes = sum(1 + 2 * max((tr.passes - 1) // 2 for tr in group)
                        for group in groups.values())
     trace.peak_words = max(sum(tr.peak_words for tr in group)

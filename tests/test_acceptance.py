@@ -9,6 +9,7 @@ a run on purpose and check that its criterion reports it.
 from types import SimpleNamespace
 
 from auctionmatch import criteria, suite
+from auctionmatch.errors import InvariantViolation
 from auctionmatch.suite import BOUND_NAMES
 
 
@@ -177,6 +178,23 @@ def test_criterion_5_bounds_the_streamed_engine(monkeypatch):
     assert all(f.startswith("(mcbm, stream, det, None) instance ")
                and f": {BOUND_NAMES['mcbm']} fails: value 0, " in f
                for f in outcome.failures)
+
+
+def test_criterion_5_audit_violations_reach_the_aggregate(monkeypatch):
+    # every det run is repeated under the audit; each failed audit counts
+    real = suite.run_mcbm
+
+    def failing(inst, eps, audit=False, **kwargs):
+        if audit:
+            raise InvariantViolation("demo-prop", "raised on every audited run")
+        return real(inst, eps, audit=audit, **kwargs)
+
+    monkeypatch.setattr(suite, "run_mcbm", failing)
+    outcome = criteria.criterion_5_mcbm()
+    assert not outcome.passed
+    assert outcome.stats["audit_violations"] == {"demo-prop": 200}
+    assert outcome.stats["audit_failures"] == 200
+    assert criteria.aggregate_report([outcome])["audit_failures"] == 200
 
 
 def test_criterion_6_bounds_the_rand_kernel(monkeypatch):

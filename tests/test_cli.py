@@ -16,7 +16,9 @@ from auctionmatch.cli import main
 from auctionmatch.graph import (BipartiteInstance, Epsilon, load_instance,
                                 loads_instance, save_instance, scale_and_prune)
 from auctionmatch.mcbm import run_mcbm
+from auctionmatch.mcm import run_mcm
 from auctionmatch.mwm import run_mwm
+from auctionmatch.weight_reduction import run_reduced_mwm
 
 
 @pytest.fixture
@@ -195,6 +197,38 @@ def test_run_single_refuses_verify_above_the_oracle_limit_before_the_engine(
     # without verify the same run goes ahead
     with pytest.raises(AssertionError, match="an engine ran"):
         suite.run_single(inst, "mcm", Epsilon(8), "memory", "det", 0, False, False)
+
+
+@pytest.mark.parametrize("mode, schedule", [
+    ("memory", None), ("stream", None), ("gp", None), ("gp", "sequential"),
+    ("gp", "concurrent")])
+def test_run_single_refuses_an_edgeless_weighted_run_before_the_oracle(
+        monkeypatch, mode, schedule):
+    # the CLI's refusal, raised before the oracle or the engine runs
+    inst = loads_instance("p bm 2 2 0\n")
+    for name in ("exact_mwm", "run_mwm", "stream_mwm", "run_reduced_mwm"):
+        monkeypatch.setattr(suite, name, _engine_ran)
+    with pytest.raises(ValueError,
+                       match="^the weighted engines need at least one edge$"):
+        suite.run_single(inst, "mwm", Epsilon(4), mode, "det", 0, True, False,
+                         schedule)
+
+
+def test_engines_refuse_a_kernel_with_the_reason_of_check_run():
+    inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
+    eps = Epsilon(2)
+    for engine, graph, kwargs, run in (
+            (run_mcm, inst, {"kernel": "stream"}, ("mcm", "memory", "stream")),
+            (run_mcbm, inst, {"kernel": "rand"}, ("mcbm", "memory", "rand")),
+            (run_mwm, scale_and_prune(inst, eps), {"kernel": "x"},
+             ("mwm", "memory", "x")),
+            (run_reduced_mwm, inst, {"schedule": "sequential", "kernel": "rand"},
+             ("mwm", "gp", "rand", "sequential"))):
+        with pytest.raises(ValueError) as want:
+            suite.check_run(*run)
+        with pytest.raises(ValueError) as got:
+            engine(graph, eps, **kwargs)
+        assert str(got.value) == str(want.value), run
 
 
 def test_failed_run_keeps_an_existing_report(capsys, tmp_path):

@@ -72,13 +72,13 @@ def test_engines_meet_their_bounds(case):
         assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
         assert tr.rounds_executed <= tr.round_budget
         assert k * res.value >= (k - slack) * mwm_opt, name
-    for engine, kernel in (("memory", "det"), ("memory", "rand"),
-                           ("stream-sequential", "det"), ("stream-concurrent", "det")):
-        res, tr = run_reduced_mwm(unit, eps, engine=engine, kernel=kernel, seed=seed,
-                                  audit=audit)
+    for schedule, kernel in ((None, "det"), (None, "rand"),
+                             ("sequential", "det"), ("concurrent", "det")):
+        res, tr = run_reduced_mwm(unit, eps, schedule=schedule, kernel=kernel,
+                                  seed=seed, audit=audit)
         assert check_matching(res.pairs, unit.b_l, unit.b_r, unit.edges)
         assert tr.rounds_executed <= tr.round_budget
-        assert (k + 16) * res.value >= k * mwm_opt, (engine, kernel)
+        assert (k + 16) * res.value >= k * mwm_opt, (schedule, kernel)
 
     mcbm_opt = exact_mcbm(capped).value
     capacitated = [(kernel, run_mcbm(capped, eps, kernel=kernel, audit=audit))

@@ -604,10 +604,10 @@ def test_sorted_phase_matches_the_subgraph_path(kernel, monkeypatch):
                 assert got == want
                 assert (got[1].blackboard is not None) == (kernel == "rand")
         eps = Epsilon(3)
-        got = run_reduced_mwm(inst, eps, "memory", kernel, seed)
+        got = run_reduced_mwm(inst, eps, None, kernel, seed)
         with monkeypatch.context() as m:
             m.setattr(mwm, "_phase", _reference_phase)
-            want = run_reduced_mwm(inst, eps, "memory", kernel, seed)
+            want = run_reduced_mwm(inst, eps, None, kernel, seed)
         assert got == want
         got_detail, want_detail = got[1].notes["detail"], want[1].notes["detail"]
         assert got_detail.level_results == want_detail.level_results

@@ -256,9 +256,9 @@ def test_stream_mwm_audit_changes_no_result_or_trace(k):
     for inst in mwm_family()[::25]:
         assert (stream_mwm(EdgeStream.from_instance(inst), eps, audit=True)
                 == stream_mwm(EdgeStream.from_instance(inst), eps))
-        for engine in ("stream-sequential", "stream-concurrent"):
-            assert (run_reduced_mwm(inst, eps, engine=engine, audit=True)
-                    == run_reduced_mwm(inst, eps, engine=engine))
+        for schedule in ("sequential", "concurrent"):
+            assert (run_reduced_mwm(inst, eps, schedule=schedule, audit=True)
+                    == run_reduced_mwm(inst, eps, schedule=schedule))
 
 
 def _stream_mwm_word_bound(n_l, n_r):
@@ -286,11 +286,11 @@ def test_stream_mwm_peak_words_stay_within_their_bound():
                 assert tr.peak_words <= bound, (idx, k)
                 runs += 1
                 at_bound += tr.peak_words == bound
-            for engine in ("stream-sequential", "stream-concurrent"):
-                _, gp_tr = run_reduced_mwm(edges, Epsilon(4), engine=engine)
+            for schedule in ("sequential", "concurrent"):
+                _, gp_tr = run_reduced_mwm(edges, Epsilon(4), schedule=schedule)
                 detail = gp_tr.notes["detail"]
                 for level, tr in detail.level_traces.items():
-                    assert tr.peak_words <= bound, (idx, engine, level)
+                    assert tr.peak_words <= bound, (idx, schedule, level)
                     runs += 1
                     at_bound += tr.peak_words == bound
     # the bound is tight: a word more per claim would break it

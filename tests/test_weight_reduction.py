@@ -2,15 +2,21 @@
 
 import pytest
 
+from auctionmatch import weight_reduction
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random
+from auctionmatch.mwm import run_mwm
 from auctionmatch.oracles import exact_mwm
-from auctionmatch.suite import check_matching, run_single
+from auctionmatch.suite import GP_SCHEDULES, check_matching, check_run, run_single
 from auctionmatch.weight_reduction import (
     build_partition,
     combine_levels,
     run_reduced_mwm,
     weight_bucket,
 )
+
+# Test ids name a streamed schedule by its run, "stream-<schedule>".
+STREAMED = pytest.mark.parametrize(
+    "schedule", GP_SCHEDULES, ids=[f"stream-{s}" for s in GP_SCHEDULES])
 
 
 def test_weight_bucket_rule():
@@ -98,13 +104,16 @@ def test_reduction_bound_memory_engine(seed):
         assert k * opt <= (k + 16) * res.value
 
 
-@pytest.mark.parametrize("engine", ["stream-sequential", "stream-concurrent"])
+@STREAMED
 @pytest.mark.parametrize("seed", range(3))
-def test_streaming_engines_match_memory_stream_kernel(engine, seed):
+def test_streaming_engines_match_memory_stream_kernel(schedule, seed, monkeypatch):
     inst = generate_random(8, 8, 0.5, w_range=(1, 10 ** 5), seed=seed)
     k = 4
-    mem_res, mem_tr = run_reduced_mwm(inst, Epsilon(k), kernel="stream")
-    str_res, tr = run_reduced_mwm(inst, Epsilon(k), engine=engine)
+    str_res, tr = run_reduced_mwm(inst, Epsilon(k), schedule=schedule)
+    # no gp run takes the stream kernel, so the in-memory levels get it here
+    monkeypatch.setattr(weight_reduction, "run_mwm", lambda sg, eps, kernel, **kw:
+                        run_mwm(sg, eps, kernel="stream", **kw))
+    mem_res, mem_tr = run_reduced_mwm(inst, Epsilon(k))
     mem, got = mem_tr.notes["detail"], tr.notes["detail"]
     assert str_res.value == mem_res.value
     assert str_res.pairs == mem_res.pairs
@@ -114,21 +123,21 @@ def test_streaming_engines_match_memory_stream_kernel(engine, seed):
     assert tr.peak_words > 0
 
 
-@pytest.mark.parametrize("engine", ["stream-sequential", "stream-concurrent"])
+@STREAMED
 @pytest.mark.parametrize("kernel", ["rand", "stream"])
-def test_streaming_engines_take_only_the_det_kernel(engine, kernel):
+def test_streaming_engines_take_only_the_det_kernel(schedule, kernel):
     # stream_mwm runs each streamed level with one kernel and no seed
     inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
-    with pytest.raises(ValueError,
-                       match=f"^engine {engine} takes the det kernel, not {kernel}$"):
-        run_reduced_mwm(inst, Epsilon(2), engine=engine, kernel=kernel, seed=3)
+    with pytest.raises(ValueError, match="^mwm in gp mode with --gp-schedule "
+                                         f"takes the det kernel, not {kernel}$"):
+        run_reduced_mwm(inst, Epsilon(2), schedule=schedule, kernel=kernel, seed=3)
 
 
 def test_sequential_uses_less_space_than_concurrent():
     inst = generate_random(12, 12, 0.4, w_range=(1, 10 ** 6), seed=9)
     k = 4
-    _, seq = run_reduced_mwm(inst, Epsilon(k), engine="stream-sequential")
-    _, con = run_reduced_mwm(inst, Epsilon(k), engine="stream-concurrent")
+    _, seq = run_reduced_mwm(inst, Epsilon(k), schedule="sequential")
+    _, con = run_reduced_mwm(inst, Epsilon(k), schedule="concurrent")
     assert seq.peak_words <= con.peak_words
     assert con.passes <= seq.passes
 
@@ -147,12 +156,19 @@ def test_equal_weights_collapse_to_single_bucket():
 
 def test_rejects_unknown_engine():
     inst = BipartiteInstance.build(1, 1, [(0, 0, 1)])
-    with pytest.raises(ValueError):
-        run_reduced_mwm(inst, Epsilon(2), engine="gpu")
+    # an unknown schedule, the old name of one, and a kernel no gp run takes
+    for schedule, kernel in (("gpu", "det"), ("stream-sequential", "det"),
+                             (None, "stream"), (None, "x")):
+        with pytest.raises(ValueError) as want:
+            check_run("mwm", "gp", kernel, schedule)
+        with pytest.raises(ValueError) as got:
+            run_reduced_mwm(inst, Epsilon(2), schedule=schedule, kernel=kernel)
+        assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("engine", ["memory", "stream-sequential"])
-def test_levels_reuse_the_checked_edges(engine, monkeypatch):
+@pytest.mark.parametrize("schedule", [None, "sequential"],
+                         ids=["memory", "stream-sequential"])
+def test_levels_reuse_the_checked_edges(schedule, monkeypatch):
     inst = generate_random(12, 10, 0.4, w_range=(1, 10 ** 6), seed=4)
     eps = Epsilon(4)
     checked = []
@@ -163,22 +179,24 @@ def test_levels_reuse_the_checked_edges(engine, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(BipartiteInstance, "__new__", counting_new)
-    res, tr = run_reduced_mwm(inst, eps, engine=engine)
+    res, tr = run_reduced_mwm(inst, eps, schedule=schedule)
     assert checked == []
     # levels built, and checked, the old way give the same run
     monkeypatch.setattr(BipartiteInstance, "_checked_by_reader", classmethod(
         lambda cls, n_l, n_r, edges, b_l, b_r: cls.build(n_l, n_r, edges, b_l, b_r)))
-    assert run_reduced_mwm(inst, eps, engine=engine) == (res, tr)
+    assert run_reduced_mwm(inst, eps, schedule=schedule) == (res, tr)
     assert len(checked) == tr.notes["n_levels"] > 1
 
 
-@pytest.mark.parametrize("engine, kernel", [
-    ("memory", "det"), ("memory", "rand"), ("stream-sequential", "det")])
-def test_level_matchings_are_the_matched_level_edges(engine, kernel):
+@pytest.mark.parametrize("schedule, kernel", [
+    pytest.param(None, "det", id="memory-det"),
+    pytest.param(None, "rand", id="memory-rand"),
+    pytest.param("sequential", "det", id="stream-sequential-det")])
+def test_level_matchings_are_the_matched_level_edges(schedule, kernel):
     for seed in range(5):
         inst = generate_random(16, 14, 0.4, w_range=(1, 10 ** 6), seed=seed)
         eps = Epsilon(4)
-        _, tr = run_reduced_mwm(inst, eps, engine=engine, kernel=kernel, seed=seed)
+        _, tr = run_reduced_mwm(inst, eps, schedule=schedule, kernel=kernel, seed=seed)
         detail = tr.notes["detail"]
         for cp, outcome in zip(detail.partition, detail.outcomes):
             # each level's matched pairs, weighed through an edge table
@@ -200,10 +218,10 @@ def test_streamed_schedules_fold_the_level_traces(k):
     instances.append(generate_random(6, 6, 0.5, w_range=(7, 7), seed=2))
     for inst in instances:
         eps = Epsilon(k)
-        for engine in ("stream-sequential", "stream-concurrent"):
-            _, tr = run_reduced_mwm(inst, eps, engine=engine)
+        for schedule in GP_SCHEDULES:
+            _, tr = run_reduced_mwm(inst, eps, schedule=schedule)
             traces = tr.notes["detail"].level_traces
-            if engine == "stream-sequential":
+            if schedule == "sequential":
                 groups = [[tr_l for (c, _), tr_l in traces.items() if c == copy]
                           for copy in sorted({c for c, _ in traces})]
             else:
