@@ -9,9 +9,12 @@ done on cross-multiplied integers; no floats are involved anywhere.
 from __future__ import annotations
 
 import io
+import json
 import random
+import re
 from array import array
 from bisect import bisect_right
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -249,11 +252,14 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon) -> ScaledGraph:
     if not inst.edges:
         raise ValueError("cannot scale an instance with no edges")
     k = eps.k
-    w_max = inst.w_max
+    w_max, w_min = inst.w_max, inst.w_min
     m = inst.m
-    t = prune_exponent(k, m, inst.w_min, w_max)
+    t = prune_exponent(k, m, w_min, w_max)
     power = k ** t
-    survivors = tuple(e for e in inst.edges if e[2] * power >= w_max)
+    if w_min * power >= w_max:  # every edge survives: share the instance's tuple
+        survivors = inst.edges
+    else:
+        survivors = tuple(e for e in inst.edges if e[2] * power >= w_max)
     return ScaledGraph(
         instance=inst,
         eps=eps,
@@ -281,6 +287,14 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon) -> ScaledGraph:
 # error rather than an allocation the machine cannot make.
 MAX_SIDE = 2 ** 22
 
+# Lines that ``_parse_lines`` takes from its input at a time; a group made
+# only of canonical edge lines is checked and converted in bulk.
+GROUP_LINES = 1024
+# Canonical edge lines, as ``save_instance`` writes them: "e i j w" with
+# single spaces, LF, and positive decimal integers without a leading zero.
+# The repeats are possessive: no backtracking can make a failed group match.
+_CANONICAL_EDGES = re.compile(r"(?:e [1-9][0-9]*+ [1-9][0-9]*+ [1-9][0-9]*+\n)++")
+
 
 def read_edges(lines, header):
     """Yield (line_no, i, j, w), with 0-based endpoints, per edge line.
@@ -291,11 +305,31 @@ def read_edges(lines, header):
     on ``header`` at the problem line and the capacity tuples ``b_l`` and
     ``b_r`` once every line is read. Duplicate edges are not detected.
     """
-    n_l = n_r = declared_m = None
-    b_l: list[int] = []
-    b_r: list[int] = []
-    count = 0
-    for line_no, raw in enumerate(lines, start=1):
+    _start(header)
+    for line_no, i, j, w in _check_lines(lines, header):
+        yield line_no, i - 1, j - 1, w
+    _finish(header)
+
+
+def _start(header) -> None:
+    """Set ``header`` to the state of a read that has seen no line."""
+    header.n_l = header.n_r = header.m = header.b_l = header.b_r = None
+    header.lines_read = header.edges_read = 0
+
+
+def _check_lines(lines, header):
+    """Yield (line_no, i, j, w), with 1-based endpoints, per edge line.
+
+    ``lines`` continue the ``header.lines_read`` lines read so far, and
+    ``header`` holds what those lines set. Each line gets every check a
+    single line allows; the counts of lines and edges read are added to
+    ``header`` once ``lines`` end.
+    """
+    n_l, n_r = header.n_l, header.n_r
+    b_l, b_r = header.b_l, header.b_r
+    count = header.edges_read
+    line_no = header.lines_read
+    for line_no, raw in enumerate(lines, start=line_no + 1):
         if not raw.isascii():
             raise InstanceFormatError("non-ASCII character", line_no)
         line = raw.strip()
@@ -317,7 +351,7 @@ def read_edges(lines, header):
             if w < 1:
                 raise InstanceFormatError(f"edge weight must be a positive integer in {line!r}", line_no)
             count += 1
-            yield line_no, i - 1, j - 1, w
+            yield line_no, i, j, w
         elif tag == "p":
             if n_l is not None:
                 raise InstanceFormatError("duplicate problem line", line_no)
@@ -334,6 +368,7 @@ def read_edges(lines, header):
                     f"problem line side above {MAX_SIDE} vertices", line_no)
             b_l, b_r = [1] * n_l, [1] * n_r
             header.n_l, header.n_r, header.m = n_l, n_r, declared_m
+            header.b_l, header.b_r = b_l, b_r
         elif tag == "b":
             if n_l is None:
                 raise InstanceFormatError("capacity before problem line", line_no)
@@ -351,47 +386,103 @@ def read_edges(lines, header):
             caps[v - 1] = cap
         else:
             raise InstanceFormatError(f"unknown record type {tag!r}", line_no)
+    header.lines_read, header.edges_read = line_no, count
 
-    if n_l is None:
+
+def _finish(header) -> None:
+    """Check, once every line is read, that a problem line was given and
+    that it declared the edge count read; then fix the capacities."""
+    if header.n_l is None:
         raise InstanceFormatError("missing problem line")
-    if declared_m != count:
+    if header.m != header.edges_read:
         raise InstanceFormatError(
-            f"problem line declares {declared_m} edges but {count} were given")
-    header.b_l, header.b_r = tuple(b_l), tuple(b_r)
+            f"problem line declares {header.m} edges but {header.edges_read} were given")
+    header.b_l, header.b_r = tuple(header.b_l), tuple(header.b_r)
+
+
+def _canonical_numbers(group, header) -> list[int] | None:
+    """The numbers i1, j1, w1, i2, ... of ``group``'s edge lines, when a
+    problem line came before the group and every line in it is a
+    canonical edge line whose endpoints are in range; otherwise None.
+
+    Each line of ``group`` ends at its one newline, or at the end of the
+    input, as a file's lines do. The group is checked by one regex match
+    and converted by one ``json.loads``. A line the match accepts passes
+    every check of ``_check_lines``, which would read the same numbers
+    from it.
+    """
+    if header.n_l is None:
+        return None
+    text = "".join(group)
+    if _CANONICAL_EDGES.fullmatch(text) is None:
+        return None
+    try:
+        numbers = json.loads("[" + text[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+    except ValueError:  # a number above int()'s digit limit
+        return None
+    if max(numbers[0::3]) > header.n_l or max(numbers[1::3]) > header.n_r:
+        return None
+    return numbers
 
 
 def _parse_lines(lines) -> BipartiteInstance:
-    """Read an instance. ``read_edges`` checks sizes, endpoints, weights
-    and capacities line by line; duplicate edges are found per bidder once
-    the read ends, at one transient pointer per edge.
+    """Read an instance. ``read_edges``' checks are made line by line;
+    duplicate edges are found per bidder once the read ends, at one
+    transient pointer per edge.
 
-    A duplicate is reported at its line, and before any error that
-    ``read_edges`` raises later, as a check made line by line would. The
-    input may be a pipe, so the line of each edge comes from the runs of
-    consecutive edge lines: the first edge index and line number of each
-    run, 16 bytes a run, and one run for a file ``save_instance`` wrote.
+    The lines come from the input ``GROUP_LINES`` at a time. A group of
+    canonical edge lines (``_canonical_numbers``) is checked and
+    converted in bulk; any other group goes through ``_check_lines``, the
+    line reader of ``read_edges``, which gives every error its message
+    and line number. Either way the input is read once, so it may be a
+    pipe, and the instance is the same.
+
+    A duplicate is reported at its line, and before any error that the
+    line reader raises later, as a check made line by line would. The
+    line of each edge comes from the runs of consecutive edge lines: the
+    first edge index and line number of each run, 16 bytes a run, and
+    one run for a file ``save_instance`` wrote.
 
     Edges share one int object per vertex id, taken from ``ids``, instead
     of holding two new ints each, which saves 64 bytes per edge for the
     whole run.
     """
     header = SimpleNamespace()
+    _start(header)
     edges: list[tuple[int, int, int]] = []
     append = edges.append
     run_edges, run_lines = array("q"), array("q")
-    next_line = ids = error = None
+    next_line = ids = error = numbers = None
+    lines = iter(lines)
     try:
-        for line_no, i, j, w in read_edges(lines, header):
+        while group := list(islice(lines, GROUP_LINES)):
+            numbers = _canonical_numbers(group, header)
+            if numbers is None:
+                for line_no, i, j, w in _check_lines(group, header):
+                    if line_no != next_line:
+                        if ids is None:
+                            ids = list(range(-1, max(header.n_l, header.n_r)))
+                        run_edges.append(len(edges))
+                        run_lines.append(line_no)
+                    next_line = line_no + 1
+                    append((ids[i], ids[j], w))
+                continue
+            line_no = header.lines_read + 1
             if line_no != next_line:
                 if ids is None:
-                    ids = list(range(max(header.n_l, header.n_r)))
+                    ids = list(range(-1, max(header.n_l, header.n_r)))
                 run_edges.append(len(edges))
                 run_lines.append(line_no)
-            next_line = line_no + 1
-            append((ids[i], ids[j], w))
+            next_line = line_no + len(group)
+            vertex = ids.__getitem__
+            edges.extend(zip(map(vertex, numbers[0::3]), map(vertex, numbers[1::3]),
+                             numbers[2::3]))
+            header.lines_read += len(group)
+            header.edges_read += len(group)
+        _finish(header)
     except InstanceFormatError as exc:
         error = exc
-    del append  # so that the list is freed once the tuple is built
+    del append, numbers  # so that the list and the last group's numbers are freed
     edges = tuple(edges)
     k = _first_repeat(header.n_l, edges) if edges else None
     if k is not None:

@@ -135,8 +135,10 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
     acct.alloc(8, "scalars")
     for i, j, w in stream.traverse():
         m += 1
-        w_max = max(w_max, w)
-        w_min = w if w_min is None else min(w_min, w)
+        if w > w_max:
+            w_max = w
+        if w_min is None or w < w_min:
+            w_min = w
     n_l, n_r = stream.n_l, stream.n_r
     if m == 0:
         raise ValueError("cannot scale an instance with no edges")
@@ -186,8 +188,6 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     w_min_surv = w
                 margin = k * w
                 if margin > margin_best.get(i, 0):
-                    if i not in margin_best:
-                        acct.alloc(1, "margins")
                     margin_best[i] = margin
             budget = phase_budget(ceil_log(k, w_max, w_min_surv), eps)
         else:
@@ -201,15 +201,17 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                         if margin > best:
                             best = margin
                 if best > margin_best.get(i, 0):
-                    if i not in margin_best:
-                        acct.alloc(1, "margins")
                     margin_best[i] = best
+        # One word per best margin and five per claim, each metered once
+        # its pass ends: no word is freed within a pass, so the peak is
+        # the same as when each word is metered as it is taken.
+        n_margins = len(margin_best)
+        acct.alloc(n_margins, "margins")
 
         if audit:  # the demanders, before the match pass empties margin_best
             demanders = list(margin_best)
         # margin_best holds only bidders unmatched at phase start; a
         # bidder leaves it once it claims an item in this pass.
-        n_margins = len(margin_best)
         pairs: list[tuple[int, int, int]] = []
         claimed: set[int] = set()
         for i, run in stream.runs():
@@ -224,8 +226,8 @@ def stream_mwm(stream: EdgeStream, eps: Epsilon, audit: bool = False
                     del margin_best[i]
                     claimed.add(j)
                     pairs.append((i, j, w))
-                    acct.alloc(5, "phase-claims")
                     break
+        acct.alloc(5 * len(pairs), "phase-claims")
 
         auc.commit_round(pairs)
 

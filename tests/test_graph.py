@@ -4,13 +4,16 @@ import hashlib
 import io
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from auctionmatch import graph
 from auctionmatch.errors import InstanceFormatError
 from auctionmatch.graph import (
+    GROUP_LINES,
     MAX_SIDE,
     BipartiteInstance,
     Epsilon,
@@ -28,7 +31,7 @@ from auctionmatch.graph import (
 
 # Small numbers only: a mutated problem line allocates its sizes.
 _TOKENS = ("p", "bm", "e", "b", "l", "r", "c", "x", "-1", "0", "1", "2", "3",
-           "12", "a", "1.5", "\u00e9", "\t", "")
+           "01", "12", "a", "1.5", "\u00e9", "\t", "")
 
 
 @st.composite
@@ -242,35 +245,106 @@ def _texts_with_repeats(draw):
     return "".join(lines)
 
 
+def _outcome(parse):
+    try:
+        return parse()
+    except InstanceFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+# Groups of two and three lines put group boundaries inside these short
+# texts, so that a text's lines are read partly in bulk, partly by the
+# line reader, and a duplicate can sit in another group than its first.
+_GROUP_SIZES = st.sampled_from((2, 3, GROUP_LINES))
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=_texts_with_repeats())
-def test_loader_agrees_with_packed_key_reference(text):
-    def outcome(parse):
-        try:
-            return parse()
-        except InstanceFormatError as exc:
-            return exc.line_no, str(exc)
-
-    assert outcome(lambda: loads_instance(text)) == outcome(
-        lambda: _packed_key_parse(io.StringIO(text, newline=None)))
+@given(text=_texts_with_repeats(), group_lines=_GROUP_SIZES)
+def test_loader_agrees_with_packed_key_reference(text, group_lines):
+    reference = _outcome(lambda: _packed_key_parse(io.StringIO(text, newline=None)))
+    with mock.patch.object(graph, "GROUP_LINES", group_lines):
+        assert _outcome(lambda: loads_instance(text)) == reference
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=_instance_texts())
-def test_load_instance_agrees_with_loads_instance(tmp_path_factory, text):
+@given(text=_instance_texts(), group_lines=_GROUP_SIZES)
+def test_load_instance_agrees_with_loads_instance(tmp_path_factory, text, group_lines):
     # the file holds the text's UTF-8 bytes and its LF, CRLF or CR endings
     path = tmp_path_factory.getbasetemp() / "mutated.gr"
     path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(graph, "GROUP_LINES", group_lines):
+        assert _outcome(lambda: load_instance(path)) == _outcome(lambda: loads_instance(text))
 
-    def outcome(parse):
-        try:
-            return parse()
-        except InstanceFormatError as exc:
-            return exc.line_no, str(exc)
 
-    assert outcome(lambda: load_instance(path)) == outcome(lambda: loads_instance(text))
+_HEAD = b"p bm 3 3 4\ne 1 1 5\n"
+# (file bytes, the lines of the groups of two that the line reader reads)
+_GROUPED_FILES = {
+    "canonical": (_HEAD + b"e 2 3 7\ne 3 2 1\ne 1 2 9\n", [1, 2]),
+    "comment-in-group": (_HEAD + b"e 2 3 7\nc x\ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "blank-line": (_HEAD + b"e 2 3 7\ne 3 2 1\n\ne 1 2 9\n", [1, 2, 5, 6]),
+    "duplicate-bulk-bulk": (_HEAD + b"e 2 3 7\ne 3 2 1\ne 2 3 9\n", [1, 2]),
+    "duplicate-bulk-line": (_HEAD + b"e 2 3 7\ne 3 2 1\ne 2  3 9\n", [1, 2, 5]),
+    "duplicate-line-bulk": (b"p bm 3 3 4\ne 2 3 7\ne 1 1 5\ne 3 2 1\ne 2 3 9\n", [1, 2]),
+    "leading-zero-endpoint": (_HEAD + b"e 01 3 7\ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "leading-zero-weight": (_HEAD + b"e 2 3 7\ne 3 2 01\ne 1 2 9\n", [1, 2, 3, 4]),
+    "extra-space": (_HEAD + b"e 2 3 7\ne 3 2 1\ne 1  2 9\n", [1, 2, 5]),
+    "trailing-space": (_HEAD + b"e 2 3 7 \ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "tab": (_HEAD + b"e 2 3 7\ne 3\t2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    # read as a text file, every line ends in LF before it is grouped
+    "crlf": (_HEAD.replace(b"\n", b"\r\n") + b"e 2 3 7\r\ne 3 2 1\r\ne 1 2 9\r\n", [1, 2]),
+    "cr": (_HEAD.replace(b"\n", b"\r") + b"e 2 3 7\re 3 2 1\re 1 2 9\r", [1, 2]),
+    "no-final-newline": (_HEAD + b"e 2 3 7\ne 3 2 1\ne 1 2 9", [1, 2, 5]),
+    "non-ascii": (_HEAD + b"e 2 3 7\ne 3 2 1\xe9\ne 1 2 9\n", [1, 2, 3, 4]),
+    "edge-before-problem-line": (b"c\nc\ne 1 1 5\ne 2 3 7\np bm 3 3 2\n", [1, 2, 3, 4]),
+    "bidder-out-of-range": (_HEAD + b"e 2 3 7\ne 4 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "item-out-of-range": (_HEAD + b"e 2 4 7\ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    # json.loads, like int(), refuses a number of more than 4300 digits
+    "weight-above-digit-limit": (
+        _HEAD + b"e 2 3 7\ne 3 2 1" + b"0" * 4300 + b"\ne 1 2 9\n", [1, 2, 3, 4]),
+    "fewer-edges-than-declared": (_HEAD + b"e 2 3 7\ne 3 2 1\n", [1, 2]),
+}
+
+
+@pytest.mark.parametrize("data,read_by_line", _GROUPED_FILES.values(),
+                         ids=_GROUPED_FILES.keys())
+def test_grouped_read_agrees_with_line_reader(tmp_path, monkeypatch, data, read_by_line):
+    # the same instance or the same error, at the same line, as the line
+    # reader alone; only groups that are not all canonical edge lines, or
+    # that come before the problem line, are read line by line
+    path = tmp_path / "g.gr"
+    path.write_bytes(data)
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        reference = _outcome(lambda: _packed_key_parse(fh))
+    monkeypatch.setattr(graph, "GROUP_LINES", 2)
+    check_lines = graph._check_lines
+    line_read = []
+
+    def spy(group, header):
+        line_read.extend(range(header.lines_read + 1, header.lines_read + 1 + len(group)))
+        return check_lines(group, header)
+
+    monkeypatch.setattr(graph, "_check_lines", spy)
+    assert _outcome(lambda: load_instance(path)) == reference
+    assert line_read == read_by_line
+
+
+def test_grouped_read_shares_one_int_per_vertex_id(monkeypatch):
+    # the edges of bulk groups and of the line reader's groups hold the
+    # same int object for each vertex id
+    inst = generate_random(40, 30, 0.2, w_range=(1, 50), seed=6)
+    lines = dumps_instance(inst).splitlines(keepends=True)
+    for k in range(7, len(lines), 9):
+        lines[k] = lines[k].replace(" ", "  ", 1)
+    monkeypatch.setattr(graph, "GROUP_LINES", 4)
+    loaded = loads_instance("".join(lines))
+    assert loaded == inst
+    objects: dict[int, set[int]] = {}
+    for i, j, _ in loaded.edges:
+        for v in (i, j):
+            objects.setdefault(v, set()).add(id(v))
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_load_peaks_little_above_what_it_keeps(tmp_path):
@@ -426,6 +500,14 @@ def test_prune_drops_tiny_edges():
     assert sg.prune_exponent == 3
     assert sg.m == 1
     assert sg.pruned_count == 3
+    assert sg.edges == ((0, 0, 10**6),)
+
+
+def test_scale_shares_the_edges_when_none_is_pruned():
+    inst = generate_random(30, 30, 0.2, w_range=(1, 9), seed=4)
+    sg = scale_and_prune(inst, Epsilon(4))
+    assert sg.pruned_count == 0
+    assert sg.edges is inst.edges
 
 
 def test_scale_rejects_empty():

@@ -297,6 +297,52 @@ def test_stream_mwm_peak_words_stay_within_their_bound():
     assert at_bound > 0 and runs > 240
 
 
+# (generator parameters, run, the run's peak words, the peak of each
+# stream_mwm run in it), as recorded when each word was metered as taken
+_PINNED_STREAM_MWM_SPACE = [
+    (dict(n_l=36, n_r=32, density=0.3, w_range=(1, 1000), seed=7),
+     "stream", 382, [382]),
+    (dict(n_l=36, n_r=32, density=0.3, w_range=(1, 1000), seed=7),
+     "sequential", 694, [362, 222, 382, 258, 382, 312, 382]),
+    (dict(n_l=36, n_r=32, density=0.3, w_range=(1, 1000), seed=7),
+     "concurrent", 2300, [362, 222, 382, 258, 382, 312, 382]),
+    (dict(n_l=72, n_r=64, density=0.12, w_range=(1, 10 ** 6), seed=8),
+     "stream", 736, [736]),
+    (dict(n_l=72, n_r=64, density=0.12, w_range=(1, 10 ** 6), seed=8),
+     "sequential", 1358, [670, 688, 430, 750, 466, 761, 554, 761]),
+    (dict(n_l=72, n_r=64, density=0.12, w_range=(1, 10 ** 6), seed=8),
+     "concurrent", 5080, [670, 688, 430, 750, 466, 761, 554, 761]),
+]
+
+
+@pytest.mark.parametrize("params,run,peak_words,peaks", _PINNED_STREAM_MWM_SPACE,
+                         ids=[f"{p['seed']}-{run}" for p, run, _, _ in
+                              _PINNED_STREAM_MWM_SPACE])
+def test_stream_mwm_meters_each_pass_once_with_the_same_peak_and_tags(
+        monkeypatch, params, run, peak_words, peaks):
+    # stream_mwm meters a pass's margins and claims with one alloc each;
+    # every accountant it makes ends with the same peak and tags as when
+    # it metered each word as it was taken
+    made = []
+
+    class Recording(SpaceAccountant):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(streaming, "SpaceAccountant", Recording)
+    inst = generate_random(**params)
+    if run == "stream":
+        _, tr = stream_mwm(EdgeStream.from_instance(inst), Epsilon(8))
+    else:
+        _, tr = run_reduced_mwm(inst, Epsilon(4), schedule=run)
+    assert tr.peak_words == peak_words
+    assert [acct.peak for acct in made] == peaks
+    tags = {"scalars": 8, "vertex-state": 2 * inst.n_r + 4 * inst.n_l,
+            "margins": 0, "phase-claims": 0}
+    assert all(list(acct.tags.items()) == list(tags.items()) for acct in made)
+
+
 def test_stream_mwm_space_grows_linearly():
     peaks = []
     for n in (64, 128):
