@@ -252,14 +252,11 @@ def scale_and_prune(inst: BipartiteInstance, eps: Epsilon) -> ScaledGraph:
     if not inst.edges:
         raise ValueError("cannot scale an instance with no edges")
     k = eps.k
-    w_max, w_min = inst.w_max, inst.w_min
+    w_max = inst.w_max
     m = inst.m
-    t = prune_exponent(k, m, w_min, w_max)
+    t = prune_exponent(k, m, inst.w_min, w_max)
     power = k ** t
-    if w_min * power >= w_max:  # every edge survives: share the instance's tuple
-        survivors = inst.edges
-    else:
-        survivors = tuple(e for e in inst.edges if e[2] * power >= w_max)
+    survivors = tuple(e for e in inst.edges if e[2] * power >= w_max)
     return ScaledGraph(
         instance=inst,
         eps=eps,
@@ -289,11 +286,12 @@ MAX_SIDE = 2 ** 22
 
 # Lines that ``_parse_lines`` takes from its input at a time; a group made
 # only of canonical edge lines is checked and converted in bulk.
-GROUP_LINES = 1024
-# Canonical edge lines, as ``save_instance`` writes them: "e i j w" with
-# single spaces, LF, and positive decimal integers without a leading zero.
-# The repeats are possessive: no backtracking can make a failed group match.
-_CANONICAL_EDGES = re.compile(r"(?:e [1-9][0-9]*+ [1-9][0-9]*+ [1-9][0-9]*+\n)++")
+GROUP_LINES = 256
+# A newline followed by neither the end of the text nor a canonical edge
+# line. Canonical edge lines are what ``save_instance`` writes: "e i j w"
+# with single spaces, LF, and positive decimal integers without a leading
+# zero.
+_NOT_CANONICAL = re.compile(r"\n(?!e [1-9][0-9]* [1-9][0-9]* [1-9][0-9]*\n|\Z)")
 
 
 def read_edges(lines, header):
@@ -406,15 +404,15 @@ def _canonical_numbers(group, header) -> list[int] | None:
     canonical edge line whose endpoints are in range; otherwise None.
 
     Each line of ``group`` ends at its one newline, or at the end of the
-    input, as a file's lines do. The group is checked by one regex match
-    and converted by one ``json.loads``. A line the match accepts passes
-    every check of ``_check_lines``, which would read the same numbers
-    from it.
+    input, as a file's lines do. The group is checked by one regex
+    search, which looks at the start of each line, and converted by one
+    ``json.loads``. A canonical edge line passes every check of
+    ``_check_lines``, which would read the same numbers from it.
     """
     if header.n_l is None:
         return None
     text = "".join(group)
-    if _CANONICAL_EDGES.fullmatch(text) is None:
+    if _NOT_CANONICAL.search("\n" + text):
         return None
     try:
         numbers = json.loads("[" + text[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
@@ -453,6 +451,16 @@ def _parse_lines(lines) -> BipartiteInstance:
     append = edges.append
     run_edges, run_lines = array("q"), array("q")
     next_line = ids = error = numbers = None
+
+    def start_run(line_no):
+        # The first edge starts the first run, so ``ids`` is made once the
+        # problem line has set the sides.
+        nonlocal ids
+        if ids is None:
+            ids = list(range(-1, max(header.n_l, header.n_r)))
+        run_edges.append(len(edges))
+        run_lines.append(line_no)
+
     lines = iter(lines)
     try:
         while group := list(islice(lines, GROUP_LINES)):
@@ -460,19 +468,13 @@ def _parse_lines(lines) -> BipartiteInstance:
             if numbers is None:
                 for line_no, i, j, w in _check_lines(group, header):
                     if line_no != next_line:
-                        if ids is None:
-                            ids = list(range(-1, max(header.n_l, header.n_r)))
-                        run_edges.append(len(edges))
-                        run_lines.append(line_no)
+                        start_run(line_no)
                     next_line = line_no + 1
                     append((ids[i], ids[j], w))
                 continue
             line_no = header.lines_read + 1
             if line_no != next_line:
-                if ids is None:
-                    ids = list(range(-1, max(header.n_l, header.n_r)))
-                run_edges.append(len(edges))
-                run_lines.append(line_no)
+                start_run(line_no)
             next_line = line_no + len(group)
             vertex = ids.__getitem__
             edges.extend(zip(map(vertex, numbers[0::3]), map(vertex, numbers[1::3]),

@@ -300,6 +300,9 @@ _GROUPED_FILES = {
     "edge-before-problem-line": (b"c\nc\ne 1 1 5\ne 2 3 7\np bm 3 3 2\n", [1, 2, 3, 4]),
     "bidder-out-of-range": (_HEAD + b"e 2 3 7\ne 4 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
     "item-out-of-range": (_HEAD + b"e 2 4 7\ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "zero-bidder": (_HEAD + b"e 2 3 7\ne 0 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "zero-item": (_HEAD + b"e 2 0 7\ne 3 2 1\ne 1 2 9\n", [1, 2, 3, 4]),
+    "zero-weight": (_HEAD + b"e 2 3 7\ne 3 2 0\ne 1 2 9\n", [1, 2, 3, 4]),
     # json.loads, like int(), refuses a number of more than 4300 digits
     "weight-above-digit-limit": (
         _HEAD + b"e 2 3 7\ne 3 2 1" + b"0" * 4300 + b"\ne 1 2 9\n", [1, 2, 3, 4]),
@@ -501,13 +504,6 @@ def test_prune_drops_tiny_edges():
     assert sg.m == 1
     assert sg.pruned_count == 3
     assert sg.edges == ((0, 0, 10**6),)
-
-
-def test_scale_shares_the_edges_when_none_is_pruned():
-    inst = generate_random(30, 30, 0.2, w_range=(1, 9), seed=4)
-    sg = scale_and_prune(inst, Epsilon(4))
-    assert sg.pruned_count == 0
-    assert sg.edges is inst.edges
 
 
 def test_scale_rejects_empty():
