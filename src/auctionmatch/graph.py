@@ -8,6 +8,7 @@ done on cross-multiplied integers; no floats are involved anywhere.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
@@ -424,6 +425,20 @@ def _canonical_numbers(group, header) -> list[int] | None:
 
 
 def _parse_lines(lines) -> BipartiteInstance:
+    """``_read_instance`` with the cyclic collector paused: the read makes
+    a tuple per edge and no cycle, so a collection during it would only
+    scan the edges read so far. The collector's state is restored after
+    the read, also when it raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_instance(lines)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_instance(lines) -> BipartiteInstance:
     """Read an instance. ``read_edges``' checks are made line by line;
     duplicate edges are found per bidder once the read ends, at one
     transient pointer per edge.

@@ -177,20 +177,38 @@ def run_mcbm(
     identical matchings.  Returns the best projection seen over rounds
     together with a trace of rounds executed against the budget.
 
-    With ``audit`` every round runs ``_round_audit``;
-    ``trace.notes["reopened_pairs"]`` sums the re-opened pairs it counts.
+    The "det" worklist holds the awake copies only. A copy whose demand
+    set comes back empty sleeps until an event can give it one: the
+    eviction of a sibling copy (``_wake_siblings``) or a neighbour's
+    cheapest price reaching its cutoff (``_wake_at_cutoff``). Prices,
+    ``pmin`` and a sleeping copy's cutoff never fall, so no other event
+    can, and every round finds the demanders that asking every unmatched
+    copy would. When no copy is awake, the round asks every sleeping copy
+    once, and the run ends as that full worklist would end it.
+
+    With ``audit`` every round runs ``_round_audit`` on every unmatched
+    copy with a neighbour, asleep or awake, so a missed wake-up fails
+    its demand check; ``trace.notes["reopened_pairs"]`` sums the
+    re-opened pairs it counts.
     """
     check_run("mcbm", "memory", kernel)
     cg = expand_copies(inst)
     state = McbmState(cg=cg, k=eps.k)
     budget = mcbm_round_budget(eps)
     trace = RunTrace(rounds_executed=0, round_budget=budget)
+    bidder_orig, item_orig = cg.bidder_orig, cg.item_orig
+    # Original bidder -> its sleeping copies, for the "det" kernel.
+    asleep: dict[int, list[int]] = {}
+    bidders_of: list[list[int]] = [[] for _ in range(inst.n_r)]
+    if kernel == "det":
+        for i, j, _ in inst.edges:
+            bidders_of[j].append(i)
 
     def step(unmatched):
         # A copy unmatched at round start is never evicted in its own
         # round, so the demanders that win nothing are those the commits
-        # leave unmatched. While any copy demands, every unmatched copy
-        # stays: a sibling eviction can give an empty demand set items.
+        # leave unmatched. The stream kernel keeps every unmatched copy
+        # while any copy demands.
         demanded, pairs = (_det_round if kernel == "det" else _stream_round)(
             state, unmatched)
         got = KernelMatching(pairs=[(bc, jc, 1) for bc, jc in pairs])
@@ -199,22 +217,93 @@ def run_mcbm(
             if state.assignment[bc] is None:
                 state.cutoffs[bc] += 1
         kept = unmatched if demanded else []
-        return kept, state.next_bidders(kept, evicted), got
+        if kernel != "det" or not demanded:
+            return kept, state.next_bidders(kept, evicted), got
+        # The "det" kernel puts the copies that did not demand to sleep;
+        # this round's commits may already wake them. A sleeping copy is
+        # not priced out for good, so ``kept`` is the whole worklist.
+        if len(demanded) < len(unmatched):
+            demanding = set(demanded)
+            for bc in unmatched:
+                if bc not in demanding:
+                    asleep.setdefault(bidder_orig[bc], []).append(bc)
+        following = state.next_bidders(demanded, evicted)
+        if asleep:
+            woken = (_wake_siblings(state, asleep, evicted)
+                     + _wake_at_cutoff(state, asleep, bidders_of, got.pairs))
+            if woken:
+                following = sorted(following + woken)
+            elif not following:
+                following = sorted(bc for copies in asleep.values() for bc in copies)
+                asleep.clear()
+        return kept, following, got
 
     views: dict[int, frozenset[int]] = {}
     if audit:
         trace.notes["reopened_pairs"] = 0
     # Unmatched bidder copies with neighbours, ascending; evictions feed it.
+    bidding = [bc for bc in range(cg.n_bidder_copies) if state.adj[bidder_orig[bc]]]
     trace.rounds_executed = state.run_rounds(
-        [bc for bc in range(cg.n_bidder_copies) if state.adj[cg.bidder_orig[bc]]],
-        budget, step,
-        (lambda unmatched: _round_audit(state, unmatched, views, trace.notes))
+        bidding, budget, step,
+        (lambda _: _round_audit(
+            state, [bc for bc in bidding if state.assignment[bc] is None],
+            views, trace.notes))
         if audit else None)[0]
 
     best_pairs = tuple(sorted(
-        (cg.bidder_orig[bc], cg.item_orig[jc]) for bc, jc in state.best_pairs()))
+        (bidder_orig[bc], item_orig[jc]) for bc, jc in state.best_pairs()))
     return MatchingResult(pairs=best_pairs, value=len(best_pairs),
                           round_captured=state.best_round), trace
+
+
+def _wake_siblings(state: McbmState, asleep: dict[int, list[int]],
+                   evicted: list[int | None]) -> list[int]:
+    """Wake the sleeping copies of each bidder one of whose copies was
+    evicted: the eviction took that bidder's pair out of ``held``."""
+    bidder_orig = state.cg.bidder_orig
+    woken: list[int] = []
+    for bc in evicted:
+        if bc is not None:
+            woken += asleep.pop(bidder_orig[bc], ())
+    return woken
+
+
+def _wake_at_cutoff(state: McbmState, asleep: dict[int, list[int]],
+                    bidders_of: list[list[int]],
+                    pairs: list[tuple[int, int, int]]) -> list[int]:
+    """Wake the sleeping copies whose cutoff a neighbour's cheapest price
+    has just reached, below full price ``k``, unless a sibling copy holds
+    that item.
+
+    Each of the committed ``pairs`` claimed its item copy at the item's
+    round-start ``pmin``, as the "det" round does, and no copy is claimed
+    twice in a round; so an item's ``pmin`` rose, by one step, just when
+    it now equals a claimed copy's price, and it reached the cutoff of
+    exactly the copies whose cutoff is that price.
+    """
+    pmin, prices, cutoffs, k = state.pmin, state.prices, state.cutoffs, state.k
+    item_orig = state.cg.item_orig
+    risen = {}
+    for _, jc, _ in pairs:
+        j, p = item_orig[jc], prices[jc]
+        if p == pmin[j] and p < k:
+            risen[j] = p
+    held = state.held
+    woken: list[int] = []
+    for j, p in risen.items():
+        for i in bidders_of[j]:
+            if i not in asleep or (i, j) in held:
+                continue
+            copies = asleep[i]
+            reached = [bc for bc in copies if cutoffs[bc] == p]
+            if not reached:
+                continue
+            woken += reached
+            if len(reached) == len(copies):
+                del asleep[i]
+            else:
+                asleep[i] = [bc for bc in copies if cutoffs[bc] != p]
+    return woken
 
 
 def _det_round(
@@ -342,10 +431,10 @@ def _round_audit(state: McbmState, unmatched: list[int],
     ``views``, the items each copy in ``unmatched`` may bid on (its demand
     view); a copy is live when one of them is below full price k. Returns
     the round-end check, which runs ``_audit_round``, adds its re-opened
-    pairs to ``notes["reopened_pairs"]`` and runs ``check_demand``. Every
-    unmatched copy stays on the worklist, so the check reads the copies
-    that demanded off the state, not off ``kept``: those now matched or
-    whose cutoff rose.
+    pairs to ``notes["reopened_pairs"]`` and runs ``check_demand``.
+    Callers pass every unmatched copy, not their worklist, and the check
+    reads the copies that demanded off the state, not off ``kept``: those
+    now matched or whose cutoff rose.
     """
     prev_prices, prev_cutoffs = list(state.prices), list(state.cutoffs)
     for bc in unmatched:

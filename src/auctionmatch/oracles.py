@@ -236,8 +236,9 @@ def exact_mcbm(inst: BipartiteInstance) -> OracleResult:
     item j -> sink with capacity b_j. Dinic's blocking flows (Dinic, 1970)
     on list-based arcs, where arc ``e ^ 1`` is the reverse of arc ``e``:
     a breadth-first level graph per phase and an iterative depth-first
-    search with per-node arc pointers. The saturated bidder-item arcs are
-    the witness.
+    search with per-node arc pointers. A greedy start first sends one unit
+    along each edge in turn whose bidder and item both have capacity
+    left. The saturated bidder-item arcs are the witness.
     """
     check_oracle_size(inst)
     n_l, n_r = inst.n_l, inst.n_r
@@ -262,10 +263,18 @@ def exact_mcbm(inst: BipartiteInstance) -> OracleResult:
     first_edge_arc = len(to)
     for i, j, _ in inst.edges:
         add_arc(1 + i, 1 + n_l + j, 1)
+    sink_arcs = len(to)
     for j in range(n_r):
         add_arc(1 + n_l + j, sink, inst.b_r[j])
 
     total = 0
+    # arc 2 * i leaves the source for bidder i
+    for e, (i, j, _) in enumerate(inst.edges):
+        if cap[2 * i] and cap[sink_arcs + 2 * j]:
+            for a in (2 * i, first_edge_arc + 2 * e, sink_arcs + 2 * j):
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+            total += 1
     while True:
         level = [-1] * node_count
         level[source] = 0

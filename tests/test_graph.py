@@ -1,5 +1,6 @@
 """Instance model, file format, generation, and scaling."""
 
+import gc
 import hashlib
 import io
 import tracemalloc
@@ -394,6 +395,39 @@ def test_format_errors_carry_line_numbers():
         loads_instance("p bm 1 1 1\ne 1 1\n")
     with pytest.raises(InstanceFormatError, match="declares"):
         loads_instance("p bm 1 1 2\ne 1 1 1\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, enabled):
+    # The collector is off while a file is read, and afterwards in the
+    # state it was in before: after a good load and after a format error,
+    # whether it was on or off.
+    seen = []
+    read = graph._read_instance
+
+    def spy(lines):
+        seen.append(gc.isenabled())
+        return read(lines)
+
+    monkeypatch.setattr(graph, "_read_instance", spy)
+    good = tmp_path / "good.gr"
+    save_instance(generate_random(6, 5, 0.5, seed=1), good)
+    bad = tmp_path / "bad.gr"
+    bad.write_text("p bm 2 2 1\ne 1 3 1\n")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        load_instance(good)
+        assert gc.isenabled() == enabled
+        with pytest.raises(InstanceFormatError, match="line 2"):
+            load_instance(bad)
+        assert gc.isenabled() == enabled
+        with pytest.raises(InstanceFormatError, match="line 1"):
+            loads_instance("q\n")
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
 
 
 # (text, line of the error or None for one found at the end, fragment)

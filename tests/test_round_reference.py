@@ -12,7 +12,9 @@ list instead of building demand sets and a candidate dict; results, round counts
 and blackboard traces must not change, also when edge lines are not in
 item order. The three engines run their rounds through
 ``Auction.run_rounds``; the capacitated reference is a round loop of its
-own, which raises the cutoffs after the commits.
+own, which raises the cutoffs after the commits and asks every unmatched
+copy each round, where the deterministic capacitated engine asks only the
+copies that are awake: each round's demanders and pairs must be the same.
 
 The references commit pair by pair through ``reference_commit``, the
 per-pair commit that the engines' batch ``Auction.commit_round`` and the
@@ -26,6 +28,7 @@ import pytest
 
 from auctionmatch import mcbm, mcm, mwm
 from auctionmatch.auction import Auction, blackboard_trace, phase_budget, round_budget
+from auctionmatch.errors import InvariantViolation
 from auctionmatch.graph import BipartiteInstance, Epsilon, generate_random, scale_and_prune
 from auctionmatch.kernels import (
     KernelMatching,
@@ -632,3 +635,130 @@ def test_mcbm_matches_its_own_round_loop(kernel):
                 assert got == want  # the trace's notes included
                 reopened += got[1].notes.get("reopened_pairs", 0)
     assert reopened > 0
+
+
+def _capacitated_family(count=40):
+    """Seeded capacitated instances in shuffled edge order: 2 to 6
+    neighbours per bidder, capacities up to 4 on each side and a few more
+    bidders than items, so that copies are priced out, fall asleep and
+    are woken."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n_r = rng.randint(6, 64)
+        inst = generate_random(n_r + rng.randint(0, n_r // 4), n_r,
+                               rng.randint(2, 6) / n_r,
+                               b_l_range=(1, rng.randint(1, 4)),
+                               b_r_range=(1, rng.randint(1, 4)), seed=seed)
+        yield seed, _shuffled(inst, seed)
+
+
+_SLEEP_EPS = (Epsilon(2), Epsilon(4), Epsilon(8), Epsilon(16))
+
+
+def _with_round_log(run, *args):
+    """``run(*args)`` and the (demanders, pairs) of every det round it ran."""
+    log, inner = [], mcbm._det_round
+
+    def logged(state, unmatched):
+        out = inner(state, unmatched)
+        log.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mcbm, "_det_round", logged)
+        return run(*args), log
+
+
+def _full_worklist_mismatches():
+    """The det runs of ``_capacitated_family`` that differ from the
+    reference loop, which asks every unmatched copy each round, in their
+    result, their round count, or any round's demanders and pairs."""
+    mismatches = []
+    for seed, inst in _capacitated_family():
+        for eps in _SLEEP_EPS:
+            (got, trace), got_log = _with_round_log(mcbm.run_mcbm, inst, eps, "det", seed)
+            (want, want_trace), want_log = _with_round_log(
+                _reference_run_mcbm, inst, eps, "det", seed)
+            if (got, trace.rounds_executed, got_log) != (
+                    want, want_trace.rounds_executed, want_log):
+                mismatches.append((seed, eps.k))
+    return mismatches
+
+
+def _audit_failures():
+    """The property each failing audited det run of ``_capacitated_family``
+    raises."""
+    props = []
+    for seed, inst in _capacitated_family():
+        for eps in _SLEEP_EPS:
+            try:
+                mcbm.run_mcbm(inst, eps, "det", seed, audit=True)
+            except InvariantViolation as exc:
+                props.append(exc.prop)
+    return props
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``mcbm.<name>``, a wake-up, to collect the copies it wakes."""
+    inner, woken = getattr(mcbm, name), []
+
+    def counted(*args):
+        got = inner(*args)
+        woken.extend(got)
+        return got
+
+    monkeypatch.setattr(mcbm, name, counted)
+    return woken
+
+
+def test_sleeping_copies_match_the_full_worklist(monkeypatch):
+    # The det round asks only awake copies; every run must still find, round
+    # by round, the demanders and pairs of asking every unmatched copy, and
+    # so the same result and round count. Both kinds of wake-up happen.
+    by_sibling = _counting(monkeypatch, "_wake_siblings")
+    by_cutoff = _counting(monkeypatch, "_wake_at_cutoff")
+    assert _full_worklist_mismatches() == []
+    assert by_sibling and by_cutoff
+    assert _audit_failures() == []
+    # audited, the traces' notes are the reference's too
+    for seed, inst in _capacitated_family(8):
+        for eps in _SLEEP_EPS:
+            assert (mcbm.run_mcbm(inst, eps, "det", seed, audit=True)
+                    == _reference_run_mcbm(inst, eps, "det", seed, audit=True))
+
+
+@pytest.mark.parametrize("wake", ["_wake_siblings", "_wake_at_cutoff"])
+def test_a_dropped_wake_up_fails_the_replay_and_the_audit(wake, monkeypatch):
+    # A copy left asleep after an event that gave it a demand set misses
+    # rounds it would have demanded in, and the audit, which reads every
+    # unmatched copy off the state, names it as live but not demanding.
+    monkeypatch.setattr(mcbm, wake, lambda *args: [])
+    assert _full_worklist_mismatches()
+    props = _audit_failures()
+    assert props
+    assert set(props) == {"empty-demand-characterization"}
+
+def test_sleeping_copies_halve_the_demand_calls(monkeypatch):
+    # A verify-limit-like family (n_l = 9/8 n_r, degree 4, capacities
+    # 1-4, eps = 1/8), where most copies get priced out: the det run asks
+    # for at most half the demand sets the full worklist asks for, so a
+    # fall-back to asking every unmatched copy fails here.
+    calls = []
+    demand = mcbm.find_demand_set
+
+    def counted(state, bcopy):
+        calls.append(bcopy)
+        return demand(state, bcopy)
+
+    monkeypatch.setattr(mcbm, "find_demand_set", counted)
+    awake = full = 0
+    for seed in range(6):
+        inst = generate_random(144, 128, 4 / 128, b_l_range=(1, 4),
+                               b_r_range=(1, 4), seed=seed)
+        calls.clear()
+        got = mcbm.run_mcbm(inst, Epsilon(8))
+        awake += len(calls)
+        calls.clear()
+        assert got == _reference_run_mcbm(inst, Epsilon(8))
+        full += len(calls)
+    assert 2 * awake <= full
