@@ -197,10 +197,12 @@ def run_mcbm(
     budget = mcbm_round_budget(eps)
     trace = RunTrace(rounds_executed=0, round_budget=budget)
     bidder_orig, item_orig = cg.bidder_orig, cg.item_orig
-    # Original bidder -> its sleeping copies, for the "det" kernel.
+    # For the "det" kernel: original bidder -> its sleeping copies, and
+    # original item -> its bidders.
     asleep: dict[int, list[int]] = {}
-    bidders_of: list[list[int]] = [[] for _ in range(inst.n_r)]
+    bidders_of: list[list[int]] = []
     if kernel == "det":
+        bidders_of = [[] for _ in range(inst.n_r)]
         for i, j, _ in inst.edges:
             bidders_of[j].append(i)
 

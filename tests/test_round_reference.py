@@ -738,6 +738,7 @@ def test_a_dropped_wake_up_fails_the_replay_and_the_audit(wake, monkeypatch):
     assert props
     assert set(props) == {"empty-demand-characterization"}
 
+
 def test_sleeping_copies_halve_the_demand_calls(monkeypatch):
     # A verify-limit-like family (n_l = 9/8 n_r, degree 4, capacities
     # 1-4, eps = 1/8), where most copies get priced out: the det run asks
